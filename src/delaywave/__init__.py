@@ -39,7 +39,6 @@ from .solver import (
     build_problem,
     damping_force,
     delay_force,
-    history_oracle,
     init_state,
     laplacian,
     run,

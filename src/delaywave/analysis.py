@@ -21,7 +21,7 @@ from scipy.integrate import quad
 
 from .errors import ConditionError
 from .solver import TERMINATED_BLOWUP, TERMINATED_END
-from .spaces import Grid, GridFunction, gradient_energy
+from .spaces import Grid
 
 log = logging.getLogger(__name__)
 
@@ -122,10 +122,23 @@ def _dirichlet_family(grid: Grid, batch, rng):
 
 
 def _batched_gradient_energy(samples, grid):
-    out = np.empty(samples.shape[0])
-    for i in range(samples.shape[0]):
-        out[i] = gradient_energy(GridFunction(grid, samples[i]))
-    return out
+    """gradient_energy of each sample in a (batch, *grid.shape) stack, bitwise
+    equal to the per-sample call: the axis sums reduce in the same order, and
+    the 2-D weighting keeps one dot per sample (a batched gemv rounds
+    differently)."""
+    if grid.dimension == 1:
+        d = np.diff(samples, axis=1)
+        return np.sum(d * d, axis=1) / grid.spacing[0]
+    hx, hy = grid.spacing
+    wx = np.full(grid.counts[0], hx)
+    wx[0] = wx[-1] = hx / 2.0
+    wy = np.full(grid.counts[1], hy)
+    wy[0] = wy[-1] = hy / 2.0
+    dx = np.diff(samples, axis=1)
+    dy = np.diff(samples, axis=2)
+    ex = np.sum(dx * dx, axis=1) / hx
+    ey = np.sum(dy * dy, axis=2) / hy
+    return np.array([np.dot(wy, a) + np.dot(wx, b) for a, b in zip(ex, ey)])
 
 
 def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,

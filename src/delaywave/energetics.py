@@ -3,7 +3,8 @@
 All integrals are composite-trapezoid quadrature over x, rho and tau. The
 elastic term uses the cell-difference gradient energy from ``spaces`` so the
 conservative part of the discrete energy balance is exact up to the time
-discretization. Report invariants (checked in tests, exact by construction):
+discretization. z is read in the solver's tau-major layout (n_tau, n_rho,
+*grid). Report invariants (checked in tests, exact by construction):
 
     total_energy     = kinetic + potential_energy
     energy_deficit   = -total_energy
@@ -50,17 +51,27 @@ def _rho_weights(n_rho):
     return w
 
 
-def _abs_power(w, exponent_values, extra_axes=0):
-    """|w|**exponent with a fast path for spatially constant exponents."""
+def memory_tail(z):
+    """The rho = 1 tail of a tau-major memory field z (n_tau, n_rho, *grid),
+    as a C-contiguous (*grid, n_tau) copy: a sum over its last axis keeps
+    numpy's pairwise order, which a sum over tau in place would not."""
+    return np.ascontiguousarray(np.moveaxis(z[:, -1], 0, -1))
+
+
+def _abs_power(w, exponent_values, extra_axes=0, out=None):
+    """|w|**exponent with a fast path for spatially constant exponents,
+    written into ``out`` when given."""
     lo = float(exponent_values.min())
     hi = float(exponent_values.max())
     with np.errstate(over="ignore"):
+        if lo == hi == 2.0:
+            return np.multiply(w, w, out=out)
+        out = np.abs(w, out=out)
         if lo == hi:
-            if lo == 2.0:
-                return w * w
-            return np.abs(w) ** lo
-        exp = exponent_values.reshape(exponent_values.shape + (1,) * extra_axes)
-        return np.abs(w) ** exp
+            out **= lo
+        else:
+            out **= exponent_values.reshape(exponent_values.shape + (1,) * extra_axes)
+        return out
 
 
 def _delay_integrals(z, kernel, xi, m, grid_weights):
@@ -70,13 +81,16 @@ def _delay_integrals(z, kernel, xi, m, grid_weights):
     weighted_delay = same with an extra exp(-rho tau) factor
     bulk_modular   = iiint (mu2 + xi) |z|^m
     """
-    rho_w = _rho_weights(z.shape[-2])
-    rho_nodes = np.linspace(0.0, 1.0, z.shape[-2])
+    rho_w = _rho_weights(z.shape[1])
+    rho_nodes = np.linspace(0.0, 1.0, z.shape[1])
     tau_w = kernel.weights
     tw = kernel.nodes * tau_w
     decay_jk = np.exp(-np.outer(rho_nodes, kernel.nodes))
 
-    a = _abs_power(z, m.values, extra_axes=2)
+    # The first pass writes the (*grid, n_rho, n_tau) transpose of z, C-ordered,
+    # so the tensordots below reduce in the grid-major order.
+    field = np.moveaxis(z, (0, 1), (-1, -2))
+    a = _abs_power(field, m.values, extra_axes=2, out=np.empty(field.shape))
     b = a / m.values[..., None, None]
 
     def triple(field, jk_weight):
@@ -121,7 +135,7 @@ def energy_report(state, m, p, kernel, xi, alpha=None, eps=0.0) -> EnergyReport:
 
     delay_energy, weighted_delay, delay_bulk = _delay_integrals(z, kernel, xi, m, w)
 
-    tail_pow = _abs_power(z[..., -1, :], m.values, extra_axes=1)
+    tail_pow = _abs_power(memory_tail(z), m.values, extra_axes=1)
     delay_modular = float(np.sum(w * np.sum(tail_pow * kernel.weights, axis=-1)))
     damping_modular = float(np.sum(w * _abs_power(v, m.values)))
 

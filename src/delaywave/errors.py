@@ -10,7 +10,7 @@ class ConditionError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """An iterative numerical procedure failed to converge."""
+    """A numerical procedure failed to converge or overflowed to inf/nan."""
 
     def __init__(self, message, context=None):
         super().__init__(message)

@@ -1,24 +1,28 @@
 """Explicit time integration of the delayed nonlinear wave system.
 
-State layout: displacement u and velocity v on the spatial grid, plus the
-memory field z(x, rho, tau) carrying the delayed velocity along the unit
-rho-interval, one transport lane per delay-quadrature node tau. The update
-per step is
+State layout: ``SimState`` holds t, u and v on the spatial grid and the
+memory field z(x, rho, tau) = u_t(x, t - rho tau), one C-contiguous array
+stored tau-major as (n_tau, n_rho, *grid): each delay node tau owns a
+contiguous transport lane, ``z[:, 0]`` is the inflow and ``z[:, -1]`` the
+delayed tail. z is the only memory of past velocities; the state holds no
+ring buffer of velocity snapshots. The update per step is
 
     1. kick:  v -> v + dt/2 * a(u, v_half, z),  damping at the half-step
        velocity via one fixed-point pass,
     2. drift: u -> u + dt * v_half,
     3. first-order upwind shift of z along rho (speed 1/tau per lane,
        CFL number dt / (tau * d_rho) <= 1),
-    4. kick with the updated u and z tail, then inflow z(., 0, .) = v.
+    4. kick with the updated u and z tail, then inflow z[:, 0] = v.
 
-A ring buffer of velocity snapshots spanning the largest delay supports an
-interpolation oracle used to cross-validate z in tests. The acceleration is
+The acceleration is
 
     a = lap(u) - mu1 * v|v|^{m(x)-2} - integral mu2(tau) z_tail|z_tail|^{m(x)-2}
         + u|u|^{p(x)-2},
 
-with homogeneous Dirichlet walls; boundary nodes never move.
+with homogeneous Dirichlet walls; boundary nodes never move. Each force has
+one array-level kernel that ``step`` calls and the public ``*_force``
+functions wrap; exponents, CFL numbers and tail coefficients are resolved
+once, in ``build_problem``.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ import numpy as np
 
 from .delay import DelayKernel, WeightField, build_kernel, check_mass_condition, \
     check_xi_condition, dissipation_constant, dissipation_margins, xi_default
-from .energetics import alpha_window, energy_report
-from .errors import ConditionError, ConfigError
+from .energetics import alpha_window, energy_report, memory_tail
+from .errors import ConfigError, NumericalError
 from .expressions import compile_expression
 from .spaces import ExponentField, Grid, GridFunction, make_grid, validate_exponent_pair
 
@@ -40,7 +44,6 @@ log = logging.getLogger(__name__)
 
 TERMINATED_END = "reached-t-end"
 TERMINATED_BLOWUP = "blowup-threshold"
-TERMINATED_OVERFLOW = "numerical-overflow"
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,12 @@ class Problem:
     u0_fn: object
     u1_fn: object
     f0_fn: object
+    # Per-step invariants of the integrator.
+    mexp: object  # m - 1; a float when m is spatially constant
+    pexp: object  # p - 1; likewise
+    tail_exp: object  # mexp broadcast against a (*grid, n_tau) tail
+    tail_coeff: np.ndarray  # tau-quadrature weight times mu2, per lane
+    cfl: np.ndarray  # dt / (tau d_rho), shaped (n_tau, 1, ...) to broadcast over z
 
 
 def _spatial_vars(dimension):
@@ -198,6 +207,9 @@ def build_problem(config: RunConfig) -> Problem:
     u1_fn = compile_expression(config.u1, svars)
     f0_fn = compile_expression(config.f0, svars + ("s",))
 
+    mexp = _scalar_or_array(m.values - 1.0)
+    cfl = config.dt / (kernel.nodes * d_rho)
+
     return Problem(
         config=config,
         grid=grid,
@@ -216,52 +228,12 @@ def build_problem(config: RunConfig) -> Problem:
         u0_fn=u0_fn,
         u1_fn=u1_fn,
         f0_fn=f0_fn,
+        mexp=mexp,
+        pexp=_scalar_or_array(p.values - 1.0),
+        tail_exp=_tail_exponent(mexp),
+        tail_coeff=kernel.weights * kernel.mu2,
+        cfl=cfl.reshape((-1, 1) + (1,) * grid.dimension),
     )
-
-
-class History:
-    """Ring buffer of velocity snapshots at the stepping cadence."""
-
-    def __init__(self, depth, dt, shape):
-        self.depth = int(depth)
-        self.dt = float(dt)
-        self._snaps = np.zeros((self.depth,) + tuple(shape))
-        self._times = np.full(self.depth, np.nan)
-        self._head = -1
-        self._count = 0
-
-    def push(self, t, values):
-        self._head = (self._head + 1) % self.depth
-        self._snaps[self._head] = values
-        self._times[self._head] = t
-        self._count = min(self._count + 1, self.depth)
-
-    @property
-    def newest_time(self):
-        return self._times[self._head]
-
-    @property
-    def oldest_time(self):
-        return self.newest_time - (self._count - 1) * self.dt
-
-    def velocity_at(self, s):
-        """Linear interpolation between stored snapshots at time s."""
-        if self._count == 0:
-            raise ConditionError("history buffer is empty")
-        back = (self.newest_time - s) / self.dt
-        if back < -1e-9 or back > self._count - 1 + 1e-9:
-            raise ConditionError(
-                f"time {s} outside the stored history window "
-                f"[{self.oldest_time}, {self.newest_time}]"
-            )
-        back = min(max(back, 0.0), float(self._count - 1))
-        k0 = int(math.floor(back))
-        frac = back - k0
-        i0 = (self._head - k0) % self.depth
-        if frac <= 1e-12 or k0 + 1 > self._count - 1:
-            return self._snaps[i0].copy()
-        i1 = (self._head - k0 - 1) % self.depth
-        return (1.0 - frac) * self._snaps[i0] + frac * self._snaps[i1]
 
 
 @dataclass(eq=False)
@@ -269,8 +241,7 @@ class SimState:
     t: float
     u: GridFunction
     v: GridFunction
-    z: np.ndarray
-    history: History
+    z: np.ndarray  # memory field, tau-major: (n_tau, n_rho, *grid)
     # step() caches the conservative acceleration of the final kick; it is
     # exactly the first-kick value of the next step as long as u and the
     # memory tail are not mutated in between. Reset to None after editing
@@ -280,7 +251,7 @@ class SimState:
 
 
 def init_state(problem: Problem) -> SimState:
-    """Sample initial data and pre-fill the memory field and ring buffer."""
+    """Sample initial data and pre-fill the memory field from the history f0."""
     cfg = problem.config
     grid = problem.grid
     scale = cfg.scale
@@ -292,24 +263,15 @@ def init_state(problem: Problem) -> SimState:
 
     n_rho = problem.rho_nodes.size
     n_tau = problem.kernel.nodes.size
-    z = np.zeros(grid.shape + (n_rho, n_tau))
+    z = np.zeros((n_tau, n_rho) + grid.shape)
     for j, rho in enumerate(problem.rho_nodes):
         for k, tau in enumerate(problem.kernel.nodes):
             if rho == 0.0:
-                z[..., j, k] = v_vals
+                z[k, j] = v_vals
                 continue
             vals = scale * _sample_spatial(grid, problem.f0_fn, {"s": -rho * tau})
             vals[grid.boundary] = 0.0
-            z[..., j, k] = vals
-
-    depth = int(math.ceil(cfg.tau2 / cfg.dt - 1e-9)) + 2
-    history = History(depth, cfg.dt, grid.shape)
-    for i in range(depth - 1, 0, -1):
-        s = -i * cfg.dt
-        vals = scale * _sample_spatial(grid, problem.f0_fn, {"s": s})
-        vals[grid.boundary] = 0.0
-        history.push(s, vals)
-    history.push(0.0, v_vals.copy())
+            z[k, j] = vals
 
     f0_at_zero = scale * _sample_spatial(grid, problem.f0_fn, {"s": 0.0})
     f0_at_zero[grid.boundary] = 0.0
@@ -324,7 +286,6 @@ def init_state(problem: Problem) -> SimState:
         u=GridFunction(grid, u_vals),
         v=GridFunction(grid, v_vals),
         z=z,
-        history=history,
     )
 
 
@@ -335,8 +296,16 @@ def _scalar_or_array(values):
     return values
 
 
+def _tail_exponent(exponent):
+    """Broadcast a grid exponent against a (*grid, n_tau) tail."""
+    return exponent if np.ndim(exponent) == 0 else exponent[..., None]
+
+
 def _odd_power(w, exponent):
-    """Sign-preserving power w |w|^{exponent-1}; exactly zero at w = 0."""
+    """Sign-preserving power w |w|^{exponent-1}; exactly zero at w = 0.
+
+    With exponent p - 1 this is the source kernel u|u|^{p-2}.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         if np.ndim(exponent) == 0:
             q = float(exponent)
@@ -344,6 +313,17 @@ def _odd_power(w, exponent):
                 return np.array(w, copy=True)
             return np.sign(w) * np.abs(w) ** q
         return np.sign(w) * np.abs(w) ** exponent
+
+
+def _damping(v, mexp, mu1):
+    """Damping kernel mu1 v|v|^{m-2} on grid values; mexp is m - 1."""
+    return mu1 * _odd_power(v, mexp)
+
+
+def _delay(tail, coeff, tail_exp):
+    """Delay kernel: tau-quadrature of coeff * z|z|^{m-2} over the last axis
+    of a C-contiguous (*grid, n_tau) tail (numpy's pairwise order)."""
+    return np.sum(_odd_power(tail, tail_exp) * coeff, axis=-1)
 
 
 def _laplacian_values(vals, grid):
@@ -368,22 +348,31 @@ def laplacian(u: GridFunction) -> GridFunction:
 
 def damping_force(v: GridFunction, m: ExponentField, mu1: float) -> GridFunction:
     """Instantaneous damping mu1 * v |v|^{m(x)-2}."""
-    return GridFunction(v.grid, mu1 * _odd_power(v.values, m.values - 1.0))
-
-
-def _delay_force_values(z_tail, kernel, m_values):
-    coeff = kernel.weights * kernel.mu2
-    return np.sum(_odd_power(z_tail, m_values[..., None] - 1.0) * coeff, axis=-1)
+    return GridFunction(v.grid, _damping(v.values, _scalar_or_array(m.values - 1.0), mu1))
 
 
 def delay_force(z_tail, kernel: DelayKernel, m: ExponentField) -> GridFunction:
-    """Delay-window quadrature of mu2(tau) z|z|^{m(x)-2} at the rho = 1 tail."""
-    return GridFunction(m.grid, _delay_force_values(z_tail, kernel, m.values))
+    """Delay-window quadrature of mu2(tau) z|z|^{m(x)-2} at the rho = 1 tail.
+
+    ``z_tail`` has shape (*grid, n_tau), as ``memory_tail(state.z)`` returns.
+    """
+    mexp = _scalar_or_array(m.values - 1.0)
+    return GridFunction(m.grid, _delay(z_tail, kernel.weights * kernel.mu2,
+                                       _tail_exponent(mexp)))
 
 
 def source_force(u: GridFunction, p: ExponentField) -> GridFunction:
     """Focusing source u |u|^{p(x)-2}."""
-    return GridFunction(u.grid, _odd_power(u.values, p.values - 1.0))
+    return GridFunction(u.grid, _odd_power(u.values, _scalar_or_array(p.values - 1.0)))
+
+
+def _conservative(u_vals, z, problem):
+    """lap(u) - delay force of the z tail + source: the damping-free acceleration."""
+    acc = _laplacian_values(u_vals, problem.grid)
+    acc -= _delay(memory_tail(z), problem.tail_coeff, problem.tail_exp)
+    if not problem.config.disable_source:
+        acc += _odd_power(u_vals, problem.pexp)
+    return acc
 
 
 def _upwind_shift(state, cfl):
@@ -393,71 +382,47 @@ def _upwind_shift(state, cfl):
     the hot loop dominate the runtime otherwise.
     """
     z = state.z
-    if state.scratch is None or state.scratch.shape != z[..., 1:, :].shape:
-        state.scratch = np.empty_like(z[..., 1:, :])
+    if state.scratch is None or state.scratch.shape != z[:, 1:].shape:
+        state.scratch = np.empty_like(z[:, 1:])
     scratch = state.scratch
-    np.subtract(z[..., 1:, :], z[..., :-1, :], out=scratch)
+    np.subtract(z[:, 1:], z[:, :-1], out=scratch)
     np.multiply(scratch, cfl, out=scratch)
-    np.subtract(z[..., 1:, :], scratch, out=z[..., 1:, :])
+    np.subtract(z[:, 1:], scratch, out=z[:, 1:])
 
 
 def step(state: SimState, problem: Problem) -> SimState:
     """Advance one dt: kick-drift-kick plus the upwind shift of the memory field."""
-    cfg = problem.config
-    grid = problem.grid
-    dt = cfg.dt
-    kernel = problem.kernel
-    mexp = _scalar_or_array(problem.m.values - 1.0)
-    pexp = _scalar_or_array(problem.p.values - 1.0)
-    mu1 = kernel.mu1
+    dt = problem.config.dt
+    mexp = problem.mexp
+    mu1 = problem.kernel.mu1
 
     u0 = state.u.values
     v0 = state.v.values
     z = state.z
 
-    d_rho = 1.0 / (problem.rho_nodes.size - 1)
-    cfl = dt / (kernel.nodes * d_rho)
-
-    if cfg.freeze_velocity:
-        _upwind_shift(state, cfl)
-        z[..., 0, :] = v0[..., None]
+    if problem.config.freeze_velocity:
+        _upwind_shift(state, problem.cfl)
+        z[:, 0] = v0
         state.t += dt
-        state.history.push(state.t, v0.copy())
         return state
 
-    tail_coeff = kernel.weights * kernel.mu2
-    tail_exp = mexp if np.ndim(mexp) == 0 else mexp[..., None]
-
-    def conservative(u_vals, z_tail):
-        acc = _laplacian_values(u_vals, grid)
-        acc -= np.sum(_odd_power(z_tail, tail_exp) * tail_coeff, axis=-1)
-        if not cfg.disable_source:
-            acc += _odd_power(u_vals, pexp)
-        return acc
-
-    g0 = state.accel if state.accel is not None else conservative(u0, z[..., -1, :])
-    v_half = v0 + 0.5 * dt * (g0 - mu1 * _odd_power(v0, mexp))
-    v_half = v0 + 0.5 * dt * (g0 - mu1 * _odd_power(v_half, mexp))
+    g0 = state.accel if state.accel is not None else _conservative(u0, z, problem)
+    v_half = v0 + 0.5 * dt * (g0 - _damping(v0, mexp, mu1))
+    v_half = v0 + 0.5 * dt * (g0 - _damping(v_half, mexp, mu1))
 
     u1 = u0 + dt * v_half
 
-    _upwind_shift(state, cfl)
+    _upwind_shift(state, problem.cfl)
 
-    g1 = conservative(u1, z[..., -1, :])
-    v1 = v_half + 0.5 * dt * (g1 - mu1 * _odd_power(v_half, mexp))
+    g1 = _conservative(u1, z, problem)
+    v1 = v_half + 0.5 * dt * (g1 - _damping(v_half, mexp, mu1))
 
-    z[..., 0, :] = v1[..., None]
+    z[:, 0] = v1
     state.u.values = u1
     state.v.values = v1
     state.accel = g1
     state.t += dt
-    state.history.push(state.t, v1.copy())
     return state
-
-
-def history_oracle(state: SimState, tau: float, rho: float) -> GridFunction:
-    """Velocity at time t - tau*rho from the ring buffer (tests only)."""
-    return GridFunction(state.u.grid, state.history.velocity_at(state.t - tau * rho))
 
 
 @dataclass(eq=False)
@@ -487,7 +452,10 @@ def _auto_eps(report0, state0, problem):
 
 
 def run(problem: Problem) -> Trajectory:
-    """Integrate to t_end, a threshold crossing, or numerical overflow."""
+    """Integrate to t_end or a threshold crossing.
+
+    Raises NumericalError when u or v stops being finite.
+    """
     cfg = problem.config
     state = init_state(problem)
 
@@ -521,8 +489,11 @@ def run(problem: Problem) -> Trajectory:
         sup_u = float(np.max(np.abs(state.u.values)))
         sup_v = float(np.max(np.abs(state.v.values)))
         if not (np.isfinite(sup_u) and np.isfinite(sup_v)):
-            termination = TERMINATED_OVERFLOW
-            break
+            raise NumericalError(
+                f"numerical overflow at t={state.t:.6g} (step {i + 1}): "
+                f"sup|u|={sup_u:.6g}, sup|v|={sup_v:.6g}",
+                context={"t": state.t, "step": i + 1, "sup_u": sup_u, "sup_v": sup_v},
+            )
         crossed = sup_u >= cfg.threshold
         if crossed or (i + 1) % sample_every == 0 or i == n_steps - 1:
             times.append(state.t)

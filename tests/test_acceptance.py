@@ -11,13 +11,14 @@ from dataclasses import replace
 
 import numpy as np
 
+from _history import VelocityHistory, advance
 from _runs import preset_result
 
 from delaywave.analysis import blowup_lower_bound
 from delaywave.config import load_preset, parse_config
 from delaywave.energetics import dissipation_check, decay_inequality_constants
 from delaywave.scenario import run_scenario, sweep
-from delaywave.solver import build_problem, history_oracle, init_state, run, step
+from delaywave.solver import build_problem, init_state, run
 from delaywave.spaces import (ExponentField, GridFunction, l2_norm, luxemburg_norm,
                               make_grid, modular, check_sandwich)
 
@@ -81,13 +82,13 @@ def test_criterion_02_conservation():
 def _transport_error(cfg):
     prob = build_problem(cfg)
     state = init_state(prob)
-    for _ in range(round(2.0 * cfg.tau2 / prob.config.dt)):
-        step(state, prob)
+    history = VelocityHistory(prob, state)
+    advance(state, prob, round(2.0 * cfg.tau2 / prob.config.dt), history)
     worst = 0.0
     for j, rho in enumerate(prob.rho_nodes):
         for k, tau in enumerate(prob.kernel.nodes):
-            oracle = history_oracle(state, tau, rho)
-            diff = GridFunction(prob.grid, state.z[:, j, k] - oracle.values)
+            oracle = history.oracle(state, tau, rho)
+            diff = GridFunction(prob.grid, state.z[k, j] - oracle.values)
             worst = max(worst, l2_norm(diff))
     return worst
 

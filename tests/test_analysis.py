@@ -10,6 +10,7 @@ from delaywave.analysis import (
     fit_blowup_growth,
     fit_decay,
     global_existence_gate,
+    _batched_gradient_energy,
     _dirichlet_family,
     _max_split_ratio,
 )
@@ -135,6 +136,14 @@ def test_embedding_gate_2d_certifies_fresh_family():
         assert num <= c * (ge**(p2 / 2.0) + ge**(p1 / 2.0)) * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("lengths,counts", [(1.0, 101), ((1.0, 2.0), (17, 23))])
+def test_batched_gradient_energy_is_bitwise_per_sample(lengths, counts):
+    grid = make_grid(lengths, counts)
+    fam = _dirichlet_family(grid, 300, np.random.default_rng(11))
+    per_sample = np.array([gradient_energy(GridFunction(grid, vals)) for vals in fam])
+    assert np.array_equal(_batched_gradient_energy(fam, grid), per_sample)
+
+
 def test_embedding_safety_factor_scales_linearly():
     grid = make_grid(1.0, 51)
     base = embedding_constant_for_bound(grid, 3.0, 4.0, n_samples=1000, seed=5)
@@ -239,7 +248,9 @@ def test_classify_is_total():
     gate = SimpleNamespace(passed=False)
     blow = classify(_traj("blowup-threshold", [1.0, 2.0], 0.5), gate)
     hold = classify(_traj("reached-t-end", [1.0, 0.5]), gate)
-    over = classify(_traj("numerical-overflow", [1.0, 2.0]), gate)
+    # run raises NumericalError on overflow, so no trajectory ends that way;
+    # any termination other than the two known ones is still inconclusive
+    over = classify(_traj("stopped-early", [1.0, 2.0]), gate)
     assert blow.classification == "blow-up" and blow.t_measured == 0.5
     assert hold.classification == "inconclusive"
     assert over.classification == "inconclusive"

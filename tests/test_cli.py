@@ -1,7 +1,7 @@
 import json
 
 from delaywave import cli
-from delaywave.config import load_preset, parse_config
+from delaywave.config import load_preset, parse_config, serialize_config
 from delaywave.errors import NumericalError
 from delaywave.scenario import CSV_COLUMNS, run_scenario, sweep, trajectory_csv
 
@@ -109,6 +109,33 @@ def test_cli_numerical_error_exit_3(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 3
     assert json.loads(captured.out)["error"]["type"] == "numerical"
+
+
+def test_cli_overflow_exit_3(tmp_path, capsys):
+    # with the threshold out of reach the blow-up preset overflows to inf
+    from dataclasses import replace
+    cfg = replace(parse_config(load_preset("blowup")), threshold=1e300)
+    path = tmp_path / "overflow.cfg"
+    path.write_text(serialize_config(cfg))
+    code = cli.main(["--config", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 3
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "numerical"
+    assert "numerical overflow" in error["message"]
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_sweep_records_overflow_as_failed_point(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = cli.main(["--preset", "blowup", "--sweep", "threshold=1e300",
+                     "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    header, row = (out / "sweep.csv").read_text().strip().splitlines()
+    cells = dict(zip(header.split(","), row.split(",", len(header.split(",")) - 1)))
+    assert cells["classification"] == "failed"
+    assert cells["error"].startswith("NumericalError: numerical overflow")
 
 
 def test_cli_seed_flag_changes_certified_constants(tmp_path, capsys):

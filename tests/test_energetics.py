@@ -24,10 +24,15 @@ def _setup(n=101, m_const=2.0, p_const=3.0, mu1=1.0, level=0.5):
     return g, m, p, k, xi
 
 
+def _tau_major(z):
+    """(*grid, n_rho, n_tau) draws in the solver's (n_tau, n_rho, *grid) layout."""
+    return np.ascontiguousarray(np.moveaxis(z, (-1, -2), (0, 1)))
+
+
 def _state(g, u=None, v=None, z=None, n_rho=9, n_tau=11, t=0.0):
     u = GridFunction.zeros(g) if u is None else u
     v = GridFunction.zeros(g) if v is None else v
-    z = np.zeros(g.shape + (n_rho, n_tau)) if z is None else z
+    z = np.zeros((n_tau, n_rho) + g.shape) if z is None else z
     return SimpleNamespace(t=t, u=u, v=v, z=z)
 
 
@@ -74,7 +79,7 @@ def test_report_energy_split_identity_random():
         u_vals = rng.standard_normal(g.shape)
         v_vals = rng.standard_normal(g.shape)
         u_vals[g.boundary] = v_vals[g.boundary] = 0.0
-        z = rng.standard_normal(g.shape + (9, 11))
+        z = _tau_major(rng.standard_normal(g.shape + (9, 11)))
         rep = energy_report(_state(g, GridFunction(g, u_vals),
                                    GridFunction(g, v_vals), z), m, p, k, xi)
         assert rep.total_energy == pytest.approx(
@@ -89,7 +94,7 @@ def test_weighted_delay_sandwich():
     g, m, p, k, xi = _setup()
     rng = np.random.default_rng(29)
     for _ in range(25):
-        z = rng.standard_normal(g.shape + (9, 11)) * 10.0 ** rng.uniform(-1, 1)
+        z = _tau_major(rng.standard_normal(g.shape + (9, 11))) * 10.0 ** rng.uniform(-1, 1)
         state = _state(g, z=z)
         rep = energy_report(state, m, p, k, xi)
         f_val = weighted_delay_functional(state, k, xi, m)

@@ -1,17 +1,22 @@
 import logging
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from _history import VelocityHistory, advance
+
 from delaywave.delay import build_kernel
-from delaywave.errors import ConditionError, ConfigError
+from delaywave.energetics import memory_tail
+from delaywave.errors import ConditionError, ConfigError, NumericalError
 from delaywave.solver import (
     RunConfig,
+    SimState,
     auto_dt,
     build_problem,
     damping_force,
     delay_force,
-    history_oracle,
     init_state,
     laplacian,
     run,
@@ -35,7 +40,7 @@ def test_init_zero_history_gives_zero_memory():
     state = init_state(prob)
     assert not np.any(state.z)
     assert not np.any(state.u.values)
-    assert state.history.velocity_at(-prob.kernel.tau2).max() == 0.0
+    assert VelocityHistory(prob, state).velocity_at(-prob.kernel.tau2).max() == 0.0
 
 
 def test_init_memory_samples_history_exactly():
@@ -50,14 +55,14 @@ def test_init_memory_samples_history_exactly():
     assert prob.kernel.nodes[k] == pytest.approx(1.0)
     expected = np.sin(np.pi * x) * np.cos(0.5)
     expected[prob.grid.boundary] = 0.0
-    assert np.allclose(state.z[:, j, k], expected, atol=1e-14)
+    assert np.allclose(state.z[k, j], expected, atol=1e-14)
 
 
 def test_init_boundary_rows_zero():
     prob = build_problem(_config(u0="1", u1="1", f0="1", threshold=1e6))
     state = init_state(prob)
     assert state.u.values[0] == 0.0 and state.u.values[-1] == 0.0
-    assert not np.any(state.z[prob.grid.boundary])
+    assert not np.any(state.z[..., prob.grid.boundary])
 
 
 def test_init_warns_on_inconsistent_history(caplog):
@@ -209,12 +214,12 @@ def test_step_frozen_velocity_transport_steady_state(caplog):
     prob = build_problem(cfg)
     with caplog.at_level(logging.ERROR):
         state = init_state(prob)
-    for _ in range(round(2.0 / prob.config.dt)):
-        step(state, prob)
-    err = np.max(np.abs(state.z[:, -1, :] - state.v.values[:, None]))
+    history = VelocityHistory(prob, state)
+    advance(state, prob, round(2.0 / prob.config.dt), history)
+    err = np.max(np.abs(state.z[:, -1] - state.v.values))
     assert err <= 1e-4
     # for t >= tau*rho the oracle interpolates constant post-start snapshots
-    oracle = history_oracle(state, prob.kernel.tau2, 1.0)
+    oracle = history.oracle(state, prob.kernel.tau2, 1.0)
     assert np.allclose(oracle.values, state.v.values, atol=1e-14)
 
 
@@ -224,10 +229,71 @@ def test_step_inflow_consistency_and_boundary():
     state = init_state(prob)
     for _ in range(40):
         step(state, prob)
-        assert np.array_equal(state.z[:, 0, :], np.broadcast_to(
-            state.v.values[:, None], state.z[:, 0, :].shape))
+        assert np.array_equal(state.z[:, 0], np.broadcast_to(
+            state.v.values, state.z[:, 0].shape))
         assert state.u.values[0] == 0.0 and state.u.values[-1] == 0.0
         assert state.v.values[0] == 0.0 and state.v.values[-1] == 0.0
+
+
+def _public_accel(state, prob):
+    """The conservative acceleration from the public force routines."""
+    return (laplacian(state.u).values
+            - delay_force(memory_tail(state.z), prob.kernel, prob.m).values
+            + source_force(state.u, prob.p).values)
+
+
+@pytest.mark.parametrize("dimension,m,p", [
+    (1, "2", "3"),
+    (1, "2.2 + 0.3*x", "3.2 + 0.3*x"),
+    (2, "2.5", "4"),
+    (2, "2.2 + 0.3*x*y", "3.2 + 0.3*x"),
+])
+def test_step_runs_the_public_forces(dimension, m, p):
+    # step must compute, bit for bit, the kick-drift-kick that the public
+    # laplacian/damping_force/delay_force/source_force describe
+    if dimension == 1:
+        cfg = _config(m=m, p=p, u0="0.3*sin(pi*x)", u1="0.2*sin(2*pi*x)",
+                      f0="0.2*sin(2*pi*x)*cos(s)", n_rho=9, n_tau=5)
+    else:
+        cfg = RunConfig(dimension=2, lengths=(1.0, 1.0), nodes=(17, 17), m=m, p=p,
+                        u0="0.3*sin(pi*x)*sin(pi*y)", u1="0.2*sin(2*pi*x)*sin(pi*y)",
+                        f0="0.2*sin(2*pi*x)*sin(pi*y)*cos(s)", n_rho=9, n_tau=5)
+    prob = build_problem(cfg)
+    state = init_state(prob)
+    dt = prob.config.dt
+
+    def damping(vals):
+        return damping_force(GridFunction(prob.grid, vals), prob.m, prob.kernel.mu1).values
+
+    for _ in range(3):
+        u0 = state.u.values.copy()
+        v0 = state.v.values.copy()
+        g0 = _public_accel(state, prob)
+        v_half = v0 + 0.5 * dt * (g0 - damping(v0))
+        v_half = v0 + 0.5 * dt * (g0 - damping(v_half))
+        step(state, prob)
+        assert np.array_equal(state.u.values, u0 + dt * v_half)
+        g1 = _public_accel(state, prob)
+        assert np.array_equal(state.accel, g1)
+        assert np.array_equal(state.v.values, v_half + 0.5 * dt * (g1 - damping(v_half)))
+    assert np.any(state.z[:, -1])  # the delay force was exercised
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_memory_field_is_tau_major_and_contiguous(dimension):
+    if dimension == 1:
+        cfg = _config(u1="0.2*sin(pi*x)", f0="0.2*sin(pi*x)", n_rho=9, n_tau=5)
+    else:
+        cfg = RunConfig(dimension=2, lengths=(1.0, 1.0), nodes=(17, 13), n_rho=9,
+                        n_tau=5, u1="0.2*sin(pi*x)*sin(pi*y)",
+                        f0="0.2*sin(pi*x)*sin(pi*y)")
+    prob = build_problem(cfg)
+    state = init_state(prob)
+    z = state.z
+    assert z.shape == (5, 9) + prob.grid.shape
+    assert z.flags.c_contiguous
+    step(state, prob)
+    assert state.z is z and z.flags.c_contiguous
 
 
 # --- history oracle -------------------------------------------------------------
@@ -235,9 +301,10 @@ def test_step_inflow_consistency_and_boundary():
 def test_history_oracle_at_start_equals_history():
     prob = build_problem(_config(f0="sin(pi*x)*cos(s)", u1="sin(pi*x)"))
     state = init_state(prob)
+    history = VelocityHistory(prob, state)
     x = prob.grid.coords[0]
     for tau, rho in ((0.5, 1.0), (1.0, 0.5), (0.75, 0.25)):
-        got = history_oracle(state, tau, rho).values
+        got = history.oracle(state, tau, rho).values
         expected = np.sin(np.pi * x) * np.cos(tau * rho)
         expected[prob.grid.boundary] = 0.0
         # ring buffer stores f0 at the stepping cadence; linear interp error O(dt^2)
@@ -248,7 +315,7 @@ def test_history_oracle_rejects_times_before_window():
     prob = build_problem(_config())
     state = init_state(prob)
     with pytest.raises(ConditionError):
-        history_oracle(state, prob.kernel.tau2, 1.5)
+        VelocityHistory(prob, state).oracle(state, prob.kernel.tau2, 1.5)
 
 
 def test_memory_field_converges_to_oracle():
@@ -256,12 +323,12 @@ def test_memory_field_converges_to_oracle():
         cfg = _config(u0="0.3*sin(pi*x)", t_end=2.0, dt=dt, n_rho=n_rho)
         prob = build_problem(cfg)
         state = init_state(prob)
-        for _ in range(round(2.0 / dt)):
-            step(state, prob)
+        history = VelocityHistory(prob, state)
+        advance(state, prob, round(2.0 / dt), history)
         worst = 0.0
         for j, rho in enumerate(prob.rho_nodes):
             for k, tau in enumerate(prob.kernel.nodes):
-                diff = state.z[:, j, k] - history_oracle(state, tau, rho).values
+                diff = state.z[k, j] - history.oracle(state, tau, rho).values
                 worst = max(worst, l2_norm(GridFunction(prob.grid, diff)))
         return worst
 
@@ -318,6 +385,37 @@ def test_run_2d_dissipative():
     assert traj.termination == "reached-t-end"
     assert np.all(np.diff(traj.energies) <= 1e-9)
     assert traj.energies[0] > 0.0
+
+
+def test_run_allocates_no_velocity_history():
+    # a ring buffer spanning tau2 at this dt would hold 10^4 snapshots (8 MB);
+    # the memory field itself is 0.1 MB
+    cfg = _config(u0="0.2*sin(pi*x)", dt=1e-4, n_tau=4, t_end=0.01, sample_dt=0.005)
+    prob = build_problem(cfg)
+    assert "history" not in {f.name for f in fields(SimState)}
+    history_bytes = round(prob.kernel.tau2 / prob.config.dt) * prob.grid.shape[0] * 8
+    tracemalloc.start()
+    try:
+        run(prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < history_bytes / 4
+
+
+def test_run_overflow_raises_numerical_error():
+    # with the threshold out of reach the blow-up preset overflows to inf
+    from dataclasses import replace
+    from delaywave.config import load_preset, parse_config
+
+    cfg = replace(parse_config(load_preset("blowup")), threshold=1e300)
+    with pytest.raises(NumericalError, match="numerical overflow") as err:
+        run(build_problem(cfg))
+    ctx = err.value.context
+    assert set(ctx) == {"t", "step", "sup_u", "sup_v"}
+    assert ctx["t"] == pytest.approx(ctx["step"] * cfg.dt)
+    assert 0.0 < ctx["t"] < 1.0
+    assert not (np.isfinite(ctx["sup_u"]) and np.isfinite(ctx["sup_v"]))
 
 
 def test_cfl_contract_enforced():

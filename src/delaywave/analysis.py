@@ -14,10 +14,10 @@ doubled. The same machinery certifies the smallness-gate constant.
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConditionError
 from .solver import TERMINATED_BLOWUP, TERMINATED_END
@@ -35,6 +35,10 @@ def blowup_lower_bound(phi0, e0, c, p1, p2, rel_tol=1e-6) -> float:
     analytic tail bound Y^{2-p2} / (c (p2 - 2)), with Y chosen so the tail is
     below 1e-8 of the head.
     """
+    # imported here: scipy.integrate is most of the package's import time,
+    # and only blow-up runs reach this bound
+    from scipy.integrate import quad
+
     if p2 < p1:
         raise ConditionError("need p2 >= p1")
     if p1 <= 2.0:
@@ -169,6 +173,32 @@ def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
     return best
 
 
+_ratio_memo = {}
+_ratio_lock = threading.Lock()
+
+
+def _certified_ratio(kind, grid: Grid, p1, p2, n_samples, seed, **exponents) -> float:
+    """_max_split_ratio over the seeded family, computed once per input.
+
+    The ratio is pure in the key: make_grid builds every Grid, so lengths and
+    counts fix the nodes, weights and boundary; kind, p1 and p2 fix the
+    exponents, and the seed fixes the family. One lock covers lookup and
+    computation, so concurrent sweep points compute each key once.
+    seed=None draws fresh entropy per call and is never memoized.
+    """
+    def compute():
+        return _max_split_ratio(grid, n_samples=n_samples,
+                                rng=np.random.default_rng(seed), **exponents)
+
+    if seed is None:
+        return compute()
+    key = (kind, grid.lengths, grid.counts, float(p1), float(p2), n_samples, seed)
+    with _ratio_lock:
+        if key not in _ratio_memo:
+            _ratio_memo[key] = compute()
+        return _ratio_memo[key]
+
+
 def embedding_constant_for_bound(grid: Grid, p1, p2, n_samples=10000, seed=2024,
                                  safety=2.0) -> float:
     """Certified c with (1/2) int |u|^{2p(x)-2} <= c (ge^{p2-1} + ge^{p1-1}).
@@ -176,34 +206,31 @@ def embedding_constant_for_bound(grid: Grid, p1, p2, n_samples=10000, seed=2024,
     Empirical maximization of the split ratio over >= n_samples random
     Dirichlet functions, times the safety factor. Valid for every exponent
     field with bounds [p1, p2] because the integrand is split at |u| = 1.
+    The ratio is memoized; the safety factor is applied after the lookup.
     """
-    rng = np.random.default_rng(seed)
-    ratio = _max_split_ratio(
-        grid,
+    ratio = _certified_ratio(
+        "bound", grid, p1, p2, n_samples, seed,
         num_low=2.0 * p1 - 2.0,
         num_high=2.0 * p2 - 2.0,
         den_low=2.0 * (p1 - 1.0),
         den_high=2.0 * (p2 - 1.0),
         num_scale=0.5,
-        n_samples=n_samples,
-        rng=rng,
     )
     return safety * ratio
 
 
 def embedding_constant_for_gate(grid: Grid, p1, p2, n_samples=10000, seed=2024,
                                 safety=2.0) -> float:
-    """Certified c with int |u|^{p(x)} <= c (ge^{p2/2} + ge^{p1/2})."""
-    rng = np.random.default_rng(seed)
-    ratio = _max_split_ratio(
-        grid,
+    """Certified c with int |u|^{p(x)} <= c (ge^{p2/2} + ge^{p1/2}).
+
+    Memoized like embedding_constant_for_bound."""
+    ratio = _certified_ratio(
+        "gate", grid, p1, p2, n_samples, seed,
         num_low=p1,
         num_high=p2,
         den_low=p1,
         den_high=p2,
         num_scale=1.0,
-        n_samples=n_samples,
-        rng=rng,
     )
     return safety * ratio
 

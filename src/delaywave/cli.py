@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import PRESET_NAMES, load_preset, parse_config
 from .errors import ConditionError, ConfigError, NumericalError
 from .scenario import EXIT_CONDITIONS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, \
-    run_scenario, sweep
+    _json_num, run_scenario, sweep
 
 
 def _build_parser():
@@ -41,8 +41,26 @@ def _build_parser():
     return parser
 
 
+def _json_value(value):
+    """JSON-safe copy of an error detail; non-finite floats become strings."""
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, float):
+        return _json_num(value)
+    return value
+
+
 def _error_json(kind, exc):
-    return json.dumps({"error": {"type": kind, "message": str(exc)}}, indent=2)
+    """The error as a JSON object: type and message, plus a NumericalError's
+    context and a ConfigError's key, line and column where they are set."""
+    error = {"type": kind, "message": str(exc)}
+    if isinstance(exc, NumericalError) and exc.context:
+        error["context"] = {k: _json_value(v) for k, v in exc.context.items()}
+    if isinstance(exc, ConfigError):
+        for field in ("key", "line", "column"):
+            if getattr(exc, field) is not None:
+                error[field] = getattr(exc, field)
+    return json.dumps({"error": error}, indent=2)
 
 
 def main(argv=None) -> int:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from types import SimpleNamespace
 
+from delaywave import analysis
 from delaywave.analysis import (
     blowup_lower_bound,
     classify,
@@ -113,11 +114,89 @@ def test_embedding_ratio_monotone_in_family_size():
     assert small <= large * (1.0 + 1e-12)
 
 
-def test_embedding_constant_deterministic_per_seed():
+@pytest.fixture
+def split_ratio_calls(monkeypatch):
+    """Empty certification memo; counts the family maximizations run."""
+    monkeypatch.setattr(analysis, "_ratio_memo", {})
+    calls = []
+    real = analysis._max_split_ratio
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["num_scale"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_max_split_ratio", counted)
+    return calls
+
+
+def test_embedding_constant_deterministic_per_seed(monkeypatch):
     grid = make_grid(1.0, 51)
     a = embedding_constant_for_gate(grid, 3.0, 4.0, n_samples=2000, seed=5)
+    monkeypatch.setattr(analysis, "_ratio_memo", {})
     b = embedding_constant_for_gate(grid, 3.0, 4.0, n_samples=2000, seed=5)
     assert a == b
+
+
+@pytest.mark.parametrize("embedding", [embedding_constant_for_gate,
+                                       embedding_constant_for_bound])
+def test_embedding_memo_misses_on_every_input(embedding, split_ratio_calls):
+    base = dict(grid=make_grid(1.0, 31), p1=3.0, p2=4.0, n_samples=300, seed=5)
+    first = embedding(**base)
+    assert embedding(**base) == first and len(split_ratio_calls) == 1
+    changes = [dict(seed=6), dict(p1=3.5), dict(p2=4.5), dict(n_samples=301),
+               dict(grid=make_grid(1.0, 33)), dict(grid=make_grid(1.2, 31))]
+    for n, change in enumerate(changes, start=2):
+        embedding(**{**base, **change})
+        assert len(split_ratio_calls) == n, change
+    # the safety factor scales the memoized ratio: a new constant, no new run
+    assert embedding(**base, safety=3.0) == 3.0 * (first / 2.0)
+    assert len(split_ratio_calls) == 1 + len(changes)
+
+
+def test_embedding_memo_is_bypassed_without_seed(split_ratio_calls):
+    grid = make_grid(1.0, 31)
+    embedding_constant_for_gate(grid, 3.0, 4.0, n_samples=100, seed=None)
+    embedding_constant_for_gate(grid, 3.0, 4.0, n_samples=100, seed=None)
+    assert len(split_ratio_calls) == 2
+
+
+def test_embedding_memo_computes_once_under_thread_contention(split_ratio_calls):
+    import sys
+    import threading
+
+    grid = make_grid(1.0, 31)
+    results = []
+    start = threading.Barrier(8)
+
+    def worker():
+        start.wait(timeout=30)
+        results.append(embedding_constant_for_gate(grid, 3.0, 4.0, n_samples=200, seed=9))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 8 and len(set(results)) == 1
+    assert split_ratio_calls == [1.0]
+
+
+def test_blowup_sweep_certifies_each_constant_once(split_ratio_calls):
+    from delaywave.config import load_preset, parse_config
+    from delaywave.scenario import sweep
+
+    cfg = parse_config(load_preset("blowup"))
+    rows, _ = sweep(cfg, "scale", [5.5, 6.0, 7.0, 8.0, 10.0])
+    assert all(row["summary"]["constants"]["c_embed_bound"] is not None
+               for row in rows)
+    # num_scale 1.0 is the gate family, 0.5 the bound family
+    assert sorted(split_ratio_calls) == [0.5, 1.0]
 
 
 def test_embedding_gate_2d_certifies_fresh_family():

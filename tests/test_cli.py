@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from delaywave import cli
 from delaywave.config import load_preset, parse_config, serialize_config
@@ -68,6 +74,19 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert json.loads(captured.out)["error"]["type"] == "config"
 
 
+@pytest.mark.parametrize("doc,where", [
+    ("[exponents]\nm = 2\nm = 3\n", {"key": "m", "line": 3}),
+    ("[grid]\nnodes 51\n", {"line": 2, "column": 1}),
+    ("[exponents]\nm = 2\n", {"key": "p"}),
+])
+def test_cli_config_error_carries_location(tmp_path, capsys, doc, where):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(doc)
+    assert cli.main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert {k: error[k] for k in ("key", "line", "column") if k in error} == where
+
+
 def test_cli_condition_failure_exit_4_and_override(tmp_path, capsys):
     doc = """
 [exponents]
@@ -123,7 +142,23 @@ def test_cli_overflow_exit_3(tmp_path, capsys):
     error = json.loads(captured.out)["error"]
     assert error["type"] == "numerical"
     assert "numerical overflow" in error["message"]
+    context = error["context"]
+    assert set(context) == {"t", "step", "sup_u", "sup_v"}
+    assert isinstance(context["step"], int) and context["t"] > 0.0
+    # a non-finite sup is written as a string, as summary.json does
+    assert "inf" in (context["sup_u"], context["sup_v"]) or \
+        "nan" in (context["sup_u"], context["sup_v"])
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # only the blow-up life-span bound needs quadrature; importing it is most
+    # of the package's import time
+    code = ("import sys, delaywave.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_sweep_records_overflow_as_failed_point(tmp_path, capsys):

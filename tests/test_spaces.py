@@ -92,6 +92,75 @@ def test_log_holder_delta_range():
         log_holder_modulus(ExponentField.constant(g, 2.0), delta=1.5)
 
 
+def _all_pairs_log_modulus(q, delta, chunk=512):
+    """Reference: the score of every ordered node pair, chunked by rows."""
+    pts = np.stack([m.ravel() for m in q.grid.meshes()], axis=1)
+    vals = q.values.ravel()
+    n = pts.shape[0]
+    worst = 0.0
+    for start in range(0, n, chunk):
+        block = slice(start, min(start + chunk, n))
+        diff = pts[block, None, :] - pts[None, :, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        mask = (dist > 0.0) & (dist < delta)
+        if not np.any(mask):
+            continue
+        dq = np.abs(vals[block, None] - vals[None, :])
+        score = np.where(mask, dq * np.abs(np.log(np.where(mask, dist, 1.0))), 0.0)
+        worst = max(worst, float(score.max()))
+    return worst
+
+
+def _smooth_exponent(*xs):
+    out = 2.0 + 0.3 * np.sin(3.0 * xs[0])
+    if len(xs) == 2:
+        out = out + 0.5 * xs[1] ** 2
+    return out
+
+
+@pytest.mark.parametrize("lengths,counts", [
+    (1.0, 201),
+    (0.37, 53),        # spacing is not a power of two
+    ((1.0, 1.0), (33, 33)),
+    ((1.3, 0.7), (41, 57)),
+    ((2.1, 1.7), (23, 31)),
+])
+@pytest.mark.parametrize("delta", [0.1, 0.5, 0.9])
+def test_log_modulus_equals_all_pairs_bitwise(lengths, counts, delta):
+    g = make_grid(lengths, counts)
+    fields = (
+        ExponentField(g, np.random.default_rng(3).uniform(1.0, 5.0, g.shape)),
+        ExponentField.sample(g, _smooth_exponent),
+    )
+    for q in fields:
+        assert log_holder_modulus(q, delta) == _all_pairs_log_modulus(q, delta)
+
+
+@pytest.mark.parametrize("lengths,counts", [(1.0, 101), ((1.3, 0.7), (21, 17))])
+def test_log_modulus_of_constant_field_is_zero(lengths, counts):
+    q = ExponentField.constant(make_grid(lengths, counts), 2.7)
+    assert log_holder_modulus(q, 0.5) == 0.0
+
+
+def test_log_modulus_property_equals_all_pairs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(
+        lengths=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=2),
+        counts=st.lists(st.integers(3, 24), min_size=2, max_size=2),
+        delta=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(lengths, counts, delta, seed):
+        g = make_grid(tuple(lengths), tuple(counts[:len(lengths)]))
+        q = ExponentField(g, np.random.default_rng(seed).uniform(1.0, 4.0, g.shape))
+        assert log_holder_modulus(q, delta) == _all_pairs_log_modulus(q, delta)
+
+    check()
+
+
 # --- modular -------------------------------------------------------------------
 
 def test_modular_zero_and_constant():

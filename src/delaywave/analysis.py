@@ -14,8 +14,12 @@ doubled. The same machinery certifies the smallness-gate constant.
 from __future__ import annotations
 
 import logging
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -26,6 +30,11 @@ from .spaces import Grid
 log = logging.getLogger(__name__)
 
 ENERGY_FLOOR = 1e-290  # below this the log-fit window is cut off
+
+_N_MODES = 6  # sine modes per axis in the certification family
+# grid values per certification chunk: 2 MB per float64 temporary, so a 65x65
+# batch of 500 splits into 9 chunks while a 1-D batch stays whole
+_CHUNK_VALUES = 1 << 18
 
 
 def blowup_lower_bound(phi0, e0, c, p1, p2, rel_tol=1e-6) -> float:
@@ -81,34 +90,64 @@ def blowup_lower_bound(phi0, e0, c, p1, p2, rel_tol=1e-6) -> float:
     return head_val + tail(upper)
 
 
-def _dirichlet_family(grid: Grid, batch, rng):
-    """Random Dirichlet grid functions: low sine modes, sharp bumps, mixtures.
-
-    Amplitudes are drawn log-uniformly across four decades so the certified
-    ratio sees both the small- and the large-argument branch.
-    """
-    n_modes = 6
-    decay = np.arange(1, n_modes + 1) ** 2
-    axis_modes = [
+def _axis_modes(grid: Grid):
+    """The first _N_MODES Dirichlet sine modes along each axis, (n_modes, n)."""
+    return [
         np.stack([np.sin((k + 1) * np.pi * grid.coords[axis] / L)
-                  for k in range(n_modes)], axis=0)
+                  for k in range(_N_MODES)], axis=0)
         for axis, L in enumerate(grid.lengths)
     ]
 
+
+def _family_draws(grid: Grid, batch, rng, modes):
+    """Every random input of a batch of the family, drawn in one fixed order.
+
+    Each array's leading axis is the sample. In 1-D the smooth part is the
+    product coef @ modes, taken here on the whole batch: OpenBLAS picks its
+    kernel by row count, so the product over a row slice can round
+    differently. In 2-D it stays as the coefficients, which _synthesize
+    contracts per sample.
+    """
+    decay = np.arange(1, _N_MODES + 1) ** 2
     if grid.dimension == 1:
-        coef = rng.standard_normal((batch, n_modes)) / decay
-        smooth = coef @ axis_modes[0]
+        smooth = (rng.standard_normal((batch, _N_MODES)) / decay) @ modes[0]
     else:
-        coef2 = rng.standard_normal((batch, n_modes, n_modes))
-        coef2 /= np.add.outer(decay, decay)
-        smooth = np.einsum("bkl,ki,lj->bij", coef2, axis_modes[0], axis_modes[1])
+        smooth = rng.standard_normal((batch, _N_MODES, _N_MODES))
+        smooth /= np.add.outer(decay, decay)
+    bumps = []
+    for L in grid.lengths:
+        centers = rng.uniform(0.15 * L, 0.85 * L, size=batch)
+        widths = np.exp(rng.uniform(np.log(0.01 * L), np.log(0.3 * L), size=batch))
+        bumps.append((centers, widths))
+    pick = rng.uniform(size=batch)
+    amp = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=(batch,)))
+    return smooth, bumps, pick, amp
+
+
+def _synthesize(grid: Grid, modes, draws, rows):
+    """Samples `rows` (a slice) of the family drawn by _family_draws.
+
+    Every step is elementwise or contracts within one sample, so a slice
+    gives the same bits as the whole batch.
+    """
+    smooth, bumps, pick, amp = draws
+    # a sample is smooth (pick < 0.45), a bump (< 0.9) or their sum: each
+    # part is built only for the samples that use it
+    pick = pick[rows]
+    both = pick >= 0.9
+    use_smooth = (pick < 0.45) | both
+    use_bump = pick >= 0.45
+
+    smooth = smooth[rows][use_smooth]
+    if grid.dimension == 2:
+        smooth = np.einsum("bkl,ki,lj->bij", smooth, modes[0], modes[1])
 
     # sharp bumps, forced to zero at the walls by the first-mode envelope
     profiles = []
-    for axis, L in enumerate(grid.lengths):
+    for axis, (L, (centers, widths)) in enumerate(zip(grid.lengths, bumps)):
         x = grid.coords[axis]
-        centers = rng.uniform(0.15 * L, 0.85 * L, size=batch)
-        widths = np.exp(rng.uniform(np.log(0.01 * L), np.log(0.3 * L), size=batch))
+        centers = centers[rows][use_bump]
+        widths = widths[rows][use_bump]
         prof = np.exp(-((x[None, :] - centers[:, None]) ** 2) / widths[:, None] ** 2)
         prof *= np.sin(np.pi * x / L)[None, :]
         profiles.append(prof)
@@ -117,12 +156,24 @@ def _dirichlet_family(grid: Grid, batch, rng):
     else:
         bump = profiles[0][:, :, None] * profiles[1][:, None, :]
 
-    pick = rng.uniform(size=(batch,) + (1,) * grid.dimension)
-    fams = np.where(pick < 0.45, smooth, np.where(pick < 0.9, bump, smooth + bump))
-    amp = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=(batch,)))
-    fams = fams * amp.reshape([batch] + [1] * grid.dimension)
+    fams = np.empty((pick.size,) + grid.shape)
+    fams[use_smooth] = smooth
+    fams[use_bump] = bump
+    fams[both] = smooth[both[use_smooth]] + bump[both[use_bump]]
+    fams *= amp[rows].reshape([-1] + [1] * grid.dimension)
     fams[:, grid.boundary] = 0.0
     return fams
+
+
+def _dirichlet_family(grid: Grid, batch, rng):
+    """Random Dirichlet grid functions: low sine modes, sharp bumps, mixtures.
+
+    Amplitudes are drawn log-uniformly across four decades so the certified
+    ratio sees both the small- and the large-argument branch.
+    """
+    modes = _axis_modes(grid)
+    return _synthesize(grid, modes, _family_draws(grid, batch, rng, modes),
+                       slice(None))
 
 
 def _batched_gradient_energy(samples, grid):
@@ -145,31 +196,67 @@ def _batched_gradient_energy(samples, grid):
     return np.array([np.dot(wy, a) + np.dot(wx, b) for a, b in zip(ex, ey)])
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
                      n_samples, rng, batch=500):
     """max over the family of
 
         num_scale * (int_{|u|>=1} |u|^num_high + int_{|u|<1} |u|^num_low)
         / (ge^{den_high/2} + ge^{den_low/2}),   ge = gradient energy.
+
+    Each batch is built and scored in chunks of about _CHUNK_VALUES grid
+    values, on a thread pool when the batch has more than one chunk (numpy
+    releases the GIL in these kernels). The result is bitwise the one-batch,
+    one-thread maximum:
+    - the batch's draws are made in the calling thread, in a fixed order and
+      size, before the batch is split;
+    - synthesis and scoring are per sample, so a chunk gives the same bits
+      as the rows of the whole batch;
+    - the one BLAS product (1-D smooth part) is taken on the whole batch,
+      since OpenBLAS rounds a row slice differently;
+    - max is exact, so chunk maxima folded in chunk order equal the batch's.
+    A batch of at most _CHUNK_VALUES values (any 1-D preset) is one chunk
+    and runs inline with no pool.
     """
+    modes = _axis_modes(grid)
     w = grid.weights
-    best = 0.0
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        fam = _dirichlet_family(grid, b, rng)
+    axes = tuple(range(1, grid.dimension + 1))
+    step = max(1, _CHUNK_VALUES // w.size)
+
+    def chunk_max(draws, rows):
+        fam = _synthesize(grid, modes, draws, rows)
         absu = np.abs(fam)
         big = absu >= 1.0
-        num = num_scale * (
-            np.sum(np.where(big, absu**num_high, 0.0) * w, axis=tuple(range(1, fam.ndim)))
-            + np.sum(np.where(big, 0.0, absu**num_low) * w, axis=tuple(range(1, fam.ndim)))
-        )
+        # each branch powers only the nodes it keeps
+        high = np.power(absu, num_high, out=np.zeros_like(absu), where=big)
+        low = np.power(absu, num_low, out=np.zeros_like(absu), where=~big)
+        num = num_scale * (np.sum(high * w, axis=axes) + np.sum(low * w, axis=axes))
         ge = _batched_gradient_energy(fam, grid)
         den = ge ** (den_high / 2.0) + ge ** (den_low / 2.0)
         valid = den > 0.0
-        if np.any(valid):
-            best = max(best, float(np.max(num[valid] / den[valid])))
-        done += b
+        return np.max(num[valid] / den[valid], initial=-np.inf)
+
+    workers = _worker_count()
+    threaded = min(batch, n_samples) > step and workers > 1
+    best = 0.0
+    done = 0
+    with ThreadPoolExecutor(workers) if threaded else nullcontext() as pool:
+        run = pool.map if threaded else map
+        while done < n_samples:
+            b = min(batch, n_samples - done)
+            draws = _family_draws(grid, b, rng, modes)
+            chunks = [slice(lo, lo + step) for lo in range(0, b, step)]
+            maxima = list(run(chunk_max, repeat(draws), chunks))
+            # -inf (no valid sample) leaves best unchanged
+            best = max(best, float(np.max(maxima)))
+            done += b
     return best
 
 

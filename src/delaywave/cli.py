@@ -81,12 +81,16 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         if args.sweep:
             key, _, raw_values = args.sweep.partition("=")
+            key = key.strip()
             if not raw_values:
                 raise ConfigError("--sweep expects KEY=V1,V2,...")
-            values = [float(v) for v in raw_values.split(",") if v.strip()]
+            try:
+                values = [float(v) for v in raw_values.split(",") if v.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"--sweep {key}: {exc}", key=key) from None
             if not values:
                 raise ConfigError("--sweep needs at least one value")
-            _, table = sweep(cfg, key.strip(), values, out_dir=str(args.out))
+            _, table = sweep(cfg, key, values, out_dir=str(args.out))
             sys.stdout.write(table)
         else:
             result = run_scenario(cfg, out_dir=str(args.out))

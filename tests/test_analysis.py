@@ -114,6 +114,144 @@ def test_embedding_ratio_monotone_in_family_size():
     assert small <= large * (1.0 + 1e-12)
 
 
+def _family_oracle(grid, batch, rng):
+    """The one-batch certification family as first written: every draw and
+    every sample built in one pass."""
+    n_modes = 6
+    decay = np.arange(1, n_modes + 1) ** 2
+    axis_modes = [
+        np.stack([np.sin((k + 1) * np.pi * grid.coords[axis] / L)
+                  for k in range(n_modes)], axis=0)
+        for axis, L in enumerate(grid.lengths)
+    ]
+    if grid.dimension == 1:
+        coef = rng.standard_normal((batch, n_modes)) / decay
+        smooth = coef @ axis_modes[0]
+    else:
+        coef2 = rng.standard_normal((batch, n_modes, n_modes))
+        coef2 /= np.add.outer(decay, decay)
+        smooth = np.einsum("bkl,ki,lj->bij", coef2, axis_modes[0], axis_modes[1])
+    profiles = []
+    for axis, L in enumerate(grid.lengths):
+        x = grid.coords[axis]
+        centers = rng.uniform(0.15 * L, 0.85 * L, size=batch)
+        widths = np.exp(rng.uniform(np.log(0.01 * L), np.log(0.3 * L), size=batch))
+        prof = np.exp(-((x[None, :] - centers[:, None]) ** 2) / widths[:, None] ** 2)
+        prof *= np.sin(np.pi * x / L)[None, :]
+        profiles.append(prof)
+    if grid.dimension == 1:
+        bump = profiles[0]
+    else:
+        bump = profiles[0][:, :, None] * profiles[1][:, None, :]
+    pick = rng.uniform(size=(batch,) + (1,) * grid.dimension)
+    fams = np.where(pick < 0.45, smooth, np.where(pick < 0.9, bump, smooth + bump))
+    amp = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=(batch,)))
+    fams = fams * amp.reshape([batch] + [1] * grid.dimension)
+    fams[:, grid.boundary] = 0.0
+    return fams
+
+
+def _split_ratio_oracle(grid, num_low, num_high, den_low, den_high, num_scale,
+                        n_samples, rng, batch=500):
+    """The one-thread, one-batch-at-a-time certification as first written."""
+    best = 0.0
+    done = 0
+    while done < n_samples:
+        b = min(batch, n_samples - done)
+        fam = _family_oracle(grid, b, rng)
+        ratio = _ratio_oracle(grid, fam, num_low, num_high, den_low, den_high, num_scale)
+        if ratio.size:
+            best = max(best, float(np.max(ratio)))
+        done += b
+    return best
+
+
+def _ratio_oracle(grid, fam, num_low, num_high, den_low, den_high, num_scale):
+    """The split ratio of each sample of fam with a positive denominator."""
+    w = grid.weights
+    absu = np.abs(fam)
+    big = absu >= 1.0
+    num = num_scale * (
+        np.sum(np.where(big, absu**num_high, 0.0) * w, axis=tuple(range(1, fam.ndim)))
+        + np.sum(np.where(big, 0.0, absu**num_low) * w, axis=tuple(range(1, fam.ndim)))
+    )
+    ge = _batched_gradient_energy(fam, grid)
+    den = ge ** (den_high / 2.0) + ge ** (den_low / 2.0)
+    valid = den > 0.0
+    return num[valid] / den[valid]
+
+
+_GATE = dict(num_low=3.2, num_high=3.5, den_low=3.2, den_high=3.5, num_scale=1.0)
+_BOUND = dict(num_low=4.4, num_high=5.0, den_low=4.4, den_high=5.0, num_scale=0.5)
+_CERT_GRIDS = [(1.0, 101), ((1.0, 1.0), (65, 65)), ((1.0, 2.0), (33, 21))]
+
+
+@pytest.mark.parametrize("exponents", [_GATE, _BOUND], ids=["gate", "bound"])
+@pytest.mark.parametrize("lengths,counts", _CERT_GRIDS)
+def test_chunked_certification_equals_one_batch_oracle(lengths, counts, exponents):
+    # 1234 samples leave a partial last batch; 65x65 and 33x21 batches split
+    grid = make_grid(lengths, counts)
+    for seed in (7, 2024):
+        got = _max_split_ratio(grid, n_samples=1234,
+                               rng=np.random.default_rng(seed), **exponents)
+        want = _split_ratio_oracle(grid, n_samples=1234,
+                                   rng=np.random.default_rng(seed), **exponents)
+        assert got == want
+
+
+@pytest.mark.parametrize("step", [1, 7])
+@pytest.mark.parametrize("lengths,counts", [(1.0, 101), ((1.0, 2.0), (17, 23))])
+def test_forced_chunk_split_equals_one_batch_oracle(monkeypatch, lengths, counts, step):
+    # step samples per chunk; 1008 samples end in a batch of 8, which at
+    # step 7 leaves a one-sample remainder chunk. A BLAS product taken per
+    # chunk rounds differently from the whole batch and fails here.
+    grid = make_grid(lengths, counts)
+    monkeypatch.setattr(analysis, "_CHUNK_VALUES", step * grid.weights.size)
+    for exponents in (_GATE, _BOUND):
+        got = _max_split_ratio(grid, n_samples=1008,
+                               rng=np.random.default_rng(3), **exponents)
+        want = _split_ratio_oracle(grid, n_samples=1008,
+                                   rng=np.random.default_rng(3), **exponents)
+        assert got == want
+
+
+@pytest.mark.parametrize("lengths,counts,seed", [(1.0, 101, 19),
+                                                 ((1.0, 2.0), (17, 23), 3)])
+def test_remainder_chunk_holds_the_maximum(monkeypatch, lengths, counts, seed):
+    # 8 samples at 7 per chunk: the seed puts the maximum in the one-sample
+    # remainder chunk, so a chunk left unscored changes the result
+    grid = make_grid(lengths, counts)
+    monkeypatch.setattr(analysis, "_CHUNK_VALUES", 7 * grid.weights.size)
+    fam = _family_oracle(grid, 8, np.random.default_rng(seed))
+    for exponents in (_GATE, _BOUND):
+        ratio = _ratio_oracle(grid, fam, **exponents)
+        assert ratio.size == 8 and np.argmax(ratio) == 7
+        got = _max_split_ratio(grid, n_samples=8,
+                               rng=np.random.default_rng(seed), **exponents)
+        assert got == ratio[7]
+
+
+def test_one_dimensional_certification_runs_inline(monkeypatch):
+    from delaywave.config import load_preset, parse_config
+
+    cfg = parse_config(load_preset("decay_exponential"))
+    grid = make_grid(cfg.lengths, cfg.nodes)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a 1-D certification batch must not start a pool")
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", no_pool)
+    assert _max_split_ratio(grid, n_samples=1000, rng=np.random.default_rng(1),
+                            **_GATE) > 0.0
+
+
+def test_dirichlet_family_equals_one_batch_oracle():
+    for lengths, counts in _CERT_GRIDS:
+        grid = make_grid(lengths, counts)
+        got = _dirichlet_family(grid, 300, np.random.default_rng(5))
+        assert np.array_equal(got, _family_oracle(grid, 300, np.random.default_rng(5)))
+
+
 @pytest.fixture
 def split_ratio_calls(monkeypatch):
     """Empty certification memo; counts the family maximizations run."""

@@ -87,6 +87,15 @@ def test_cli_config_error_carries_location(tmp_path, capsys, doc, where):
     assert {k: error[k] for k in ("key", "line", "column") if k in error} == where
 
 
+def test_cli_bad_sweep_value_exit_2(tmp_path, capsys):
+    code = cli.main(["--preset", "blowup", "--sweep", "scale=6,abc",
+                     "--out", str(tmp_path / "o")])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error["type"] == "config" and error["key"] == "scale"
+    assert "abc" in error["message"]
+
+
 def test_cli_condition_failure_exit_4_and_override(tmp_path, capsys):
     doc = """
 [exponents]

@@ -12,12 +12,9 @@ from __future__ import annotations
 import hashlib
 from importlib import resources
 
-import numpy as np
-
 from .errors import ConfigError, ExpressionError
 from .expressions import compile_expression
 from .solver import RunConfig, resolve_config
-from .spaces import make_grid
 
 _SECTIONS = ("grid", "exponents", "delay", "initial", "run", "output")
 
@@ -115,13 +112,14 @@ def _parse_mu2_table(raw, key, line):
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
+        try:
+            tau, value = map(float, chunk.split(","))
+        except ValueError:
             raise ConfigError(
-                f"{key} entries must be 'tau,value' pairs, got {chunk!r}",
+                f"{key} entries must be 'tau,value' pairs of numbers, got {chunk!r}",
                 line=line, key=key,
-            )
-        rows.append((float(parts[0]), float(parts[1])))
+            ) from None
+        rows.append((tau, value))
     if len(rows) < 2:
         raise ConfigError(f"{key} needs at least two pairs", line=line, key=key)
     taus = [r[0] for r in rows]
@@ -249,79 +247,8 @@ def parse_config(text) -> RunConfig:
         sample_dt=_to_float_or_auto(sample_raw, "sample_dt", sample_line),
         decay_factor=_to_float(factor_raw, "decay_factor", factor_line),
     )
-    _validate_ranges(cfg)
+    resolve_config(cfg)  # every rule; parse keeps dt and sample_dt unresolved
     return cfg
-
-
-def _validate_ranges(cfg: RunConfig):
-    """Static range checks; raises ConfigError naming the offending key."""
-    if cfg.t_end <= 0.0:
-        raise ConfigError("t_end must be positive", key="t_end")
-    if cfg.threshold <= 0.0:
-        raise ConfigError("threshold must be positive", key="threshold")
-    if not 0.0 < cfg.log_holder_delta < 1.0:
-        raise ConfigError("log_holder_delta must lie in (0, 1)", key="log_holder_delta")
-    if cfg.log_holder_bound <= 0.0:
-        raise ConfigError("log_holder_a must be positive", key="log_holder_a")
-    if cfg.mu1 < 0.0:
-        raise ConfigError("mu1 must be nonnegative", key="mu1")
-    if not 0.0 < cfg.tau1 < cfg.tau2:
-        raise ConfigError("need 0 < tau1 < tau2", key="tau1")
-    if cfg.n_tau < 2:
-        raise ConfigError("n_tau must be at least 2", key="n_tau")
-    if cfg.n_rho < 3:
-        raise ConfigError("n_rho must be at least 3", key="n_rho")
-    if cfg.decay_factor <= 0.0:
-        raise ConfigError("decay_factor must be positive", key="decay_factor")
-
-    try:
-        grid = make_grid(cfg.lengths, cfg.nodes)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="nodes")
-
-    svars = ("x",) if cfg.dimension == 1 else ("x", "y")
-    env = dict(zip(svars, grid.meshes()))
-    m_vals = np.broadcast_to(
-        np.asarray(compile_expression(cfg.m, svars)(**env), dtype=float), grid.shape
-    )
-    if float(m_vals.min()) < 2.0:
-        raise ConfigError(
-            f"damping exponent m(x) must satisfy m(x) >= 2 everywhere; "
-            f"sampled minimum is {float(m_vals.min())}", key="m",
-        )
-    p_vals = np.broadcast_to(
-        np.asarray(compile_expression(cfg.p, svars)(**env), dtype=float), grid.shape
-    )
-    if float(p_vals.min()) < 1.0:
-        raise ConfigError(
-            f"source exponent p(x) must satisfy p(x) >= 1 everywhere; "
-            f"sampled minimum is {float(p_vals.min())}", key="p",
-        )
-
-    if cfg.mu2_table is None:
-        mu2_nodes = np.linspace(cfg.tau1, cfg.tau2, cfg.n_tau)
-        mu2_vals = np.broadcast_to(
-            np.asarray(compile_expression(cfg.mu2, ("tau",))(tau=mu2_nodes), dtype=float),
-            mu2_nodes.shape,
-        )
-        if float(mu2_vals.min()) < 0.0:
-            raise ConfigError("delay density mu2 must be nonnegative", key="mu2")
-    else:
-        if min(v for _, v in cfg.mu2_table) < 0.0:
-            raise ConfigError("delay density mu2_table must be nonnegative", key="mu2_table")
-
-    u0_vals = np.broadcast_to(
-        np.asarray(compile_expression(cfg.u0, svars)(**env), dtype=float), grid.shape
-    )
-    sup0 = float(np.max(np.abs(cfg.scale * u0_vals)))
-    if cfg.threshold <= sup0:
-        raise ConfigError(
-            f"threshold {cfg.threshold} must exceed the initial sup-norm {sup0}",
-            key="threshold",
-        )
-
-    # CFL contract for an explicit dt (auto always satisfies it).
-    resolve_config(cfg)
 
 
 def _fmt_value(value):

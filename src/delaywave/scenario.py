@@ -256,6 +256,8 @@ def _apply_axis(cfg: RunConfig, key, value) -> RunConfig:
     if key in SWEEP_FLOAT_KEYS:
         return replace(cfg, **{key: float(value)})
     if key in SWEEP_INT_KEYS:
+        if not float(value).is_integer():
+            raise ConfigError(f"{key} must be an integer, got {value!r}", key=key)
         return replace(cfg, **{key: int(value)})
     if key in SWEEP_EXPR_KEYS:
         return replace(cfg, **{key: repr(float(value))})
@@ -273,7 +275,8 @@ def sweep(config: RunConfig, key, values, out_dir=None, max_workers=None):
     execution order.
     """
     values = [float(v) for v in values]
-    _apply_axis(config, key, values[0])  # validate key before spawning work
+    for value in values:  # a bad key or value fails before any point runs
+        _apply_axis(config, key, value)
 
     def one(value):
         point_dir = None

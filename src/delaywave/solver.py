@@ -30,6 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +89,97 @@ def auto_dt(lengths, nodes, tau1, n_rho) -> float:
     return 0.5 * min(h_min, tau1 * d_rho)
 
 
-def resolve_config(cfg: RunConfig) -> RunConfig:
-    """Fill dt and sample_dt when unset; enforce the CFL contract."""
+class Resolved(NamedTuple):
+    """A config that meets every rule, with the fields sampled to check it."""
+
+    config: RunConfig  # dt and sample_dt filled in
+    grid: Grid
+    m: ExponentField
+    p: ExponentField
+    mu2: np.ndarray  # delay density on linspace(tau1, tau2, n_tau)
+    u0_fn: object
+
+
+def resolve_config(cfg: RunConfig) -> Resolved:
+    """Check every config rule; fill dt and sample_dt when unset.
+
+    This is the one validator: ``parse_config`` runs it on each document and
+    ``build_problem`` on each config it is given, so sweep points and configs
+    built in code meet the same rules. A violation raises ConfigError naming
+    the key. The grid and the fields sampled for the checks are returned, so
+    ``build_problem`` compiles and samples each of them once.
+    """
+    lengths = ("length",) if cfg.dimension == 1 else ("length_x", "length_y")
+    floats = list(zip(lengths, cfg.lengths)) + [
+        ("log_holder_a", cfg.log_holder_bound), ("log_holder_delta", cfg.log_holder_delta),
+        ("mu1", cfg.mu1), ("tau1", cfg.tau1), ("tau2", cfg.tau2), ("scale", cfg.scale),
+        ("t_end", cfg.t_end), ("dt", cfg.dt), ("threshold", cfg.threshold),
+        ("alpha", cfg.alpha), ("eps", cfg.eps), ("sample_dt", cfg.sample_dt),
+        ("decay_factor", cfg.decay_factor),
+    ] + [("mu2_table", value) for row in cfg.mu2_table or () for value in row]
+    for key, value in floats:
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}", key=key)
+
+    if cfg.t_end <= 0.0:
+        raise ConfigError("t_end must be positive", key="t_end")
+    if cfg.threshold <= 0.0:
+        raise ConfigError("threshold must be positive", key="threshold")
+    if not 0.0 < cfg.log_holder_delta < 1.0:
+        raise ConfigError("log_holder_delta must lie in (0, 1)", key="log_holder_delta")
+    if cfg.log_holder_bound <= 0.0:
+        raise ConfigError("log_holder_a must be positive", key="log_holder_a")
+    if cfg.mu1 < 0.0:
+        raise ConfigError("mu1 must be nonnegative", key="mu1")
+    if not 0.0 < cfg.tau1 < cfg.tau2:
+        raise ConfigError("need 0 < tau1 < tau2", key="tau1")
+    if cfg.n_tau < 2:
+        raise ConfigError("n_tau must be at least 2", key="n_tau")
+    if cfg.n_rho < 3:
+        raise ConfigError("n_rho must be at least 3", key="n_rho")
+    if cfg.decay_factor <= 0.0:
+        raise ConfigError("decay_factor must be positive", key="decay_factor")
+
+    try:
+        grid = make_grid(cfg.lengths, cfg.nodes)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key="nodes")
+
+    # "not >=" also rejects NaN samples.
+    svars = _spatial_vars(cfg.dimension)
+    m_vals = _sample_spatial(grid, compile_expression(cfg.m, svars))
+    if not m_vals.min() >= 2.0:
+        raise ConfigError(
+            f"damping exponent m(x) must satisfy m(x) >= 2 everywhere; "
+            f"sampled minimum is {float(m_vals.min())}", key="m",
+        )
+    p_vals = _sample_spatial(grid, compile_expression(cfg.p, svars))
+    if not p_vals.min() >= 1.0:
+        raise ConfigError(
+            f"source exponent p(x) must satisfy p(x) >= 1 everywhere; "
+            f"sampled minimum is {float(p_vals.min())}", key="p",
+        )
+
+    tau = np.linspace(cfg.tau1, cfg.tau2, cfg.n_tau)
+    if cfg.mu2_table is None:
+        mu2 = np.asarray(compile_expression(cfg.mu2, ("tau",))(tau=tau), dtype=float)
+        mu2 = np.broadcast_to(mu2, tau.shape).copy()
+        if not mu2.min() >= 0.0:
+            raise ConfigError("delay density mu2 must be nonnegative", key="mu2")
+    else:
+        table_tau, table_mu2 = np.array(cfg.mu2_table, dtype=float).T
+        if table_mu2.min() < 0.0:
+            raise ConfigError("delay density mu2_table must be nonnegative", key="mu2_table")
+        mu2 = np.interp(tau, table_tau, table_mu2)
+
+    u0_fn = compile_expression(cfg.u0, svars)
+    sup0 = float(np.max(np.abs(cfg.scale * _sample_spatial(grid, u0_fn))))
+    if cfg.threshold <= sup0:
+        raise ConfigError(
+            f"threshold {cfg.threshold} must exceed the initial sup-norm {sup0}",
+            key="threshold",
+        )
+
     dt = cfg.dt
     limit = auto_dt(cfg.lengths, cfg.nodes, cfg.tau1, cfg.n_rho)
     if dt is None:
@@ -103,7 +193,21 @@ def resolve_config(cfg: RunConfig) -> RunConfig:
     sample_dt = cfg.sample_dt
     if sample_dt is None:
         sample_dt = max(cfg.t_end / 400.0, dt)
-    return replace(cfg, dt=float(dt), sample_dt=float(sample_dt))
+
+    m = ExponentField(grid, m_vals)
+    p = ExponentField(grid, p_vals)
+    # alpha is used only under the exponent chain m_high < p_low, p_high < inf
+    # (validate_exponent_pair's chain_ok once m >= 2 in 1-D and 2-D).
+    if cfg.alpha is not None and m.high < p.low and p.high < math.inf:
+        window = alpha_window(m, p)
+        if not 0.0 < cfg.alpha <= window:
+            raise ConfigError(
+                f"alpha={cfg.alpha} outside the admissible window (0, {window:.6g}]",
+                key="alpha",
+            )
+
+    config = replace(cfg, dt=float(dt), sample_dt=float(sample_dt))
+    return Resolved(config, grid, m, p, mu2, u0_fn)
 
 
 @dataclass(eq=False)
@@ -123,7 +227,6 @@ class Problem:
     c0_max_margin: float
     alpha: float
     rho_nodes: np.ndarray
-    rho_weights: np.ndarray
     u0_fn: object
     u1_fn: object
     f0_fn: object
@@ -148,25 +251,11 @@ def _sample_spatial(grid, expr, extra=None):
 
 
 def build_problem(config: RunConfig) -> Problem:
-    """Compile expressions, sample fields, build the kernel and weight field."""
-    config = resolve_config(config)
-    grid = make_grid(config.lengths, config.nodes)
-    svars = _spatial_vars(config.dimension)
-
-    m = ExponentField(grid, _sample_spatial(grid, compile_expression(config.m, svars)))
-    p = ExponentField(grid, _sample_spatial(grid, compile_expression(config.p, svars)))
+    """Check the config, then build the kernel, weight field and invariants."""
+    config, grid, m, p, mu2, u0_fn = resolve_config(config)
     report = validate_exponent_pair(
         m, p, config.dimension, config.log_holder_bound, config.log_holder_delta
     )
-
-    if config.mu2_table is not None:
-        taus = np.array([row[0] for row in config.mu2_table])
-        vals = np.array([row[1] for row in config.mu2_table])
-        nodes = np.linspace(config.tau1, config.tau2, config.n_tau)
-        mu2 = np.interp(nodes, taus, vals)
-    else:
-        expr = compile_expression(config.mu2, ("tau",))
-        mu2 = lambda t: expr(tau=t)
     kernel = build_kernel(mu2, config.tau1, config.tau2, config.n_tau, config.mu1)
 
     mass_ok = check_mass_condition(kernel)
@@ -186,24 +275,11 @@ def build_problem(config: RunConfig) -> Problem:
 
     alpha = None
     if report.chain_ok:
-        window = alpha_window(m, p)
-        if config.alpha is not None:
-            if not 0.0 < config.alpha <= window:
-                raise ConfigError(
-                    f"alpha={config.alpha} outside the admissible window (0, {window:.6g}]",
-                    key="alpha",
-                )
-            alpha = config.alpha
-        else:
-            alpha = 0.5 * window
+        alpha = config.alpha if config.alpha is not None else 0.5 * alpha_window(m, p)
 
-    n_rho = config.n_rho
-    rho_nodes = np.linspace(0.0, 1.0, n_rho)
-    d_rho = 1.0 / (n_rho - 1)
-    rho_weights = np.full(n_rho, d_rho)
-    rho_weights[0] = rho_weights[-1] = d_rho / 2.0
-
-    u0_fn = compile_expression(config.u0, svars)
+    svars = _spatial_vars(config.dimension)
+    rho_nodes = np.linspace(0.0, 1.0, config.n_rho)
+    d_rho = 1.0 / (config.n_rho - 1)
     u1_fn = compile_expression(config.u1, svars)
     f0_fn = compile_expression(config.f0, svars + ("s",))
 
@@ -224,7 +300,6 @@ def build_problem(config: RunConfig) -> Problem:
         c0_max_margin=c0_max_margin,
         alpha=alpha,
         rho_nodes=rho_nodes,
-        rho_weights=rho_weights,
         u0_fn=u0_fn,
         u1_fn=u1_fn,
         f0_fn=f0_fn,
@@ -459,13 +534,6 @@ def run(problem: Problem) -> Trajectory:
     cfg = problem.config
     state = init_state(problem)
 
-    sup0 = float(np.max(np.abs(state.u.values)))
-    if cfg.threshold <= sup0:
-        raise ConfigError(
-            f"blow-up threshold {cfg.threshold} must exceed the initial sup-norm {sup0}",
-            key="threshold",
-        )
-
     def report_at(st, eps):
         return energy_report(
             st, problem.m, problem.p, problem.kernel, problem.xi,
@@ -477,7 +545,7 @@ def run(problem: Problem) -> Trajectory:
 
     times = [0.0]
     reports = [report_at(state, eps)]
-    sups = [sup0]
+    sups = [float(np.max(np.abs(state.u.values)))]
 
     n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))
     sample_every = max(1, int(round(cfg.sample_dt / cfg.dt)))

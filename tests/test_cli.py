@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,8 @@ import pytest
 
 from delaywave import cli
 from delaywave.config import load_preset, parse_config, serialize_config
-from delaywave.errors import NumericalError
-from delaywave.scenario import CSV_COLUMNS, run_scenario, sweep, trajectory_csv
+from delaywave.errors import ConfigError, NumericalError
+from delaywave.scenario import CSV_COLUMNS, _apply_axis, run_scenario, sweep, trajectory_csv
 
 GOLDEN_HEADER = ("t,E,H,I,J,F,L,phi,kinetic,elastic,delay_energy,"
                  "source_potential,damping_modular,delay_modular,sup_u")
@@ -94,6 +95,39 @@ def test_cli_bad_sweep_value_exit_2(tmp_path, capsys):
     assert code == 2
     assert error["type"] == "config" and error["key"] == "scale"
     assert "abc" in error["message"]
+
+
+@pytest.mark.parametrize("key,value", [("t_end", "nan"), ("t_end", "inf"), ("mu1", "nan")])
+def test_cli_non_finite_number_exit_2(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", ZERO_DATA, flags=re.M))
+    code = cli.main(["--config", str(bad), "--out", str(tmp_path / "o")])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error["type"] == "config" and error["key"] == key
+    assert error["message"] == f"{key} must be a finite number, got {value}"
+
+
+def test_cli_bad_mu2_table_entry_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(ZERO_DATA.replace("mu2 = 0.1", "mu2_table = a,0.1; 1.0,0.2"))
+    code = cli.main(["--config", str(bad), "--out", str(tmp_path / "o")])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error["type"] == "config"
+    assert error["key"] == "mu2_table" and error["line"] == 11
+    assert "'a,0.1'" in error["message"]
+
+
+@pytest.mark.parametrize("axis", ["n_tau=2.2,2.7", "seed=1.5", "n_rho=32,2.5"])
+def test_cli_non_integer_sweep_value_exit_2(tmp_path, capsys, axis):
+    out = tmp_path / "o"
+    code = cli.main(["--preset", "blowup", "--sweep", axis, "--out", str(out)])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error["type"] == "config" and error["key"] == axis.partition("=")[0]
+    assert "must be an integer" in error["message"]
+    assert not out.exists()  # no point ran
 
 
 def test_cli_condition_failure_exit_4_and_override(tmp_path, capsys):
@@ -226,6 +260,23 @@ def test_sweep_records_failures_and_continues():
     assert rows[0]["error"] is None
     assert rows[1]["error"] is not None
     assert "failed" in table.splitlines()[2]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("t_end", -1.0), ("n_rho", 2.0), ("decay_factor", -1.0), ("m", 1.5),
+    ("p", 0.5), ("n_tau", 1.0), ("tau1", 2.0), ("mu1", -1.0),
+    ("t_end", float("inf")),
+])
+def test_sweep_point_meets_the_document_rules(key, value):
+    # a sweep point fails as a document with the same value fails to parse
+    cfg = parse_config(load_preset("blowup"))
+    with pytest.raises(ConfigError) as doc_error:
+        parse_config(serialize_config(_apply_axis(cfg, key, value)))
+    assert doc_error.value.key == key
+    rows, table = sweep(cfg, key, [value])
+    assert rows[0]["summary"] is None
+    assert rows[0]["error"] == f"ConfigError: {doc_error.value}"
+    assert table.splitlines()[1].split(",")[1] == "failed"
 
 
 def test_sweep_constant_exponent_axis():

@@ -19,6 +19,7 @@ from delaywave.solver import (
     delay_force,
     init_state,
     laplacian,
+    resolve_config,
     run,
     source_force,
     step,
@@ -427,3 +428,29 @@ def test_cfl_contract_enforced():
 def test_threshold_must_exceed_initial_sup():
     with pytest.raises(ConfigError):
         run(build_problem(_config(u0="2*sin(pi*x)", threshold=1.0)))
+
+
+def test_alpha_rule_applies_under_the_exponent_chain():
+    # window min((p-2)/2p, (p-m)/(p(m-1))) = 1/6 for m = 2, p = 3
+    with pytest.raises(ConfigError, match="admissible window") as err:
+        resolve_config(_config(alpha=0.9))
+    assert err.value.key == "alpha"
+    # without the chain m < p, build_problem leaves alpha unused
+    assert build_problem(_config(alpha=0.9, p="2")).alpha is None
+
+
+def test_build_problem_compiles_each_expression_once(monkeypatch):
+    import delaywave.solver as solver
+
+    compiled = []
+    real = solver.compile_expression
+
+    def counting(text, variables=()):
+        compiled.append(text)
+        return real(text, variables)
+
+    monkeypatch.setattr(solver, "compile_expression", counting)
+    cfg = _config(m="2 + 0.1*x", p="3 + 0.1*x", mu2="0.1*tau", u0="0.1*sin(pi*x)",
+                  u1="0.2*sin(pi*x)", f0="0.2*sin(pi*x)*cos(s)")
+    build_problem(cfg)
+    assert sorted(compiled) == sorted([cfg.m, cfg.p, cfg.mu2, cfg.u0, cfg.u1, cfg.f0])

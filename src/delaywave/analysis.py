@@ -14,15 +14,13 @@ doubled. The same machinery certifies the smallness-gate constant.
 from __future__ import annotations
 
 import logging
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
+from . import parallel
 from .errors import ConditionError
 from .solver import TERMINATED_BLOWUP, TERMINATED_END
 from .spaces import Grid
@@ -196,14 +194,6 @@ def _batched_gradient_energy(samples, grid):
     return np.array([np.dot(wy, a) + np.dot(wx, b) for a, b in zip(ex, ey)])
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
 def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
                      n_samples, rng, batch=500):
     """max over the family of
@@ -212,9 +202,8 @@ def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
         / (ge^{den_high/2} + ge^{den_low/2}),   ge = gradient energy.
 
     Each batch is built and scored in chunks of about _CHUNK_VALUES grid
-    values, on a thread pool when the batch has more than one chunk (numpy
-    releases the GIL in these kernels). The result is bitwise the one-batch,
-    one-thread maximum:
+    values, on the shared pool (``parallel``) when the batch has more than
+    one chunk. The result is bitwise the one-batch, one-thread maximum:
     - the batch's draws are made in the calling thread, in a fixed order and
       size, before the batch is split;
     - synthesis and scoring are per sample, so a chunk gives the same bits
@@ -223,12 +212,11 @@ def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
       since OpenBLAS rounds a row slice differently;
     - max is exact, so chunk maxima folded in chunk order equal the batch's.
     A batch of at most _CHUNK_VALUES values (any 1-D preset) is one chunk
-    and runs inline with no pool.
+    and runs inline.
     """
     modes = _axis_modes(grid)
     w = grid.weights
     axes = tuple(range(1, grid.dimension + 1))
-    step = max(1, _CHUNK_VALUES // w.size)
 
     def chunk_max(draws, rows):
         fam = _synthesize(grid, modes, draws, rows)
@@ -243,20 +231,16 @@ def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
         valid = den > 0.0
         return np.max(num[valid] / den[valid], initial=-np.inf)
 
-    workers = _worker_count()
-    threaded = min(batch, n_samples) > step and workers > 1
     best = 0.0
     done = 0
-    with ThreadPoolExecutor(workers) if threaded else nullcontext() as pool:
-        run = pool.map if threaded else map
-        while done < n_samples:
-            b = min(batch, n_samples - done)
-            draws = _family_draws(grid, b, rng, modes)
-            chunks = [slice(lo, lo + step) for lo in range(0, b, step)]
-            maxima = list(run(chunk_max, repeat(draws), chunks))
-            # -inf (no valid sample) leaves best unchanged
-            best = max(best, float(np.max(maxima)))
-            done += b
+    while done < n_samples:
+        b = min(batch, n_samples - done)
+        draws = _family_draws(grid, b, rng, modes)
+        chunks = parallel.chunks(b, w.size, _CHUNK_VALUES)
+        maxima = parallel.map(chunk_max, repeat(draws), chunks)
+        # -inf (no valid sample) leaves best unchanged
+        best = max(best, float(np.max(maxima)))
+        done += b
     return best
 
 

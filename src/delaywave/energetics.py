@@ -17,11 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .delay import DelayKernel, WeightField
 from .errors import ConditionError
-from .spaces import ExponentField, gradient_energy, modular
+from .spaces import ExponentField, gradient_energy
 
 TOL_RATE_STEPS = 50.0  # default dissipation slack is this many dt
+# Values per grid-row chunk of _delay_powers: 1 MiB of float64, so a chunk of
+# a is still in L2 when b is formed from it.
+_CHUNK_VALUES = 1 << 17
+# memory_tail's transpose of z[:, -1], keyed by z.ndim (1-D and 2-D grids)
+_TAIL_AXES = {3: (1, 0), 4: (1, 2, 0)}
 
 
 @dataclass(frozen=True)
@@ -55,14 +61,20 @@ def memory_tail(z):
     """The rho = 1 tail of a tau-major memory field z (n_tau, n_rho, *grid),
     as a C-contiguous (*grid, n_tau) copy: a sum over its last axis keeps
     numpy's pairwise order, which a sum over tau in place would not."""
-    return np.ascontiguousarray(np.moveaxis(z[:, -1], 0, -1))
+    return np.ascontiguousarray(z[:, -1].transpose(_TAIL_AXES[z.ndim]))
 
 
-def _abs_power(w, exponent_values, extra_axes=0, out=None):
-    """|w|**exponent with a fast path for spatially constant exponents,
-    written into ``out`` when given."""
+def _abs_power(w, exponent_values, extra_axes=0, out=None, rows=slice(None)):
+    """|w|**exponent on the leading-axis slice ``rows``, with a fast path for
+    spatially constant exponents, written into ``out[rows]`` when given.
+
+    The path is chosen on the whole exponent field, so a slice gets the bits
+    the whole array would.
+    """
     lo = float(exponent_values.min())
     hi = float(exponent_values.max())
+    w = w[rows]
+    out = None if out is None else out[rows]
     with np.errstate(over="ignore"):
         if lo == hi == 2.0:
             return np.multiply(w, w, out=out)
@@ -70,8 +82,30 @@ def _abs_power(w, exponent_values, extra_axes=0, out=None):
         if lo == hi:
             out **= lo
         else:
-            out **= exponent_values.reshape(exponent_values.shape + (1,) * extra_axes)
+            exponent = exponent_values[rows]
+            out **= exponent.reshape(exponent.shape + (1,) * extra_axes)
         return out
+
+
+def _delay_powers(z, m_values):
+    """a = |z|^m and b = a / m as the C-ordered (*grid, n_rho, n_tau)
+    transpose of z, so reductions over them run in the grid-major order.
+
+    They are built in grid-row chunks of about _CHUNK_VALUES values on the
+    shared pool; each element gets the same operations as in one whole-array
+    pass, so the bits are those of that pass. A field of one chunk (any 1-D
+    preset) runs inline.
+    """
+    field = np.moveaxis(z, (0, 1), (-1, -2))
+    a = np.empty(field.shape)
+    b = np.empty(field.shape)
+
+    def fill(rows):
+        _abs_power(field, m_values, extra_axes=2, out=a, rows=rows)
+        np.divide(a[rows], m_values[rows][..., None, None], out=b[rows])
+
+    parallel.map(fill, parallel.chunks(field.shape[0], field[0].size, _CHUNK_VALUES))
+    return a, b
 
 
 def _delay_integrals(z, kernel, xi, m, grid_weights):
@@ -87,11 +121,9 @@ def _delay_integrals(z, kernel, xi, m, grid_weights):
     tw = kernel.nodes * tau_w
     decay_jk = np.exp(-np.outer(rho_nodes, kernel.nodes))
 
-    # The first pass writes the (*grid, n_rho, n_tau) transpose of z, C-ordered,
-    # so the tensordots below reduce in the grid-major order.
-    field = np.moveaxis(z, (0, 1), (-1, -2))
-    a = _abs_power(field, m.values, extra_axes=2, out=np.empty(field.shape))
-    b = a / m.values[..., None, None]
+    # The tensordots take the whole arrays: OpenBLAS picks its kernel by row
+    # count, so a row chunk could round differently.
+    a, b = _delay_powers(z, m.values)
 
     def triple(field, jk_weight):
         return np.tensordot(field, jk_weight, axes=([-2, -1], [0, 1]))

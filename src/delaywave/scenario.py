@@ -271,8 +271,8 @@ def _apply_axis(cfg: RunConfig, key, value) -> RunConfig:
 def sweep(config: RunConfig, key, values, out_dir=None, max_workers=None):
     """Run one scenario per axis value; failures are recorded, not fatal.
 
-    Returns (rows, table_csv) with rows ordered by axis value, independent of
-    execution order.
+    Returns (rows, table_csv) with rows ordered by axis value, NaN last,
+    independent of input and execution order.
     """
     values = [float(v) for v in values]
     for value in values:  # a bad key or value fails before any point runs
@@ -292,7 +292,7 @@ def sweep(config: RunConfig, key, values, out_dir=None, max_workers=None):
     workers = max_workers or min(4, len(values))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(one, values))
-    results.sort(key=lambda item: item[0])
+    results.sort(key=lambda item: (math.isnan(item[0]), item[0]))
 
     header = (key, "classification", "termination", "T_measured", "T_low",
               "E0", "E_final", "gate_passed", "error")

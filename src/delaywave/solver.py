@@ -34,6 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import parallel
 from .delay import DelayKernel, WeightField, build_kernel, check_mass_condition, \
     check_xi_condition, dissipation_constant, dissipation_margins, xi_default
 from .energetics import alpha_window, energy_report, memory_tail
@@ -109,6 +110,13 @@ def resolve_config(cfg: RunConfig) -> Resolved:
     the key. The grid and the fields sampled for the checks are returned, so
     ``build_problem`` compiles and samples each of them once.
     """
+    if cfg.dimension not in (1, 2):
+        raise ConfigError(f"dimension must be 1 or 2, got {cfg.dimension}", key="dimension")
+    if not len(cfg.lengths) == len(cfg.nodes) == cfg.dimension:
+        raise ConfigError(
+            f"dimension {cfg.dimension} needs {cfg.dimension} lengths and node counts, "
+            f"got {len(cfg.lengths)} and {len(cfg.nodes)}", key="dimension",
+        )
     lengths = ("length",) if cfg.dimension == 1 else ("length_x", "length_y")
     floats = list(zip(lengths, cfg.lengths)) + [
         ("log_holder_a", cfg.log_holder_bound), ("log_holder_delta", cfg.log_holder_delta),
@@ -322,7 +330,7 @@ class SimState:
     # memory tail are not mutated in between. Reset to None after editing
     # the state by hand.
     accel: np.ndarray = None
-    scratch: np.ndarray = None
+    scratch: list = None  # _upwind_shift's scratch buffers
 
 
 def init_state(problem: Problem) -> SimState:
@@ -450,19 +458,49 @@ def _conservative(u_vals, z, problem):
     return acc
 
 
+# A memory field whose z[:, 1:] is at most this many bytes (any 1-D preset:
+# 0.8 MB) is shifted inline: the pool's hand-off would cost more than it saves.
+_INLINE_BYTES = 1 << 20
+
+
+def _shift_rows(z, lane, cfl, scratch):
+    """Upwind update of rho-rows 1.. of z[lane] from rows 0..n_rho-2, in
+    three ufunc passes through scratch."""
+    np.subtract(z[lane, 1:], z[lane, :-1], out=scratch)
+    np.multiply(scratch, cfl, out=scratch)
+    np.subtract(z[lane, 1:], scratch, out=z[lane, 1:])
+
+
 def _upwind_shift(state, cfl):
     """In-place first-order upwind update of the memory field along rho.
 
-    Temporaries are kept in a per-state scratch buffer; large allocations in
-    the hot loop dominate the runtime otherwise.
+    A field of at most _INLINE_BYTES is one whole-field pass. A larger field
+    splits its tau lanes into one group per worker of the shared pool; each
+    worker updates its lanes one at a time through its own lane-sized
+    scratch. Each node gets the same three operations either way, so the
+    result is bitwise that of the whole-field pass. The scratch buffers live
+    in the state, allocated on the first call: allocations in the hot loop
+    dominate the runtime otherwise.
     """
     z = state.z
-    if state.scratch is None or state.scratch.shape != z[:, 1:].shape:
-        state.scratch = np.empty_like(z[:, 1:])
-    scratch = state.scratch
-    np.subtract(z[:, 1:], z[:, :-1], out=scratch)
-    np.multiply(scratch, cfl, out=scratch)
-    np.subtract(z[:, 1:], scratch, out=z[:, 1:])
+    if z[:, 1:].nbytes <= _INLINE_BYTES:
+        if state.scratch is None or state.scratch[0].shape != z[:, 1:].shape:
+            state.scratch = [np.empty_like(z[:, 1:])]
+        _shift_rows(z, slice(None), cfl, state.scratch[0])
+        return
+    n_tau = z.shape[0]
+    n_groups = min(parallel.workers(), n_tau)
+    groups = [range(i * n_tau // n_groups, (i + 1) * n_tau // n_groups)
+              for i in range(n_groups)]
+    if (state.scratch is None or len(state.scratch) != n_groups
+            or state.scratch[0].shape != z[0, 1:].shape):
+        state.scratch = [np.empty_like(z[0, 1:]) for _ in groups]
+
+    def shift_lanes(lanes, scratch):
+        for k in lanes:
+            _shift_rows(z, k, cfl[k], scratch)
+
+    parallel.map(shift_lanes, groups, state.scratch)
 
 
 def step(state: SimState, problem: Problem) -> SimState:

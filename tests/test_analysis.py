@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from types import SimpleNamespace
 
-from delaywave import analysis
+from delaywave import analysis, parallel
 from delaywave.analysis import (
     blowup_lower_bound,
     classify,
@@ -237,12 +237,17 @@ def test_one_dimensional_certification_runs_inline(monkeypatch):
     cfg = parse_config(load_preset("decay_exponential"))
     grid = make_grid(cfg.lengths, cfg.nodes)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a 1-D certification batch must not start a pool")
+    def no_pool():
+        raise AssertionError("the shared pool was used")
 
-    monkeypatch.setattr(analysis, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(parallel, "_executor", no_pool)
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
     assert _max_split_ratio(grid, n_samples=1000, rng=np.random.default_rng(1),
                             **_GATE) > 0.0
+    # the patch is the pool's only door: a multi-chunk 2-D batch goes through it
+    with pytest.raises(AssertionError, match="shared pool"):
+        _max_split_ratio(make_grid((1.0, 1.0), (65, 65)), n_samples=100,
+                         rng=np.random.default_rng(1), **_GATE)
 
 
 def test_dirichlet_family_equals_one_batch_oracle():

@@ -204,6 +204,35 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def _fresh_import(blas_threads):
+    """Import delaywave.cli in a new interpreter with OPENBLAS_NUM_THREADS set
+    to blas_threads (None: unset); report its threads and that variable."""
+    code = ("import json, os, threading, delaywave.cli; "
+            "tasks = '/proc/self/task'; "
+            "print(json.dumps([threading.active_count(), "
+            "len(os.listdir(tasks)) if os.path.isdir(tasks) else None, "
+            "os.environ.get('OPENBLAS_NUM_THREADS')]))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_cli_import_starts_no_thread_and_single_threads_blas():
+    python_threads, os_threads, blas = _fresh_import(None)
+    assert python_threads == 1
+    assert os_threads in (None, 1)  # None: no /proc to count OS threads
+    assert blas == "1"
+
+
+def test_cli_import_keeps_the_users_blas_threads():
+    assert _fresh_import("2")[2] == "2"
+
+
 def test_sweep_records_overflow_as_failed_point(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = cli.main(["--preset", "blowup", "--sweep", "threshold=1e300",
@@ -242,6 +271,16 @@ def test_sweep_permutation_invariant(tmp_path):
     _, table_a = sweep(cfg, "scale", [7.0, 6.0, 8.0])
     _, table_b = sweep(cfg, "scale", [8.0, 7.0, 6.0])
     assert table_a == table_b
+
+
+def test_sweep_permutation_invariant_with_nan():
+    # NaN compares false with everything; its row must still sort last
+    cfg = parse_config(load_preset("blowup"))
+    _, table_a = sweep(cfg, "mu1", [float("nan"), -1.0, -2.0])
+    _, table_b = sweep(cfg, "mu1", [-2.0, -1.0, float("nan")])
+    assert table_a == table_b
+    assert [line.split(",")[0] for line in table_a.splitlines()[1:]] == \
+        ["-2.0", "-1.0", "nan"]
 
 
 def test_sweep_invalid_key_is_config_error():

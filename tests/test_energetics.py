@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from types import SimpleNamespace
 
+from delaywave import energetics, parallel
 from delaywave.delay import build_kernel, xi_default
 from delaywave.energetics import (
     alpha_window,
@@ -185,3 +186,37 @@ def test_dissipation_holds_on_polynomial_run(polynomial_result):
     assert prob.c0 > 0.0
     for a, b in zip(traj.reports[:-1], traj.reports[1:]):
         assert dissipation_check(a, b, prob.c0, prob.config.dt).ok
+
+
+def _delay_powers_oracle(z, m_values):
+    """The one-pass |z|^m and |z|^m / m of the (*grid, n_rho, n_tau) transpose."""
+    field = np.moveaxis(z, (0, 1), (-1, -2))
+    lo, hi = m_values.min(), m_values.max()
+    if lo == hi == 2.0:
+        a = field * field
+    else:
+        a = np.abs(field)
+        a **= lo if lo == hi else m_values[..., None, None]
+    return a, a / m_values[..., None, None]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("m_expr", [
+    lambda x, y: 2.2 + 0.3 * x * y,
+    lambda x, y: np.maximum(2.0, 1.6 + x + 0.0 * y),  # constant on the first rows
+    lambda x, y: 2.0 + 0.0 * x * y,
+    lambda x, y: 2.5 + 0.0 * x * y,
+], ids=["variable", "variable-with-flat-rows", "two", "constant"])
+def test_delay_powers_equal_one_pass(monkeypatch, m_expr, workers):
+    g = make_grid((1.0, 2.0), (13, 9))
+    x, y = g.meshes()
+    m_values = m_expr(x, y)
+    z = np.random.default_rng(3).standard_normal((5, 7) + g.shape)
+    # 3 grid rows of 9 * 7 * 5 values per chunk: 13 rows make 5 uneven chunks
+    monkeypatch.setattr(energetics, "_CHUNK_VALUES", 3 * 9 * 7 * 5)
+    monkeypatch.setattr(parallel, "workers", lambda: workers)
+    monkeypatch.setattr(parallel, "_pool", None)  # this test's pool is its own
+    a, b = energetics._delay_powers(z, m_values)
+    want_a, want_b = _delay_powers_oracle(z, m_values)
+    assert a.flags.c_contiguous and b.flags.c_contiguous
+    assert np.array_equal(a, want_a) and np.array_equal(b, want_b)

@@ -1,12 +1,14 @@
 import logging
 import tracemalloc
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from _history import VelocityHistory, advance
 
+from delaywave import parallel, solver
 from delaywave.delay import build_kernel
 from delaywave.energetics import memory_tail
 from delaywave.errors import ConditionError, ConfigError, NumericalError
@@ -297,6 +299,48 @@ def test_memory_field_is_tau_major_and_contiguous(dimension):
     assert state.z is z and z.flags.c_contiguous
 
 
+def _upwind_oracle(z, cfl):
+    """One whole-field upwind pass: three ufunc calls over z[:, 1:]."""
+    scratch = np.empty_like(z[:, 1:])
+    np.subtract(z[:, 1:], z[:, :-1], out=scratch)
+    np.multiply(scratch, cfl, out=scratch)
+    np.subtract(z[:, 1:], scratch, out=z[:, 1:])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "pool"])
+@pytest.mark.parametrize("grid_shape", [(41,), (9, 7)], ids=["1d", "2d"])
+def test_upwind_shift_equals_one_pass(monkeypatch, grid_shape, inline, workers):
+    # 5 lanes split unevenly among 2 or 3 workers
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((5, 17) + grid_shape)
+    cfl = rng.uniform(0.05, 1.0, 5).reshape((-1, 1) + (1,) * len(grid_shape))
+    if not inline:
+        monkeypatch.setattr(solver, "_INLINE_BYTES", 0)
+    monkeypatch.setattr(parallel, "workers", lambda: workers)
+    monkeypatch.setattr(parallel, "_pool", None)  # this test's pool is its own
+    state = SimpleNamespace(z=z.copy(), scratch=None)
+    for _ in range(3):
+        solver._upwind_shift(state, cfl)
+        _upwind_oracle(z, cfl)
+    assert np.array_equal(state.z, z)
+    if inline:
+        assert [s.shape for s in state.scratch] == [z[:, 1:].shape]
+    else:
+        assert [s.shape for s in state.scratch] == [z[0, 1:].shape] * min(workers, 5)
+
+
+def test_upwind_scratch_is_one_lane_per_worker():
+    cfg = RunConfig(dimension=2, lengths=(1.0, 1.0), nodes=(65, 65), n_tau=16,
+                    n_rho=32, t_end=0.01)
+    prob = build_problem(cfg)
+    state = init_state(prob)
+    step(state, prob)
+    assert state.z.nbytes > 16 * 2 ** 20
+    assert [s.shape for s in state.scratch] == \
+        [state.z[0, 1:].shape] * min(parallel.workers(), 16)
+
+
 # --- history oracle -------------------------------------------------------------
 
 def test_history_oracle_at_start_equals_history():
@@ -454,3 +498,15 @@ def test_build_problem_compiles_each_expression_once(monkeypatch):
                   u1="0.2*sin(pi*x)", f0="0.2*sin(pi*x)*cos(s)")
     build_problem(cfg)
     assert sorted(compiled) == sorted([cfg.m, cfg.p, cfg.mu2, cfg.u0, cfg.u1, cfg.f0])
+
+
+def test_dimension_must_match_lengths_and_nodes():
+    with pytest.raises(ConfigError, match="needs 2 lengths") as err:
+        build_problem(RunConfig(dimension=2, lengths=(1.0,), nodes=(51,)))
+    assert err.value.key == "dimension"
+    with pytest.raises(ConfigError) as err:
+        build_problem(RunConfig(dimension=1, lengths=(1.0, 1.0), nodes=(51, 51)))
+    assert err.value.key == "dimension"
+    with pytest.raises(ConfigError, match="1 or 2") as err:
+        build_problem(RunConfig(dimension=3, lengths=(1.0,) * 3, nodes=(5,) * 3))
+    assert err.value.key == "dimension"

@@ -32,7 +32,6 @@ from .delay import (
 from .energetics import (
     EnergyReport,
     alpha_window,
-    blowup_functional,
     dissipation_check,
     energy_report,
     weighted_delay_functional,

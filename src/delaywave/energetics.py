@@ -243,15 +243,6 @@ def alpha_window(m: ExponentField, p: ExponentField) -> float:
     return window
 
 
-def blowup_functional(state, deficit, alpha, eps) -> float:
-    """deficit^{1-alpha} + eps * integral(u v); None when deficit <= 0."""
-    if deficit <= 0.0:
-        return None
-    w = state.u.grid.weights
-    cross = float(np.sum(w * state.u.values * state.v.values))
-    return deficit ** (1.0 - alpha) + eps * cross
-
-
 def weighted_delay_functional(state, kernel: DelayKernel, xi: WeightField,
                               m: ExponentField) -> float:
     """The exp(-rho tau)-weighted delay energy content."""

@@ -1,6 +1,12 @@
 """Run orchestration: admissibility gate, trajectory, post-analysis, and
 bit-stable CSV/JSON serialization.
 
+A run is two steps: ``simulate`` (build the problem, gate it, integrate it)
+and ``analyse`` (certify, bound, classify, serialize); ``run_scenario`` is
+one after the other. ``sweep`` simulates its points in forked worker
+processes and analyses each in the calling process as it arrives, so
+certification and its memo stay in that one process.
+
 Two executions of the same config produce byte-identical outputs: numbers
 are written in shortest round-trip form, randomized certifications are
 seeded from the config, and nothing time- or host-dependent enters the
@@ -9,14 +15,15 @@ files (wall time goes to the log, the JSON field stays null).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
+from . import parallel
 from .analysis import (
     blowup_lower_bound,
     classify,
@@ -103,12 +110,11 @@ class ScenarioResult:
     json_text: str
 
 
-def run_scenario(config: RunConfig, out_dir=None) -> ScenarioResult:
-    """Full pipeline for one config; optionally writes trajectory.csv and
-    summary.json into out_dir (atomically)."""
+def simulate(config: RunConfig):
+    """Build the problem, refuse it if an admissibility check fails (unless
+    overridden), and integrate it: returns (problem, trajectory)."""
     problem = build_problem(config)
     flags = condition_flags(problem)
-
     failed = [name for name in ("exponent_chain", "mass_condition", "xi_condition")
               if not flags[name]]
     if failed and not problem.config.override_conditions:
@@ -118,8 +124,13 @@ def run_scenario(config: RunConfig, out_dir=None) -> ScenarioResult:
         )
     if failed:
         log.warning("running with failed checks (override): %s", ", ".join(failed))
+    return problem, run(problem)
 
-    trajectory = run(problem)
+
+def analyse(problem, trajectory, out_dir=None) -> ScenarioResult:
+    """Certify, gate, bound and classify one simulated run; optionally writes
+    trajectory.csv and summary.json into out_dir (atomically)."""
+    flags = condition_flags(problem)
     report0 = trajectory.reports[0]
     e0 = report0.total_energy
     flags["negative_initial_energy"] = bool(e0 < 0.0)
@@ -199,6 +210,12 @@ def run_scenario(config: RunConfig, out_dir=None) -> ScenarioResult:
                           summary, csv_text, json_text)
 
 
+def run_scenario(config: RunConfig, out_dir=None) -> ScenarioResult:
+    """Full pipeline for one config; optionally writes trajectory.csv and
+    summary.json into out_dir (atomically)."""
+    return analyse(*simulate(config), out_dir)
+
+
 def _json_num(value):
     if value is None:
         return None
@@ -268,30 +285,76 @@ def _apply_axis(cfg: RunConfig, key, value) -> RunConfig:
     )
 
 
-def sweep(config: RunConfig, key, values, out_dir=None, max_workers=None):
+def _simulate_point(config):
+    """simulate() as a sweep worker runs it: a failure comes back as its
+    text, formatted where it was raised, so an exception that does not
+    pickle (an unpicklable field, or required arguments other than the
+    message) cannot stop the sweep."""
+    try:
+        return simulate(config)
+    except Exception as exc:  # recorded per point, sweep continues
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _fork_pool(processes):
+    """A pool of `processes` forked workers; None where fork is not available.
+
+    fork, not spawn or forkserver: a forked worker starts with numpy, scipy
+    and delaywave already imported. It relies on no other inherited state:
+    the shared thread pool is dropped in the child (parallel._forget_pool)
+    and a worker only simulates, so it never reads the certification memo.
+    """
+    import multiprocessing  # here: a single run never forks, nor pays its import
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork").Pool(processes)
+
+
+def _simulations(configs):
+    """_simulate_point of each config, in input order, as each is done: on
+    forked worker processes with several points and CPUs, while the caller
+    works on those already done; otherwise inline, starting no process."""
+    processes = min(len(configs), parallel.workers())
+    pool = _fork_pool(processes) if processes > 1 else None
+    if pool is None:
+        yield from map(_simulate_point, configs)
+        return
+    with pool:
+        yield from pool.imap(_simulate_point, configs)
+
+
+def _analyse_point(point, out_dir):
+    """(summary, None) for a simulated point, (None, error text) otherwise."""
+    if isinstance(point, str):
+        return None, point
+    try:
+        return analyse(*point, out_dir).summary, None
+    except Exception as exc:  # recorded per point, sweep continues
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def sweep(config: RunConfig, key, values, out_dir=None):
     """Run one scenario per axis value; failures are recorded, not fatal.
 
-    Returns (rows, table_csv) with rows ordered by axis value, NaN last,
+    Points are simulated by ``_simulations`` and each is analysed (and
+    certified) here, in input order, as it arrives. Returns (rows, table_csv) with rows ordered by axis value, NaN last,
     independent of input and execution order.
     """
     values = [float(v) for v in values]
-    for value in values:  # a bad key or value fails before any point runs
-        _apply_axis(config, key, value)
+    # a bad key or value fails before any point runs
+    configs = [_apply_axis(config, key, value) for value in values]
 
-    def one(value):
-        point_dir = None
-        if out_dir is not None:
-            point_dir = os.path.join(out_dir, f"point_{key}={_fmt(value)}")
-        try:
-            result = run_scenario(_apply_axis(config, key, value), point_dir)
-            return (value, result.summary, None)
-        except Exception as exc:  # recorded per point, sweep continues
-            log.warning("sweep point %s=%s failed: %s", key, value, exc)
-            return (value, None, f"{type(exc).__name__}: {exc}")
-
-    workers = max_workers or min(4, len(values))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(one, values))
+    results = []
+    with contextlib.closing(_simulations(configs)) as simulated:
+        for value, point in zip(values, simulated):
+            point_dir = None
+            if out_dir is not None:
+                point_dir = os.path.join(out_dir, f"point_{key}={_fmt(value)}")
+            summary, error = _analyse_point(point, point_dir)
+            if error is not None:
+                log.warning("sweep point %s=%s failed: %s", key, value, error)
+            results.append((value, summary, error))
     results.sort(key=lambda item: (math.isnan(item[0]), item[0]))
 
     header = (key, "classification", "termination", "T_measured", "T_low",

@@ -160,3 +160,65 @@ t_end = 0.5
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigError, match="unknown preset"):
         load_preset("nonexistent")
+
+
+def test_generated_configs_round_trip():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from delaywave.solver import RunConfig, auto_dt
+
+    def floats(lo, hi):
+        return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+    def optional(strategy):
+        return st.none() | strategy
+
+    @st.composite
+    def configs(draw):
+        dimension = draw(st.sampled_from([1, 2]))
+        lengths = tuple(draw(st.lists(floats(0.5, 3.0), min_size=dimension,
+                                      max_size=dimension)))
+        nodes = tuple(draw(st.lists(st.integers(5, 41), min_size=dimension,
+                                    max_size=dimension)))
+        tau1 = draw(floats(0.1, 1.0))
+        tau2 = tau1 + draw(floats(0.1, 2.0))
+        n_rho = draw(st.integers(3, 64))
+        table = draw(optional(st.lists(st.tuples(floats(0.0, 3.0), floats(0.0, 2.0)),
+                                       min_size=2, max_size=4)))
+        if table is not None:
+            table = tuple(sorted(table))
+        limit = auto_dt(lengths, nodes, tau1, n_rho)
+        return RunConfig(
+            dimension=dimension, lengths=lengths, nodes=nodes,
+            m=draw(st.sampled_from(["2", "2.5", "2 + 0.1*x"])),
+            p=draw(st.sampled_from(["3", "4", "3 + 0.2*x"])),
+            log_holder_bound=draw(floats(0.1, 100.0)),
+            log_holder_delta=draw(floats(0.05, 0.95)),
+            mu1=draw(floats(0.0, 5.0)),
+            mu2=None if table else draw(st.sampled_from(["0", "0.1", "0.1*tau"])),
+            mu2_table=table,
+            tau1=tau1, tau2=tau2, n_tau=draw(st.integers(2, 20)),
+            u0=draw(st.sampled_from(["0", "sin(pi*x)", "0.1*x*(1-x)"])),
+            u1=draw(st.sampled_from(["0", "0.7*sin(pi*x)"])),
+            f0=draw(st.sampled_from(["0", "0.2*sin(pi*x)*cos(s)"])),
+            scale=draw(floats(-10.0, 10.0)),
+            t_end=draw(floats(0.01, 100.0)),
+            dt=draw(optional(floats(0.1, 1.0).map(lambda share: share * limit))),
+            n_rho=n_rho,
+            threshold=draw(floats(100.0, 1e9)),
+            override_conditions=draw(st.booleans()),
+            disable_source=draw(st.booleans()),
+            freeze_velocity=draw(st.booleans()),
+            seed=draw(st.integers(0, 2**31 - 1)),
+            alpha=draw(optional(floats(0.001, 0.1))),
+            eps=draw(optional(floats(0.0, 2.0))),
+            sample_dt=draw(optional(floats(0.001, 1.0))),
+            decay_factor=draw(floats(0.001, 1.0)),
+        )
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(configs())
+    def check(cfg):
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    check()

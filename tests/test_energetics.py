@@ -6,7 +6,6 @@ from delaywave import energetics, parallel
 from delaywave.delay import build_kernel, xi_default
 from delaywave.energetics import (
     alpha_window,
-    blowup_functional,
     decay_inequality_constants,
     dissipation_check,
     energy_report,
@@ -147,17 +146,26 @@ def test_alpha_window_values():
 
 
 def test_blowup_functional_cases():
-    g, m, p, k, xi = _setup()
-    rng = np.random.default_rng(43)
-    u_vals = rng.standard_normal(g.shape)
-    u_vals[g.boundary] = 0.0
-    state = _state(g, u=GridFunction(g, u_vals))
-    assert blowup_functional(state, deficit=-1.0, alpha=0.1, eps=0.5) is None
-    assert blowup_functional(state, deficit=2.0, alpha=0.1, eps=0.0) \
-        == pytest.approx(2.0 ** 0.9)
-    # with v = 0 the cross term vanishes for any eps
-    assert blowup_functional(state, deficit=2.0, alpha=0.1, eps=3.0) \
-        == pytest.approx(2.0 ** 0.9)
+    # the indicator energy_report writes: None for a non-positive deficit,
+    # deficit^(1 - alpha) + eps * integral(u v) otherwise
+    g, m, p, k, xi = _setup(m_const=2.0, p_const=3.0)
+    (x,) = g.meshes()
+    shape = np.sin(np.pi * x)
+    v = GridFunction(g, shape)
+
+    def indicator(amplitude, eps):
+        state = _state(g, u=GridFunction(g, amplitude * shape), v=v)
+        return energy_report(state, m, p, k, xi, alpha=0.1, eps=eps)
+
+    small = indicator(1.0, eps=0.5)
+    assert small.energy_deficit <= 0.0 and small.blowup_indicator is None
+    cross = float(np.sum(g.weights * 40.0 * shape * shape))
+    assert cross > 0.0
+    for eps in (0.0, 0.5):
+        rep = indicator(40.0, eps)
+        assert rep.energy_deficit > 0.0
+        assert rep.blowup_indicator == pytest.approx(
+            rep.energy_deficit ** 0.9 + eps * cross, rel=1e-12)
 
 
 def test_decay_inequality_constants_formula():

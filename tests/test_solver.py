@@ -1,6 +1,6 @@
 import logging
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +12,7 @@ from delaywave import parallel, solver
 from delaywave.delay import build_kernel
 from delaywave.energetics import memory_tail
 from delaywave.errors import ConditionError, ConfigError, NumericalError
+from delaywave.scenario import run_scenario
 from delaywave.solver import (
     RunConfig,
     SimState,
@@ -510,3 +511,14 @@ def test_dimension_must_match_lengths_and_nodes():
     with pytest.raises(ConfigError, match="1 or 2") as err:
         build_problem(RunConfig(dimension=3, lengths=(1.0,) * 3, nodes=(5,) * 3))
     assert err.value.key == "dimension"
+
+
+def test_blowup_time_is_stable_under_halving_dt(blowup_result):
+    # the measured blow-up time is a property of the PDE, not of the step:
+    # halving the preset's dt must move it by less than 1%
+    cfg = blowup_result.config
+    assert cfg.dt == 0.00025
+    half = run_scenario(replace(cfg, dt=cfg.dt / 2))
+    coarse, fine = blowup_result.summary, half.summary
+    assert coarse["classification"] == fine["classification"] == "blow-up"
+    assert fine["T_measured"] == pytest.approx(coarse["T_measured"], rel=0.01)

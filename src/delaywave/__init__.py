@@ -34,7 +34,6 @@ from .energetics import (
     alpha_window,
     dissipation_check,
     energy_report,
-    weighted_delay_functional,
 )
 from .scenario import run_scenario, sweep, trajectory_csv
 from .solver import (

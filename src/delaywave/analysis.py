@@ -100,6 +100,10 @@ def _axis_modes(grid: Grid):
 def _family_draws(grid: Grid, batch, rng, modes):
     """Every random input of a batch of the family, drawn in one fixed order.
 
+    The family is random Dirichlet grid functions: low sine modes, sharp
+    bumps and their sums, with amplitudes log-uniform across four decades so
+    the certified ratio sees both the small- and the large-argument branch.
+
     Each array's leading axis is the sample. In 1-D the smooth part is the
     product coef @ modes, taken here on the whole batch: OpenBLAS picks its
     kernel by row count, so the product over a row slice can round
@@ -161,17 +165,6 @@ def _synthesize(grid: Grid, modes, draws, rows):
     fams *= amp[rows].reshape([-1] + [1] * grid.dimension)
     fams[:, grid.boundary] = 0.0
     return fams
-
-
-def _dirichlet_family(grid: Grid, batch, rng):
-    """Random Dirichlet grid functions: low sine modes, sharp bumps, mixtures.
-
-    Amplitudes are drawn log-uniformly across four decades so the certified
-    ratio sees both the small- and the large-argument branch.
-    """
-    modes = _axis_modes(grid)
-    return _synthesize(grid, modes, _family_draws(grid, batch, rng, modes),
-                       slice(None))
 
 
 def _batched_gradient_energy(samples, grid):

@@ -243,13 +243,6 @@ def alpha_window(m: ExponentField, p: ExponentField) -> float:
     return window
 
 
-def weighted_delay_functional(state, kernel: DelayKernel, xi: WeightField,
-                              m: ExponentField) -> float:
-    """The exp(-rho tau)-weighted delay energy content."""
-    _, weighted, _ = _delay_integrals(state.z, kernel, xi, m, state.u.grid.weights)
-    return weighted
-
-
 def decay_inequality_constants(kernel: DelayKernel, xi: WeightField,
                                m: ExponentField):
     """Constants (alpha1, alpha2) for the weighted-delay decay inequality

@@ -12,7 +12,8 @@ Callers cut their work with ``chunks``, each at its own size:
 - ``energetics._CHUNK_VALUES`` (2**17 values, 1 MiB): a chunk of |z|^m is
   still in one core's 2 MiB L2 when it is divided by m;
 - ``solver._INLINE_BYTES`` (1 MiB) only decides whether the upwind shift
-  uses the pool; its pieces are whole tau lanes, one group per worker.
+  uses the pool; its pieces are whole tau lanes, one group per worker, and
+  each task also forms the delay terms z|z|^{m-2} of its lanes' tails.
 Each size is such that every 1-D preset is one piece and runs inline.
 """
 

@@ -21,8 +21,19 @@ The acceleration is
 
 with homogeneous Dirichlet walls; boundary nodes never move. Each force has
 one array-level kernel that ``step`` calls and the public ``*_force``
-functions wrap; exponents, CFL numbers and tail coefficients are resolved
-once, in ``build_problem``.
+functions wrap. Every per-step choice is resolved once, so a step runs
+only the ufunc calls that do arithmetic:
+- ``build_problem`` resolves the damping, source and tail exponent kinds
+  (an exponent of exactly 1 is the identity and copies nothing), the CFL
+  numbers and the tail coefficients;
+- the state's ``_Plan``, built on the first step, holds dt/2, the source
+  switch, the upwind shift's views of z and its scratch, and one reused
+  C-ordered (*grid, n_tau) buffer of delay terms. The terms are formed from
+  the strided tail ``z[:, -1]`` straight into it, by the shift itself: in one
+  whole-tail pass inline, or lane by lane in the pool tasks that shift the
+  lanes, so the calling thread only sums them.
+``run`` silences floating-point overflow once around its loop and checks
+each step's state for finiteness.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ import numpy as np
 from . import parallel
 from .delay import DelayKernel, WeightField, build_kernel, check_mass_condition, \
     check_xi_condition, dissipation_constant, dissipation_margins, xi_default
-from .energetics import alpha_window, energy_report, memory_tail
+from .energetics import alpha_window, energy_report
 from .errors import ConfigError, NumericalError
 from .expressions import compile_expression
 from .spaces import ExponentField, Grid, GridFunction, make_grid, validate_exponent_pair
@@ -239,7 +250,7 @@ class Problem:
     u1_fn: object
     f0_fn: object
     # Per-step invariants of the integrator.
-    mexp: object  # m - 1; a float when m is spatially constant
+    mexp: object  # m - 1 resolved by _exponent: None (m = 2), a float or an array
     pexp: object  # p - 1; likewise
     tail_exp: object  # mexp broadcast against a (*grid, n_tau) tail
     tail_coeff: np.ndarray  # tau-quadrature weight times mu2, per lane
@@ -291,7 +302,7 @@ def build_problem(config: RunConfig) -> Problem:
     u1_fn = compile_expression(config.u1, svars)
     f0_fn = compile_expression(config.f0, svars + ("s",))
 
-    mexp = _scalar_or_array(m.values - 1.0)
+    mexp = _exponent(m.values - 1.0)
     cfl = config.dt / (kernel.nodes * d_rho)
 
     return Problem(
@@ -312,7 +323,7 @@ def build_problem(config: RunConfig) -> Problem:
         u1_fn=u1_fn,
         f0_fn=f0_fn,
         mexp=mexp,
-        pexp=_scalar_or_array(p.values - 1.0),
+        pexp=_exponent(p.values - 1.0),
         tail_exp=_tail_exponent(mexp),
         tail_coeff=kernel.weights * kernel.mu2,
         cfl=cfl.reshape((-1, 1) + (1,) * grid.dimension),
@@ -330,7 +341,7 @@ class SimState:
     # memory tail are not mutated in between. Reset to None after editing
     # the state by hand.
     accel: np.ndarray = None
-    scratch: list = None  # _upwind_shift's scratch buffers
+    plan: object = None  # step's _Plan for this state's z
 
 
 def init_state(problem: Problem) -> SimState:
@@ -372,45 +383,53 @@ def init_state(problem: Problem) -> SimState:
     )
 
 
-def _scalar_or_array(values):
-    """Collapse a spatially constant field to a scalar (fast ufunc path)."""
-    if np.ptp(values) == 0.0:
-        return float(values.flat[0])
-    return values
+def _exponent(values):
+    """A grid exponent resolved once for ``_odd_power``: None when it is
+    exactly 1 everywhere (the identity), a float when spatially constant (the
+    fast ufunc path), else the array itself."""
+    if np.ptp(values) != 0.0:
+        return values
+    q = float(values.flat[0])
+    return None if q == 1.0 else q
 
 
 def _tail_exponent(exponent):
-    """Broadcast a grid exponent against a (*grid, n_tau) tail."""
-    return exponent if np.ndim(exponent) == 0 else exponent[..., None]
+    """Broadcast a resolved grid exponent against a (*grid, n_tau) tail."""
+    return exponent[..., None] if isinstance(exponent, np.ndarray) else exponent
 
 
 def _odd_power(w, exponent):
     """Sign-preserving power w |w|^{exponent-1}; exactly zero at w = 0.
 
-    With exponent p - 1 this is the source kernel u|u|^{p-2}.
+    With exponent p - 1 this is the source kernel u|u|^{p-2}. ``exponent`` is
+    resolved by ``_exponent``: None is the identity and returns w itself, not
+    a copy. Overflow is left to the caller's np.errstate.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.ndim(exponent) == 0:
-            q = float(exponent)
-            if q == 1.0:
-                return np.array(w, copy=True)
-            return np.sign(w) * np.abs(w) ** q
-        return np.sign(w) * np.abs(w) ** exponent
+    if exponent is None:
+        return w
+    return np.sign(w) * np.abs(w) ** exponent
 
 
 def _damping(v, mexp, mu1):
-    """Damping kernel mu1 v|v|^{m-2} on grid values; mexp is m - 1."""
+    """Damping kernel mu1 v|v|^{m-2} on grid values; mexp resolves m - 1."""
     return mu1 * _odd_power(v, mexp)
 
 
-def _delay(tail, coeff, tail_exp):
-    """Delay kernel: tau-quadrature of coeff * z|z|^{m-2} over the last axis
-    of a C-contiguous (*grid, n_tau) tail (numpy's pairwise order)."""
-    return np.sum(_odd_power(tail, tail_exp) * coeff, axis=-1)
+def _delay_terms(tail, coeff, tail_exp, out):
+    """The delay integrand coeff * z|z|^{m-2} of a (*grid, n_tau) tail of any
+    strides, written into ``out``."""
+    return np.multiply(_odd_power(tail, tail_exp), coeff, out=out)
+
+
+def _delay(terms):
+    """Delay kernel: the tau-quadrature sum of ``_delay_terms`` over the last
+    axis. The terms must be C-ordered, so the sum takes numpy's pairwise order
+    along a contiguous axis."""
+    return terms.sum(axis=-1)
 
 
 def _laplacian_values(vals, grid):
-    out = np.zeros_like(vals)
+    out = np.zeros(vals.shape)
     if grid.dimension == 1:
         h2 = grid.spacing[0] ** 2
         out[1:-1] = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h2
@@ -431,7 +450,7 @@ def laplacian(u: GridFunction) -> GridFunction:
 
 def damping_force(v: GridFunction, m: ExponentField, mu1: float) -> GridFunction:
     """Instantaneous damping mu1 * v |v|^{m(x)-2}."""
-    return GridFunction(v.grid, _damping(v.values, _scalar_or_array(m.values - 1.0), mu1))
+    return GridFunction(v.grid, _damping(v.values, _exponent(m.values - 1.0), mu1))
 
 
 def delay_force(z_tail, kernel: DelayKernel, m: ExponentField) -> GridFunction:
@@ -439,23 +458,15 @@ def delay_force(z_tail, kernel: DelayKernel, m: ExponentField) -> GridFunction:
 
     ``z_tail`` has shape (*grid, n_tau), as ``memory_tail(state.z)`` returns.
     """
-    mexp = _scalar_or_array(m.values - 1.0)
-    return GridFunction(m.grid, _delay(z_tail, kernel.weights * kernel.mu2,
-                                       _tail_exponent(mexp)))
+    tail_exp = _tail_exponent(_exponent(m.values - 1.0))
+    return GridFunction(m.grid, _delay(_delay_terms(
+        z_tail, kernel.weights * kernel.mu2, tail_exp, np.empty(z_tail.shape))))
 
 
 def source_force(u: GridFunction, p: ExponentField) -> GridFunction:
     """Focusing source u |u|^{p(x)-2}."""
-    return GridFunction(u.grid, _odd_power(u.values, _scalar_or_array(p.values - 1.0)))
-
-
-def _conservative(u_vals, z, problem):
-    """lap(u) - delay force of the z tail + source: the damping-free acceleration."""
-    acc = _laplacian_values(u_vals, problem.grid)
-    acc -= _delay(memory_tail(z), problem.tail_coeff, problem.tail_exp)
-    if not problem.config.disable_source:
-        acc += _odd_power(u_vals, problem.pexp)
-    return acc
+    # a copy: for p = 2 the kernel returns its input
+    return GridFunction(u.grid, np.array(_odd_power(u.values, _exponent(p.values - 1.0))))
 
 
 # A memory field whose z[:, 1:] is at most this many bytes (any 1-D preset:
@@ -463,78 +474,130 @@ def _conservative(u_vals, z, problem):
 _INLINE_BYTES = 1 << 20
 
 
-def _shift_rows(z, lane, cfl, scratch):
-    """Upwind update of rho-rows 1.. of z[lane] from rows 0..n_rho-2, in
+class _Plan:
+    """What ``step`` resolves once per problem and memory field z (see the
+    module docstring). The shift's scratch is one whole-field buffer inline,
+    else one lane-sized buffer per pool worker. A frozen-velocity run uses no
+    tail, so its plan allocates no ``terms``."""
+
+    def __init__(self, problem, z):
+        cfg = problem.config
+        self.problem = problem
+        self.z = z
+        self.grid = problem.grid
+        self.dt = cfg.dt
+        self.half_dt = 0.5 * cfg.dt
+        self.mexp = problem.mexp
+        self.mu1 = problem.kernel.mu1
+        self.pexp = problem.pexp
+        self.source = not cfg.disable_source
+        self.frozen = cfg.freeze_velocity
+        self.inflow = z[:, 0]
+        self.tail = np.moveaxis(z[:, -1], 0, -1)  # (*grid, n_tau), strided
+        self.terms = None if self.frozen else np.empty(self.tail.shape)
+        if z[:, 1:].nbytes <= _INLINE_BYTES:
+            self.lanes = None
+            self.scratch = [np.empty_like(z[:, 1:])]
+            self.rows = (z[:, 1:], z[:, :-1], problem.cfl, self.scratch[0])
+        else:
+            n_tau = z.shape[0]
+            n_groups = min(parallel.workers(), n_tau)
+            self.lanes = [range(i * n_tau // n_groups, (i + 1) * n_tau // n_groups)
+                          for i in range(n_groups)]
+            self.scratch = [np.empty_like(z[0, 1:]) for _ in self.lanes]
+
+    def shift_lanes(self, lanes, scratch):
+        """One pool task: the upwind update of each tau lane k in ``lanes``,
+        then its delay terms into column k of ``terms``."""
+        z, terms, mexp = self.z, self.terms, self.mexp
+        cfl, coeff = self.problem.cfl, self.problem.tail_coeff
+        with np.errstate(over="ignore", invalid="ignore"):  # per thread
+            for k in lanes:
+                _shift_rows(z[k, 1:], z[k, :-1], cfl[k], scratch)
+                if terms is not None:
+                    _delay_terms(z[k, -1], coeff[k], mexp, terms[..., k])
+
+
+def _shift_rows(hi, lo, cfl, scratch):
+    """Upwind update of rho-rows ``hi`` = 1.. from ``lo`` = 0..n_rho-2, in
     three ufunc passes through scratch."""
-    np.subtract(z[lane, 1:], z[lane, :-1], out=scratch)
+    np.subtract(hi, lo, out=scratch)
     np.multiply(scratch, cfl, out=scratch)
-    np.subtract(z[lane, 1:], scratch, out=z[lane, 1:])
+    np.subtract(hi, scratch, out=hi)
 
 
-def _upwind_shift(state, cfl):
-    """In-place first-order upwind update of the memory field along rho.
+def _tail_terms(plan):
+    """Delay terms of the whole tail of plan.z into plan.terms."""
+    problem = plan.problem
+    _delay_terms(plan.tail, problem.tail_coeff, problem.tail_exp, plan.terms)
 
-    A field of at most _INLINE_BYTES is one whole-field pass. A larger field
-    splits its tau lanes into one group per worker of the shared pool; each
-    worker updates its lanes one at a time through its own lane-sized
-    scratch. Each node gets the same three operations either way, so the
-    result is bitwise that of the whole-field pass. The scratch buffers live
-    in the state, allocated on the first call: allocations in the hot loop
-    dominate the runtime otherwise.
+
+def _upwind_shift(plan):
+    """In-place first-order upwind update of the memory field along rho,
+    leaving the delay terms of the shifted tail in plan.terms.
+
+    A field of at most _INLINE_BYTES is one whole-field pass, then one
+    whole-tail pass of the terms. A larger field splits its tau lanes into
+    one group per worker of the shared pool; each worker updates its lanes
+    one at a time through its own lane-sized scratch and forms each lane's
+    terms right after it. Each node gets the same operations either way, so
+    the result is bitwise that of the whole-field passes.
     """
-    z = state.z
-    if z[:, 1:].nbytes <= _INLINE_BYTES:
-        if state.scratch is None or state.scratch[0].shape != z[:, 1:].shape:
-            state.scratch = [np.empty_like(z[:, 1:])]
-        _shift_rows(z, slice(None), cfl, state.scratch[0])
+    if plan.lanes is None:
+        _shift_rows(*plan.rows)
+        if plan.terms is not None:
+            _tail_terms(plan)
         return
-    n_tau = z.shape[0]
-    n_groups = min(parallel.workers(), n_tau)
-    groups = [range(i * n_tau // n_groups, (i + 1) * n_tau // n_groups)
-              for i in range(n_groups)]
-    if (state.scratch is None or len(state.scratch) != n_groups
-            or state.scratch[0].shape != z[0, 1:].shape):
-        state.scratch = [np.empty_like(z[0, 1:]) for _ in groups]
+    parallel.map(plan.shift_lanes, plan.lanes, plan.scratch)
 
-    def shift_lanes(lanes, scratch):
-        for k in lanes:
-            _shift_rows(z, k, cfl[k], scratch)
 
-    parallel.map(shift_lanes, groups, state.scratch)
+def _conservative(u_vals, plan):
+    """lap(u) - delay force of plan.terms + source: the damping-free acceleration."""
+    acc = _laplacian_values(u_vals, plan.grid)
+    acc -= _delay(plan.terms)
+    if plan.source:
+        acc += _odd_power(u_vals, plan.pexp)
+    return acc
 
 
 def step(state: SimState, problem: Problem) -> SimState:
-    """Advance one dt: kick-drift-kick plus the upwind shift of the memory field."""
-    dt = problem.config.dt
-    mexp = problem.mexp
-    mu1 = problem.kernel.mu1
+    """Advance one dt: kick-drift-kick plus the upwind shift of the memory field.
 
+    The state's ``_Plan`` is rebuilt when the problem or z is replaced.
+    Overflow is left to the caller's np.errstate, as ``run`` sets it.
+    """
+    plan = state.plan
+    if plan is None or plan.problem is not problem or plan.z is not state.z:
+        plan = state.plan = _Plan(problem, state.z)
     u0 = state.u.values
     v0 = state.v.values
-    z = state.z
 
-    if problem.config.freeze_velocity:
-        _upwind_shift(state, problem.cfl)
-        z[:, 0] = v0
-        state.t += dt
+    if plan.frozen:
+        _upwind_shift(plan)
+        plan.inflow[...] = v0
+        state.t += plan.dt
         return state
 
-    g0 = state.accel if state.accel is not None else _conservative(u0, z, problem)
-    v_half = v0 + 0.5 * dt * (g0 - _damping(v0, mexp, mu1))
-    v_half = v0 + 0.5 * dt * (g0 - _damping(v_half, mexp, mu1))
+    g0 = state.accel
+    if g0 is None:
+        _tail_terms(plan)
+        g0 = _conservative(u0, plan)
+    half, mexp, mu1 = plan.half_dt, plan.mexp, plan.mu1
+    v_half = v0 + half * (g0 - _damping(v0, mexp, mu1))
+    v_half = v0 + half * (g0 - _damping(v_half, mexp, mu1))
 
-    u1 = u0 + dt * v_half
+    u1 = u0 + plan.dt * v_half
 
-    _upwind_shift(state, problem.cfl)
+    _upwind_shift(plan)
 
-    g1 = _conservative(u1, z, problem)
-    v1 = v_half + 0.5 * dt * (g1 - _damping(v_half, mexp, mu1))
+    g1 = _conservative(u1, plan)
+    v1 = v_half + half * (g1 - _damping(v_half, mexp, mu1))
 
-    z[:, 0] = v1
+    plan.inflow[...] = v1
     state.u.values = u1
     state.v.values = v1
     state.accel = g1
-    state.t += dt
+    state.t += plan.dt
     return state
 
 
@@ -590,25 +653,26 @@ def run(problem: Problem) -> Trajectory:
 
     termination = TERMINATED_END
     blowup_time = None
-    for i in range(n_steps):
-        step(state, problem)
-        sup_u = float(np.max(np.abs(state.u.values)))
-        sup_v = float(np.max(np.abs(state.v.values)))
-        if not (np.isfinite(sup_u) and np.isfinite(sup_v)):
-            raise NumericalError(
-                f"numerical overflow at t={state.t:.6g} (step {i + 1}): "
-                f"sup|u|={sup_u:.6g}, sup|v|={sup_v:.6g}",
-                context={"t": state.t, "step": i + 1, "sup_u": sup_u, "sup_v": sup_v},
-            )
-        crossed = sup_u >= cfg.threshold
-        if crossed or (i + 1) % sample_every == 0 or i == n_steps - 1:
-            times.append(state.t)
-            reports.append(report_at(state, eps))
-            sups.append(sup_u)
-        if crossed:
-            termination = TERMINATED_BLOWUP
-            blowup_time = state.t
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            step(state, problem)
+            sup_u = float(np.abs(state.u.values).max())
+            sup_v = float(np.abs(state.v.values).max())
+            if not (math.isfinite(sup_u) and math.isfinite(sup_v)):
+                raise NumericalError(
+                    f"numerical overflow at t={state.t:.6g} (step {i + 1}): "
+                    f"sup|u|={sup_u:.6g}, sup|v|={sup_v:.6g}",
+                    context={"t": state.t, "step": i + 1, "sup_u": sup_u, "sup_v": sup_v},
+                )
+            crossed = sup_u >= cfg.threshold
+            if crossed or (i + 1) % sample_every == 0 or i == n_steps - 1:
+                times.append(state.t)
+                reports.append(report_at(state, eps))
+                sups.append(sup_u)
+            if crossed:
+                termination = TERMINATED_BLOWUP
+                blowup_time = state.t
+                break
 
     return Trajectory(
         times=np.array(times),

@@ -12,11 +12,17 @@ from delaywave.analysis import (
     fit_decay,
     global_existence_gate,
     _batched_gradient_energy,
-    _dirichlet_family,
     _max_split_ratio,
 )
 from delaywave.errors import ConditionError
 from delaywave.spaces import GridFunction, gradient_energy, make_grid
+
+
+def _dirichlet_family(grid, batch, rng):
+    """One whole batch of the certification family, as _max_split_ratio draws it."""
+    modes = analysis._axis_modes(grid)
+    return analysis._synthesize(grid, modes, analysis._family_draws(grid, batch, rng, modes),
+                                slice(None))
 
 
 # --- life-span lower bound --------------------------------------------------------

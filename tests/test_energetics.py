@@ -9,7 +9,6 @@ from delaywave.energetics import (
     decay_inequality_constants,
     dissipation_check,
     energy_report,
-    weighted_delay_functional,
 )
 from delaywave.errors import ConditionError
 from delaywave.spaces import ExponentField, GridFunction, make_grid
@@ -88,6 +87,11 @@ def test_report_energy_split_identity_random():
         recomposed = (rep.kinetic + rep.elastic + rep.delay_energy
                       - rep.source_potential)
         assert rep.total_energy == pytest.approx(recomposed, rel=1e-12, abs=1e-13)
+
+
+def weighted_delay_functional(state, kernel, xi, m):
+    """The exp(-rho tau)-weighted delay energy content."""
+    return energetics._delay_integrals(state.z, kernel, xi, m, state.u.grid.weights)[1]
 
 
 def test_weighted_delay_sandwich():

@@ -101,6 +101,7 @@ def test_one_dimensional_run_starts_no_pool(no_pool):
     result = run_scenario(replace(cfg, t_end=2.0))
     assert result.summary["termination"] == "reached-t-end"
     # the patch is the pool's only door: a field beyond _INLINE_BYTES goes through it
-    z = np.zeros((8, 9, 65, 65))
+    prob = solver.build_problem(solver.RunConfig(dimension=2, lengths=(1.0, 1.0),
+                                                 nodes=(65, 65), n_tau=8, n_rho=9))
     with pytest.raises(AssertionError, match="shared pool"):
-        solver._upwind_shift(solver.SimState(0.0, None, None, z), np.ones((8, 1, 1, 1)))
+        solver._upwind_shift(solver._Plan(prob, np.zeros((8, 9, 65, 65))))

@@ -1,7 +1,6 @@
 import logging
 import tracemalloc
 from dataclasses import fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,6 +121,20 @@ def test_damping_force_linear_case():
     m = ExponentField.constant(g, 2.0)
     out = damping_force(v, m, mu1=0.7)
     assert np.allclose(out.values, 0.7 * v.values)
+
+
+@pytest.mark.parametrize("mu1", [0.7, 1.0])
+def test_forces_with_exponent_one_share_no_memory(mu1):
+    # m = 2 and p = 2 make the odd power the identity, which returns its input
+    g = make_grid(1.0, 21)
+    vals = np.linspace(-1, 1, 21)
+    two = ExponentField.constant(g, 2.0)
+    damp = damping_force(GridFunction(g, vals), two, mu1=mu1)
+    src = source_force(GridFunction(g, vals), two)
+    for out in (damp, src):
+        assert not np.shares_memory(out.values, vals)
+    assert np.array_equal(src.values, vals)
+    assert np.array_equal(damp.values, mu1 * vals)
 
 
 def test_damping_force_odd_power_node():
@@ -308,6 +321,16 @@ def _upwind_oracle(z, cfl):
     np.subtract(z[:, 1:], scratch, out=z[:, 1:])
 
 
+def _shift_problem(grid_shape, m="2", **over):
+    """A problem on grid_shape with 5 tau lanes of 17 rho rows."""
+    if len(grid_shape) == 1:
+        cfg = _config(nodes=grid_shape, m=m, n_rho=17, n_tau=5, **over)
+    else:
+        cfg = RunConfig(dimension=2, lengths=(1.0, 1.0), nodes=grid_shape, m=m,
+                        n_rho=17, n_tau=5, **over)
+    return build_problem(cfg)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("inline", [True, False], ids=["inline", "pool"])
 @pytest.mark.parametrize("grid_shape", [(41,), (9, 7)], ids=["1d", "2d"])
@@ -320,15 +343,37 @@ def test_upwind_shift_equals_one_pass(monkeypatch, grid_shape, inline, workers):
         monkeypatch.setattr(solver, "_INLINE_BYTES", 0)
     monkeypatch.setattr(parallel, "workers", lambda: workers)
     monkeypatch.setattr(parallel, "_pool", None)  # this test's pool is its own
-    state = SimpleNamespace(z=z.copy(), scratch=None)
+    plan = solver._Plan(replace(_shift_problem(grid_shape), cfl=cfl), z.copy())
     for _ in range(3):
-        solver._upwind_shift(state, cfl)
+        solver._upwind_shift(plan)
         _upwind_oracle(z, cfl)
-    assert np.array_equal(state.z, z)
+    assert np.array_equal(plan.z, z)
     if inline:
-        assert [s.shape for s in state.scratch] == [z[:, 1:].shape]
+        assert [s.shape for s in plan.scratch] == [z[:, 1:].shape]
     else:
-        assert [s.shape for s in state.scratch] == [z[0, 1:].shape] * min(workers, 5)
+        assert [s.shape for s in plan.scratch] == [z[0, 1:].shape] * min(workers, 5)
+
+
+@pytest.mark.parametrize("m", ["2", "2.5", "2.2 + 0.3*x*x"], ids=["m2", "const", "var"])
+@pytest.mark.parametrize("grid_shape", [(41,), (9, 7)], ids=["1d", "2d"])
+def test_pool_lanes_form_the_whole_tail_delay_terms(monkeypatch, grid_shape, m):
+    # each pool task powers its own lanes' tail into columns of plan.terms;
+    # their sum must be bitwise the public delay force of the whole tail
+    monkeypatch.setattr(solver, "_INLINE_BYTES", 0)
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    monkeypatch.setattr(parallel, "_pool", None)
+    prob = _shift_problem(grid_shape, m)
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((5, 17) + grid_shape) * rng.uniform(0.1, 10.0, grid_shape)
+    plan = solver._Plan(prob, z)
+    assert len(plan.lanes) == 2 and plan.terms.flags.c_contiguous
+    for _ in range(2):
+        solver._upwind_shift(plan)
+        expected = delay_force(memory_tail(z), prob.kernel, prob.m).values
+        assert np.array_equal(solver._delay(plan.terms), expected)
+        whole = np.empty_like(plan.terms)
+        solver._delay_terms(memory_tail(z), prob.tail_coeff, prob.tail_exp, whole)
+        assert np.array_equal(plan.terms, whole)
 
 
 def test_upwind_scratch_is_one_lane_per_worker():
@@ -338,8 +383,86 @@ def test_upwind_scratch_is_one_lane_per_worker():
     state = init_state(prob)
     step(state, prob)
     assert state.z.nbytes > 16 * 2 ** 20
-    assert [s.shape for s in state.scratch] == \
+    assert [s.shape for s in state.plan.scratch] == \
         [state.z[0, 1:].shape] * min(parallel.workers(), 16)
+    assert state.plan.terms.shape == (65, 65, 16)
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "pool"])
+def test_frozen_velocity_allocates_no_delay_terms(monkeypatch, inline):
+    if not inline:
+        monkeypatch.setattr(solver, "_INLINE_BYTES", 0)
+    prob = build_problem(_config(u1="sin(pi*x)", f0="sin(pi*x)", freeze_velocity=True))
+    state = init_state(prob)
+    step(state, prob)
+    assert state.plan.terms is None
+    assert np.array_equal(state.z[:, 0], np.broadcast_to(state.v.values, state.z[:, 0].shape))
+
+
+@pytest.mark.parametrize("edit", ["z-replaced", "z-in-place"])
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "pool"])
+def test_step_after_a_hand_edit_matches_a_fresh_state(monkeypatch, edit, inline):
+    # a state's plan holds views of its z; after u and z are edited by hand
+    # and accel is reset, step must give the bits of a state never stepped
+    if not inline:
+        monkeypatch.setattr(solver, "_INLINE_BYTES", 0)
+    prob = _shift_problem((9, 7), m="2.2 + 0.3*x*y", u0="0.3*sin(pi*x)*sin(pi*y)",
+                          u1="0.2*sin(2*pi*x)*sin(pi*y)", f0="0.2*sin(2*pi*x)*sin(pi*y)")
+    state = init_state(prob)
+    for _ in range(3):
+        step(state, prob)
+    rng = np.random.default_rng(3)
+    u = 0.1 * rng.standard_normal(prob.grid.shape)
+    u[prob.grid.boundary] = 0.0
+    z = 0.1 * rng.standard_normal(state.z.shape)
+    z[..., prob.grid.boundary] = 0.0
+    state.u = GridFunction(prob.grid, u.copy())
+    if edit == "z-replaced":
+        state.z = z.copy()
+    else:
+        state.z[...] = z
+    state.accel = None
+    fresh = SimState(t=state.t, u=GridFunction(prob.grid, u.copy()),
+                     v=GridFunction(prob.grid, state.v.values.copy()), z=z.copy())
+    for _ in range(2):
+        step(state, prob)
+        step(fresh, prob)
+        for name in ("u", "v"):
+            assert np.array_equal(getattr(state, name).values, getattr(fresh, name).values)
+        assert np.array_equal(state.z, fresh.z)
+        assert np.array_equal(state.accel, fresh.accel)
+
+
+def test_zero_state_stays_exactly_zero_property(monkeypatch):
+    # scalar and array exponents, the identity kernels m = 2 and p = 2, the
+    # source switch, and both upwind paths
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    inline_bytes = solver._INLINE_BYTES
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(dimension=st.sampled_from([1, 2]),
+                      m=st.sampled_from(["2", "2.5", "2.2 + 0.3*x"]),
+                      p=st.sampled_from(["2", "3", "3.2 + 0.3*x"]),
+                      disable_source=st.booleans(), pool=st.booleans())
+    def check(dimension, m, p, disable_source, pool):
+        monkeypatch.setattr(solver, "_INLINE_BYTES", 0 if pool else inline_bytes)
+        over = dict(m=m, p=p, disable_source=disable_source, n_rho=5, n_tau=3,
+                    u0="0", u1="0", f0="0")
+        if dimension == 1:
+            prob = build_problem(_config(nodes=(21,), **over))
+        else:
+            prob = build_problem(RunConfig(dimension=2, lengths=(1.0, 1.0), nodes=(9, 9),
+                                           **over))
+        state = init_state(prob)
+        for _ in range(20):
+            step(state, prob)
+        assert not np.any(state.u.values)
+        assert not np.any(state.v.values)
+        assert not np.any(state.z)
+        assert not np.any(state.accel)
+
+    check()
 
 
 # --- history oracle -------------------------------------------------------------

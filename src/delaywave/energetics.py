@@ -4,7 +4,9 @@ All integrals are composite-trapezoid quadrature over x, rho and tau. The
 elastic term uses the cell-difference gradient energy from ``spaces`` so the
 conservative part of the discrete energy balance is exact up to the time
 discretization. z is read in the solver's tau-major layout (n_tau, n_rho,
-*grid). Report invariants (checked in tests, exact by construction):
+*grid); its integrals are one fused pass over chunks of grid points
+(``_delay_integrals``), so no whole-field |z|^m is built. Report invariants
+(checked in tests, exact by construction):
 
     total_energy     = kinetic + potential_energy
     energy_deficit   = -total_energy
@@ -23,11 +25,12 @@ from .errors import ConditionError
 from .spaces import ExponentField, gradient_energy
 
 TOL_RATE_STEPS = 50.0  # default dissipation slack is this many dt
-# Values per grid-row chunk of _delay_powers: 1 MiB of float64, so a chunk of
-# a is still in L2 when b is formed from it.
+# Values per point chunk of _delay_integrals: 1 MiB of float64, so a chunk of
+# |z|^m stays in one core's 2 MiB L2 across its seven reductions.
 _CHUNK_VALUES = 1 << 17
-# memory_tail's transpose of z[:, -1], keyed by z.ndim (1-D and 2-D grids)
-_TAIL_AXES = {3: (1, 0), 4: (1, 2, 0)}
+# OpenBLAS's gemv scores rows in groups of 4: a row chunk rounds like the
+# whole product when it starts at a multiple of 4 and holds at least 4 rows.
+_GEMV_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -57,106 +60,102 @@ def _rho_weights(n_rho):
     return w
 
 
-def memory_tail(z):
-    """The rho = 1 tail of a tau-major memory field z (n_tau, n_rho, *grid),
-    as a C-contiguous (*grid, n_tau) copy: a sum over its last axis keeps
-    numpy's pairwise order, which a sum over tau in place would not."""
-    return np.ascontiguousarray(z[:, -1].transpose(_TAIL_AXES[z.ndim]))
-
-
-def _abs_power(w, exponent_values, extra_axes=0, out=None, rows=slice(None)):
-    """|w|**exponent on the leading-axis slice ``rows``, with a fast path for
-    spatially constant exponents, written into ``out[rows]`` when given.
-
-    The path is chosen on the whole exponent field, so a slice gets the bits
-    the whole array would.
-    """
+def _power_path(exponent_values):
+    """How |w|**exponent is formed: None for w*w (exactly 2 everywhere), the
+    float when spatially constant, else the array. Chosen on the whole
+    field, so a chunk gets the bits the whole array would."""
     lo = float(exponent_values.min())
     hi = float(exponent_values.max())
-    w = w[rows]
-    out = None if out is None else out[rows]
+    if lo != hi:
+        return exponent_values
+    return None if lo == 2.0 else lo
+
+
+def _power_into(out, w, exponent):
+    """out = |w|**exponent for an exponent from _power_path (or a slice)."""
     with np.errstate(over="ignore"):
-        if lo == hi == 2.0:
+        if exponent is None:
             return np.multiply(w, w, out=out)
-        out = np.abs(w, out=out)
-        if lo == hi:
-            out **= lo
-        else:
-            exponent = exponent_values[rows]
-            out **= exponent.reshape(exponent.shape + (1,) * extra_axes)
+        np.abs(w, out=out)
+        out **= exponent
         return out
 
 
-def _delay_powers(z, m_values):
-    """a = |z|^m and b = a / m as the C-ordered (*grid, n_rho, n_tau)
-    transpose of z, so reductions over them run in the grid-major order.
-
-    They are built in grid-row chunks of about _CHUNK_VALUES values on the
-    shared pool; each element gets the same operations as in one whole-array
-    pass, so the bits are those of that pass. A field of one chunk (any 1-D
-    preset) runs inline.
-    """
-    field = np.moveaxis(z, (0, 1), (-1, -2))
-    a = np.empty(field.shape)
-    b = np.empty(field.shape)
-
-    def fill(rows):
-        _abs_power(field, m_values, extra_axes=2, out=a, rows=rows)
-        np.divide(a[rows], m_values[rows][..., None, None], out=b[rows])
-
-    parallel.map(fill, parallel.chunks(field.shape[0], field[0].size, _CHUNK_VALUES))
-    return a, b
+def _abs_power(w, exponent_values):
+    """|w|**exponent_values as a new C-ordered array."""
+    return _power_into(np.empty(w.shape), w, _power_path(exponent_values))
 
 
 def _delay_integrals(z, kernel, xi, m, grid_weights):
-    """(delay_energy, weighted_delay, bulk_modular) of the memory field.
+    """(delay_energy, weighted_delay, bulk_modular, delay_modular) of the
+    memory field.
 
     delay_energy   = iiint tau (mu2 + xi) |z|^m / m
     weighted_delay = same with an extra exp(-rho tau) factor
     bulk_modular   = iiint (mu2 + xi) |z|^m
+    delay_modular  = iint |z(rho = 1)|^m
+
+    One fused pass in chunks of about _CHUNK_VALUES values of grid points on
+    the shared pool: each chunk is gathered into one C-ordered buffer,
+    powered, contracted, divided by m in place and contracted again while it
+    is in L2. Every element gets the operations of one whole-array pass and
+    the chunks follow _GEMV_ROWS, so the bits are that pass's. A field of one
+    chunk (any 1-D preset) runs inline.
     """
-    rho_w = _rho_weights(z.shape[1])
-    rho_nodes = np.linspace(0.0, 1.0, z.shape[1])
+    n_tau, n_rho = z.shape[:2]
+    points = grid_weights.size
+    field = z.reshape(n_tau, n_rho, points).transpose(2, 1, 0)
+    rho_w = _rho_weights(n_rho)
     tau_w = kernel.weights
     tw = kernel.nodes * tau_w
-    decay_jk = np.exp(-np.outer(rho_nodes, kernel.nodes))
-
-    # The tensordots take the whole arrays: OpenBLAS picks its kernel by row
-    # count, so a row chunk could round differently.
-    a, b = _delay_powers(z, m.values)
-
-    def triple(field, jk_weight):
-        return np.tensordot(field, jk_weight, axes=([-2, -1], [0, 1]))
-
+    decay_jk = np.exp(-np.outer(np.linspace(0.0, 1.0, n_rho), kernel.nodes))
     w_mu = np.outer(rho_w, tw * kernel.mu2)
     w_one = np.outer(rho_w, tw)
-    energy = float(
-        np.sum(grid_weights * (triple(b, w_mu) + xi.values * triple(b, w_one)))
-    )
-    weighted = float(
-        np.sum(grid_weights * (triple(b, w_mu * decay_jk)
-                               + xi.values * triple(b, w_one * decay_jk)))
-    )
-    bulk_mu = np.outer(rho_w, tau_w * kernel.mu2)
-    bulk_one = np.outer(rho_w, tau_w)
-    bulk = float(
-        np.sum(grid_weights * (triple(a, bulk_mu) + xi.values * triple(a, bulk_one)))
-    )
-    return energy, weighted, bulk
+    # (rho, tau) weights of sums rows 0-1 (of |z|^m) and 2-5 (of |z|^m / m)
+    weights = [w.ravel() for w in (np.outer(rho_w, tau_w * kernel.mu2), np.outer(rho_w, tau_w),
+                                   w_mu, w_one, w_mu * decay_jk, w_one * decay_jk)]
+    m_values = m.values.reshape(points, 1, 1)
+    exponent = _power_path(m_values)
+    sums = np.empty((7, points))
+
+    def contract(rows):
+        a = _power_into(np.empty(field[rows].shape), field[rows],
+                        exponent[rows] if exponent is m_values else exponent)
+        flat = a.reshape(len(a), -1)
+        for k in (0, 1):
+            sums[k, rows] = np.dot(flat, weights[k])
+        sums[6, rows] = np.sum(a[:, -1] * tau_w, axis=-1)
+        a /= m_values[rows]
+        for k in (2, 3, 4, 5):
+            sums[k, rows] = np.dot(flat, weights[k])
+
+    parallel.map(contract, parallel.chunks(points, n_rho * n_tau, _CHUNK_VALUES,
+                                           multiple=_GEMV_ROWS))
+    bulk_mu, bulk_one, e_mu, e_one, f_mu, f_one, tail = sums.reshape((7,) + grid_weights.shape)
+    energy = float(np.sum(grid_weights * (e_mu + xi.values * e_one)))
+    weighted = float(np.sum(grid_weights * (f_mu + xi.values * f_one)))
+    bulk = float(np.sum(grid_weights * (bulk_mu + xi.values * bulk_one)))
+    return energy, weighted, bulk, float(np.sum(grid_weights * tail))
+
+
+def blowup_indicator(state, deficit, alpha, eps):
+    """deficit^(1 - alpha) + eps * integral(u v); None unless alpha is set and
+    the deficit positive, as it only means something at negative energy."""
+    if alpha is None or not deficit > 0.0:
+        return None
+    cross = float(np.sum(state.u.grid.weights * state.u.values * state.v.values))
+    return deficit ** (1.0 - alpha) + eps * cross
 
 
 def energy_report(state, m, p, kernel, xi, alpha=None, eps=0.0) -> EnergyReport:
     """Evaluate every functional on one state.
 
-    ``alpha``/``eps`` parameterize the blow-up indicator; it is reported as
-    None whenever the energy deficit is not positive (the indicator is only
-    meaningful for negative-energy trajectories).
+    ``alpha``/``eps`` parameterize the blow-up indicator (``blowup_indicator``).
     """
     grid = state.u.grid
     w = grid.weights
     u = state.u.values
     v = state.v.values
-    z = state.z
 
     kinetic = 0.5 * float(np.sum(w * v * v))
     elastic = 0.5 * gradient_energy(state.u)
@@ -165,21 +164,14 @@ def energy_report(state, m, p, kernel, xi, alpha=None, eps=0.0) -> EnergyReport:
     source_modular = float(np.sum(w * abs_u_p))
     source_potential = float(np.sum(w * abs_u_p / p.values))
 
-    delay_energy, weighted_delay, delay_bulk = _delay_integrals(z, kernel, xi, m, w)
-
-    tail_pow = _abs_power(memory_tail(z), m.values, extra_axes=1)
-    delay_modular = float(np.sum(w * np.sum(tail_pow * kernel.weights, axis=-1)))
+    delay_energy, weighted_delay, delay_bulk, delay_modular = _delay_integrals(
+        state.z, kernel, xi, m, w)
     damping_modular = float(np.sum(w * _abs_power(v, m.values)))
 
     potential_energy = elastic + delay_energy - source_potential
     total_energy = kinetic + potential_energy
     deficit = -total_energy
     nehari = 2.0 * elastic - source_modular
-
-    indicator = None
-    if alpha is not None and deficit > 0.0:
-        cross = float(np.sum(w * u * v))
-        indicator = deficit ** (1.0 - alpha) + eps * cross
 
     return EnergyReport(
         t=float(state.t),
@@ -192,7 +184,7 @@ def energy_report(state, m, p, kernel, xi, alpha=None, eps=0.0) -> EnergyReport:
         nehari=nehari,
         potential_energy=potential_energy,
         weighted_delay=weighted_delay,
-        blowup_indicator=indicator,
+        blowup_indicator=blowup_indicator(state, deficit, alpha, eps),
         damping_modular=damping_modular,
         delay_modular=delay_modular,
         delay_bulk_modular=delay_bulk,

@@ -9,8 +9,10 @@ the pool it occupies.
 Callers cut their work with ``chunks``, each at its own size:
 - ``analysis._CHUNK_VALUES`` (2**18 values): the certification kernel holds
   several float64 temporaries per chunk, so the size bounds peak memory;
-- ``energetics._CHUNK_VALUES`` (2**17 values, 1 MiB): a chunk of |z|^m is
-  still in one core's 2 MiB L2 when it is divided by m;
+- ``energetics._CHUNK_VALUES`` (2**17 values, 1 MiB): a chunk of grid points
+  stays in one core's 2 MiB L2 through its power, division and seven
+  reductions. Chunks are aligned to 4 points, the row group of OpenBLAS's
+  gemv, so each chunk's products are bitwise those of the whole product;
 - ``solver._INLINE_BYTES`` (1 MiB) only decides whether the upwind shift
   uses the pool; its pieces are whole tau lanes, one group per worker, and
   each task also forms the delay terms z|z|^{m-2} of its lanes' tails.
@@ -71,8 +73,12 @@ def map(fn, *iterables) -> list:
     return list(_executor().map(fn, *zip(*calls)))
 
 
-def chunks(n: int, item_values: int, chunk_values: int) -> list:
+def chunks(n: int, item_values: int, chunk_values: int, multiple: int = 1) -> list:
     """range(n) cut into slices of about chunk_values values at item_values
-    values per item; every slice holds at least one item."""
-    step = max(1, chunk_values // item_values)
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
+    values per item, each starting at a multiple of ``multiple`` items; a
+    last slice of fewer items than that is merged into the one before."""
+    step = max(multiple, chunk_values // item_values // multiple * multiple)
+    cut = [slice(lo, lo + step) for lo in range(0, n, step)]
+    if len(cut) > 1 and n - cut[-1].start < multiple:
+        cut[-2:] = [slice(cut[-2].start, n)]
+    return cut

@@ -48,7 +48,7 @@ import numpy as np
 from . import parallel
 from .delay import DelayKernel, WeightField, build_kernel, check_mass_condition, \
     check_xi_condition, dissipation_constant, dissipation_margins, xi_default
-from .energetics import alpha_window, energy_report
+from .energetics import alpha_window, blowup_indicator, energy_report
 from .errors import ConfigError, NumericalError
 from .expressions import compile_expression
 from .spaces import ExponentField, Grid, GridFunction, make_grid, validate_exponent_pair
@@ -456,7 +456,7 @@ def damping_force(v: GridFunction, m: ExponentField, mu1: float) -> GridFunction
 def delay_force(z_tail, kernel: DelayKernel, m: ExponentField) -> GridFunction:
     """Delay-window quadrature of mu2(tau) z|z|^{m(x)-2} at the rho = 1 tail.
 
-    ``z_tail`` has shape (*grid, n_tau), as ``memory_tail(state.z)`` returns.
+    ``z_tail`` is the rho = 1 row ``state.z[:, -1]`` moved to (*grid, n_tau).
     """
     tail_exp = _tail_exponent(_exponent(m.values - 1.0))
     return GridFunction(m.grid, _delay(_delay_terms(
@@ -645,7 +645,8 @@ def run(problem: Problem) -> Trajectory:
     eps = cfg.eps if cfg.eps is not None else _auto_eps(pre, state, problem)
 
     times = [0.0]
-    reports = [report_at(state, eps)]
+    reports = [replace(pre, blowup_indicator=blowup_indicator(
+        state, pre.energy_deficit, problem.alpha, eps))]
     sups = [float(np.max(np.abs(state.u.values)))]
 
     n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))

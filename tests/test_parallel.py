@@ -94,6 +94,12 @@ def test_chunks_cut_by_values():
                                          slice(6, 8), slice(8, 10)]
     assert parallel.chunks(4, 5, 100) == [slice(0, 20)]
     assert parallel.chunks(3, 100, 7) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    # aligned to 4 items: a step of 6 is cut to 4, and a last slice of 1 to 3
+    # items is merged into the one before
+    assert parallel.chunks(12, 1, 6, multiple=4) == [slice(0, 4), slice(4, 8), slice(8, 12)]
+    for n in (9, 10, 11):
+        assert parallel.chunks(n, 1, 6, multiple=4) == [slice(0, 4), slice(4, n)]
+    assert parallel.chunks(3, 1, 6, multiple=4) == [slice(0, 4)]
 
 
 def test_one_dimensional_run_starts_no_pool(no_pool):

@@ -9,7 +9,6 @@ from _history import VelocityHistory, advance
 
 from delaywave import parallel, solver
 from delaywave.delay import build_kernel
-from delaywave.energetics import memory_tail
 from delaywave.errors import ConditionError, ConfigError, NumericalError
 from delaywave.scenario import run_scenario
 from delaywave.solver import (
@@ -27,6 +26,16 @@ from delaywave.solver import (
     step,
 )
 from delaywave.spaces import ExponentField, GridFunction, l2_norm, make_grid
+
+# memory_tail's transpose of z[:, -1], keyed by z.ndim (1-D and 2-D grids)
+_TAIL_AXES = {3: (1, 0), 4: (1, 2, 0)}
+
+
+def memory_tail(z):
+    """The rho = 1 tail of a tau-major memory field z (n_tau, n_rho, *grid),
+    as a C-contiguous (*grid, n_tau) copy: a sum over its last axis keeps
+    numpy's pairwise order, which a sum over tau in place would not."""
+    return np.ascontiguousarray(z[:, -1].transpose(_TAIL_AXES[z.ndim]))
 
 
 def _config(**over):

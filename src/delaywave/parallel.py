@@ -7,7 +7,7 @@ A call made from inside a pool task runs inline, so a task never waits on
 the pool it occupies.
 
 Callers cut their work with ``chunks``, each at its own size:
-- ``analysis._CHUNK_VALUES`` (2**18 values): the certification kernel holds
+- ``analysis._CHUNK_VALUES`` (2**17 values): the certification kernel holds
   several float64 temporaries per chunk, so the size bounds peak memory;
 - ``energetics._CHUNK_VALUES`` (2**17 values, 1 MiB): a chunk of grid points
   stays in one core's 2 MiB L2 through its power, division and seven

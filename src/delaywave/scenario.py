@@ -299,8 +299,8 @@ def _simulate_point(config):
 def _fork_pool(processes):
     """A pool of `processes` forked workers; None where fork is not available.
 
-    fork, not spawn or forkserver: a forked worker starts with numpy, scipy
-    and delaywave already imported. It relies on no other inherited state:
+    fork, not spawn or forkserver: a forked worker starts with numpy and
+    delaywave already imported. It relies on no other inherited state:
     the shared thread pool is dropped in the child (parallel._forget_pool)
     and a worker only simulates, so it never reads the certification memo.
     """

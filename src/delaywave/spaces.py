@@ -10,7 +10,7 @@ are cached at construction. On top of that sit the modular
 the Luxemburg norm  inf{ lam > 0 : rho_q(u/lam) <= 1 }  (solved by bisection,
 the map lam -> rho_q(u/lam) being strictly decreasing), the modular/norm
 sandwich bounds, a log-Hoelder continuity estimate for exponent fields, and
-the sharp discrete Poincare constant obtained from the smallest Dirichlet
+the sharp discrete Poincare constant from the closed-form smallest Dirichlet
 Laplacian eigenvalue.
 """
 
@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConditionError, GridMismatchError, NumericalError
 
@@ -392,46 +390,15 @@ def validate_exponent_pair(
     )
 
 
-def _dirichlet_laplacian(grid: Grid):
-    """Sparse negative Laplacian on interior nodes (SPD)."""
-    mats = []
-    for h, n in zip(grid.spacing, grid.counts):
-        k = n - 2
-        main = np.full(k, 2.0 / h**2)
-        off = np.full(k - 1, -1.0 / h**2)
-        mats.append(sp.diags([off, main, off], [-1, 0, 1], format="csr"))
-    if grid.dimension == 1:
-        return mats[0].tocsc()
-    ax, ay = mats
-    ix = sp.identity(ax.shape[0], format="csr")
-    iy = sp.identity(ay.shape[0], format="csr")
-    return (sp.kron(ax, iy) + sp.kron(ix, ay)).tocsc()
-
-
-def discrete_poincare_constant(grid: Grid, tol=1e-10, max_iter=500) -> float:
+def discrete_poincare_constant(grid: Grid) -> float:
     """1/sqrt(lambda_1) for the discrete Dirichlet Laplacian.
 
-    lambda_1 is found by inverse power iteration (LU solve each sweep) with
-    a deterministic all-ones start; convergence is a relative eigenvalue
-    change below ``tol``. The returned constant is the sharp one for
-    ``l2_norm(w) <= c * sqrt(gradient_energy(w))`` over discrete Dirichlet w.
+    The 3-point (5-point in 2-D) Dirichlet Laplacian on a uniform grid has
+    separable sine eigenvectors, so its smallest eigenvalue is exactly
+    lambda_1 = sum over axes of (4/h^2) sin^2(pi h / (2L)). The returned
+    constant is the sharp one for ``l2_norm(w) <= c * sqrt(gradient_energy(w))``
+    over discrete Dirichlet w.
     """
-    a = _dirichlet_laplacian(grid)
-    lu = spla.splu(a)
-    x = np.ones(a.shape[0])
-    x /= np.linalg.norm(x)
-    lam_prev = None
-    for _ in range(max_iter):
-        y = lu.solve(x)
-        ny = np.linalg.norm(y)
-        if not np.isfinite(ny) or ny == 0.0:
-            raise NumericalError("inverse power iteration broke down")
-        x = y / ny
-        lam = float(x @ (a @ x))
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
-            return 1.0 / np.sqrt(lam)
-        lam_prev = lam
-    raise NumericalError(
-        "inverse power iteration did not converge",
-        context={"last_eigenvalue": lam_prev},
-    )
+    lam = sum(4.0 / h**2 * np.sin(np.pi * h / (2.0 * L)) ** 2
+              for h, L in zip(grid.spacing, grid.lengths))
+    return float(1.0 / np.sqrt(lam))

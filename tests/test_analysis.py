@@ -75,6 +75,32 @@ def test_lower_bound_domain_errors():
         blowup_lower_bound(1.0, 0.0, 1.0, 4.0, 3.0)  # p2 < p1
 
 
+def test_lifespan_head_matches_quad_oracle():
+    # oracle: scipy's adaptive quad in s = log y, the head's former solver,
+    # at a tighter epsrel. Every third case puts e0 at -0.999999 of the rest
+    # of denom(phi0), a near-pole at the lower end that a fixed rule misses.
+    from scipy.integrate import quad
+
+    rng = np.random.default_rng(20)
+    for case in range(90):
+        phi0 = 10.0 ** rng.uniform(-4.0, 3.0)
+        c = 10.0 ** rng.uniform(-3.0, 2.0)
+        p1 = rng.uniform(2.05, 6.0)
+        p2 = p1 + (rng.uniform(0.0, 3.0) if case % 4 else 0.0)
+        rest = c * phi0 ** (p2 - 1.0) + c * phi0 ** (p1 - 1.0) + phi0
+        e0 = -0.999999 * rest if case % 3 == 0 else rng.uniform(-0.9, 2.0) * rest
+        upper = max(2.0 * phi0, 10.0 ** rng.uniform(0.0, 6.0))
+
+        def integrand(s):
+            y = np.exp(s)
+            return y / (c * y ** (p2 - 1.0) + c * y ** (p1 - 1.0) + y + e0)
+
+        want, _ = quad(integrand, np.log(phi0), np.log(upper), epsabs=0.0,
+                       epsrel=1e-10, limit=200)
+        got = analysis._lifespan_head(phi0, e0, c, p1, p2, upper, 1e-9)
+        assert got == pytest.approx(want, rel=1e-9), (phi0, e0, c, p1, p2, upper)
+
+
 # --- certified embedding constants -------------------------------------------------
 
 def test_embedding_bound_certifies_fresh_family():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from delaywave import cli
+from delaywave import analysis, cli
 from delaywave.config import load_preset, parse_config, serialize_config
 from delaywave.errors import ConfigError, NumericalError
 from delaywave.scenario import CSV_COLUMNS, _apply_axis, run_scenario, sweep, trajectory_csv
@@ -194,14 +194,29 @@ def test_cli_overflow_exit_3(tmp_path, capsys):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # only the blow-up life-span bound needs quadrature; importing it is most
-    # of the package's import time
-    code = ("import sys, delaywave.cli; "
-            "sys.exit('scipy.integrate' in sys.modules)")
+def test_cli_blowup_run_loads_no_scipy(tmp_path):
+    # a whole blow-up run, T_low included, needs numpy only: importing scipy
+    # would be most of a run's start-up time and memory
+    out = tmp_path / "out"
+    code = ("import sys; from delaywave import cli; "
+            f"code = cli.main(['--preset', 'blowup', '--out', {str(out)!r}]); "
+            "sys.exit(code or sorted(m for m in sys.modules if m.startswith('scipy')) or 0)")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((out / "summary.json").read_text())["T_low"] > 0.0
+
+
+def test_cli_lifespan_quadrature_cap_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "_MAX_PANELS", 1)
+    code = cli.main(["--preset", "blowup", "--out", str(tmp_path)])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 3
+    assert error["type"] == "numerical"
+    assert "life-span quadrature did not converge" in error["message"]
+    assert set(error["context"]) == {"lower", "upper", "panels"}
 
 
 def _fresh_import(blas_threads):

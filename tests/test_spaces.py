@@ -291,6 +291,45 @@ def test_poincare_matches_closed_form_eigenvalue():
         assert discrete_poincare_constant(g) == pytest.approx(exact, rel=1e-10)
 
 
+def _inverse_power_poincare(grid, tol=1e-14, max_iter=2000):
+    """Oracle: 1/sqrt(lambda_1) of the sparse Dirichlet Laplacian on the
+    interior nodes, by inverse power iteration with an LU solve per sweep."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    mats = []
+    for h, n in zip(grid.spacing, grid.counts):
+        k = n - 2
+        off = np.full(k - 1, -1.0 / h**2)
+        mats.append(sp.diags([off, np.full(k, 2.0 / h**2), off], [-1, 0, 1], format="csr"))
+    if grid.dimension == 1:
+        a = mats[0].tocsc()
+    else:
+        ax, ay = mats
+        a = (sp.kron(ax, sp.identity(ay.shape[0])) + sp.kron(sp.identity(ax.shape[0]), ay)).tocsc()
+    lu = spla.splu(a)
+    x = np.ones(a.shape[0]) / np.sqrt(a.shape[0])
+    lam_prev = None
+    for _ in range(max_iter):
+        y = lu.solve(x)
+        x = y / np.linalg.norm(y)
+        lam = float(x @ (a @ x))
+        if lam_prev is not None and abs(lam - lam_prev) <= tol * lam:
+            return 1.0 / np.sqrt(lam)
+        lam_prev = lam
+    raise AssertionError("oracle iteration did not converge")
+
+
+@pytest.mark.parametrize("lengths, counts", [
+    (1.0, 18), (1.0, 51), (1.0, 101), (1.0, 201), (3.5, 77),
+    ((1.0, 1.0), (65, 65)), ((1.0, 1.0), (33, 21)), ((2.0, 0.7), (33, 21)),
+])
+def test_poincare_closed_form_matches_sparse_oracle(lengths, counts):
+    g = make_grid(lengths, counts)
+    assert discrete_poincare_constant(g) == pytest.approx(_inverse_power_poincare(g),
+                                                          rel=1e-12)
+
+
 def test_poincare_dilation_scaling():
     g = make_grid(2.0, 201)
     # continuum value 2/pi, approached from above under refinement

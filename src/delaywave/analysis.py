@@ -26,7 +26,7 @@ import numpy as np
 from . import parallel
 from .errors import ConditionError, NumericalError
 from .solver import TERMINATED_BLOWUP, TERMINATED_END
-from .spaces import Grid
+from .spaces import Grid, gradient_energies
 
 log = logging.getLogger(__name__)
 
@@ -224,26 +224,6 @@ def _synthesize(grid: Grid, modes, draws, rows):
     return fams
 
 
-def _batched_gradient_energy(samples, grid):
-    """gradient_energy of each sample in a (batch, *grid.shape) stack, bitwise
-    equal to the per-sample call: the axis sums reduce in the same order, and
-    the 2-D weighting keeps one dot per sample (a batched gemv rounds
-    differently)."""
-    if grid.dimension == 1:
-        d = np.diff(samples, axis=1)
-        return np.sum(d * d, axis=1) / grid.spacing[0]
-    hx, hy = grid.spacing
-    wx = np.full(grid.counts[0], hx)
-    wx[0] = wx[-1] = hx / 2.0
-    wy = np.full(grid.counts[1], hy)
-    wy[0] = wy[-1] = hy / 2.0
-    dx = np.diff(samples, axis=1)
-    dy = np.diff(samples, axis=2)
-    ex = np.sum(dx * dx, axis=1) / hx
-    ey = np.sum(dy * dy, axis=2) / hy
-    return np.array([np.dot(wy, a) + np.dot(wx, b) for a, b in zip(ex, ey)])
-
-
 def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
                      n_samples, rng, batch=500):
     """max over the family of
@@ -276,7 +256,7 @@ def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
         high = np.power(absu, num_high, out=np.zeros_like(absu), where=big)
         low = np.power(absu, num_low, out=np.zeros_like(absu), where=~big)
         num = num_scale * (np.sum(high * w, axis=axes) + np.sum(low * w, axis=axes))
-        ge = _batched_gradient_energy(fam, grid)
+        ge = gradient_energies(fam, grid)
         den = ge ** (den_high / 2.0) + ge ** (den_low / 2.0)
         valid = den > 0.0
         return np.max(num[valid] / den[valid], initial=-np.inf)

@@ -69,7 +69,11 @@ def main(argv=None) -> int:
 
     try:
         if args.config is not None:
-            text = args.config.read_text()
+            try:
+                text = args.config.read_text()
+            except (OSError, UnicodeDecodeError) as exc:
+                reason = getattr(exc, "strerror", None) or exc
+                raise ConfigError(f"cannot read config {args.config}: {reason}") from None
         else:
             text = load_preset(args.preset)
         cfg = parse_config(text)

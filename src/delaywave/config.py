@@ -18,6 +18,51 @@ from .solver import RunConfig, resolve_config
 
 _SECTIONS = ("grid", "exponents", "delay", "initial", "run", "output")
 
+# Every key after [grid], in document order: (section, document key,
+# RunConfig field, kind, document default). A default of None makes the key
+# required; mu2_table, when given, replaces mu2. Kinds: number, integer,
+# boolean, auto (``auto`` or a number), an expression in x[, y]
+# ("expression"), in x[, y], s ("history") or in tau ("density"), and
+# mu2_table. Expressions keep their source text.
+_KEYS = (
+    ("exponents", "m", "m", "expression", None),
+    ("exponents", "p", "p", "expression", None),
+    ("exponents", "log_holder_a", "log_holder_bound", "number", "10.0"),
+    ("exponents", "log_holder_delta", "log_holder_delta", "number", "0.5"),
+    ("delay", "mu1", "mu1", "number", None),
+    ("delay", "mu2", "mu2", "density", "0"),
+    ("delay", "mu2_table", "mu2_table", "mu2_table", None),
+    ("delay", "tau1", "tau1", "number", None),
+    ("delay", "tau2", "tau2", "number", None),
+    ("delay", "n_tau", "n_tau", "integer", "16"),
+    ("initial", "u0", "u0", "expression", None),
+    ("initial", "u1", "u1", "expression", None),
+    ("initial", "f0", "f0", "history", "0"),
+    ("initial", "scale", "scale", "number", "1.0"),
+    ("run", "t_end", "t_end", "number", None),
+    ("run", "dt", "dt", "auto", "auto"),
+    ("run", "n_rho", "n_rho", "integer", "32"),
+    ("run", "threshold", "threshold", "number", "1e6"),
+    ("run", "override_conditions", "override_conditions", "boolean", "false"),
+    ("run", "disable_source", "disable_source", "boolean", "false"),
+    ("run", "freeze_velocity", "freeze_velocity", "boolean", "false"),
+    ("run", "seed", "seed", "integer", "1234"),
+    ("run", "alpha", "alpha", "auto", "auto"),
+    ("run", "eps", "eps", "auto", "auto"),
+    ("output", "sample_dt", "sample_dt", "auto", "auto"),
+    ("output", "decay_factor", "decay_factor", "number", "0.01"),
+)
+
+_BOOLEANS = {"true": True, "yes": True, "1": True, "on": True,
+             "false": False, "no": False, "0": False, "off": False}
+
+
+def _grid_keys(dimension):
+    """[grid] keys of the axis lengths and node counts; the node default."""
+    if dimension == 1:
+        return ("length",), ("nodes",), "201"
+    return ("length_x", "length_y"), ("nodes_x", "nodes_y"), "65"
+
 
 def _parse_sections(text):
     sections = {}
@@ -49,61 +94,7 @@ def _parse_sections(text):
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r}", line=lineno, key=key)
         sections[current][key] = (value, lineno)
-    return sections
-
-
-class _Section:
-    def __init__(self, name, entries):
-        self.name = name
-        self.entries = dict(entries)
-
-    def take(self, key, default=None, required=False):
-        if key in self.entries:
-            value, line = self.entries.pop(key)
-            return value, line
-        if required:
-            raise ConfigError(f"missing required key {key!r} in [{self.name}]", key=key)
-        return default, None
-
-    def reject_unknown(self):
-        for key, (_, line) in self.entries.items():
-            raise ConfigError(f"unknown key {key!r} in [{self.name}]", line=line, key=key)
-
-
-def _to_float(raw, key, line):
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {raw!r}", line=line, key=key)
-
-
-def _to_int(raw, key, line):
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {raw!r}", line=line, key=key)
-
-
-def _to_bool(raw, key, line):
-    lowered = str(raw).strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{key} must be a boolean, got {raw!r}", line=line, key=key)
-
-
-def _to_float_or_auto(raw, key, line):
-    if raw is None or str(raw).strip().lower() == "auto":
-        return None
-    return _to_float(raw, key, line)
-
-
-def _check_expression(source, variables, key, line):
-    try:
-        return compile_expression(source, variables)
-    except ExpressionError as exc:
-        raise ConfigError(f"{key}: {exc}", line=line, key=key)
+    return {name: sections.get(name, {}) for name in _SECTIONS}
 
 
 def _parse_mu2_table(raw, key, line):
@@ -128,125 +119,75 @@ def _parse_mu2_table(raw, key, line):
     return tuple(rows)
 
 
+def _convert(kind, raw, key, line, dimension):
+    """The RunConfig value of a document entry of a kind of _KEYS; a value not
+    of its kind raises ConfigError naming the key and line."""
+    if kind == "mu2_table":
+        return _parse_mu2_table(raw, key, line)
+    if kind in ("expression", "history", "density"):
+        variables = ("tau",) if kind == "density" else ("x", "y")[:dimension]
+        if kind == "history":
+            variables += ("s",)
+        try:
+            compile_expression(raw, variables)
+        except ExpressionError as exc:
+            raise ConfigError(f"{key}: {exc}", line=line, key=key)
+        return raw
+    if kind == "auto" and raw.lower() == "auto":
+        return None
+    try:
+        if kind == "integer":
+            return int(raw)
+        if kind == "boolean":
+            return _BOOLEANS[raw.lower()]
+        return float(raw)
+    except (KeyError, ValueError):
+        noun = {"integer": "an integer", "boolean": "a boolean"}.get(kind, "a number")
+        raise ConfigError(f"{key} must be {noun}, got {raw!r}", line=line, key=key)
+
+
 def parse_config(text) -> RunConfig:
     """Parse and validate a config document into a RunConfig.
 
     Unset dt / sample_dt / alpha / eps stay None (resolved at run time so
     sweeps re-derive CFL-safe steps per point).
     """
-    raw = _parse_sections(text)
-    sections = {name: _Section(name, raw.get(name, {})) for name in _SECTIONS}
+    sections = _parse_sections(text)
 
-    grid_sec = sections["grid"]
-    dim_raw, dim_line = grid_sec.take("dimension", "1")
-    dimension = _to_int(dim_raw, "dimension", dim_line)
+    def take(section, key, kind, default, dimension=None):
+        entries = sections[section]
+        if key in entries:
+            raw, line = entries.pop(key)
+        elif default is None:
+            raise ConfigError(f"missing required key {key!r} in [{section}]", key=key)
+        else:
+            raw, line = default, None
+        return _convert(kind, raw, key, line, dimension)
+
+    dim_line = sections["grid"].get("dimension", (None, None))[1]
+    dimension = take("grid", "dimension", "integer", "1")
     if dimension not in (1, 2):
         raise ConfigError(f"dimension must be 1 or 2, got {dimension}",
                           line=dim_line, key="dimension")
-    if dimension == 1:
-        length_raw, ln = grid_sec.take("length", "1.0")
-        nodes_raw, nn = grid_sec.take("nodes", "201")
-        lengths = (_to_float(length_raw, "length", ln),)
-        nodes = (_to_int(nodes_raw, "nodes", nn),)
-    else:
-        lx, lxl = grid_sec.take("length_x", "1.0")
-        ly, lyl = grid_sec.take("length_y", "1.0")
-        nx, nxl = grid_sec.take("nodes_x", "65")
-        ny, nyl = grid_sec.take("nodes_y", "65")
-        lengths = (_to_float(lx, "length_x", lxl), _to_float(ly, "length_y", lyl))
-        nodes = (_to_int(nx, "nodes_x", nxl), _to_int(ny, "nodes_y", nyl))
-    grid_sec.reject_unknown()
-
-    exp_sec = sections["exponents"]
-    m_raw, m_line = exp_sec.take("m", required=True)
-    p_raw, p_line = exp_sec.take("p", required=True)
-    lh_a_raw, lh_a_line = exp_sec.take("log_holder_a", "10.0")
-    lh_d_raw, lh_d_line = exp_sec.take("log_holder_delta", "0.5")
-    exp_sec.reject_unknown()
-
-    delay_sec = sections["delay"]
-    mu1_raw, mu1_line = delay_sec.take("mu1", required=True)
-    mu2_raw, mu2_line = delay_sec.take("mu2")
-    table_raw, table_line = delay_sec.take("mu2_table")
-    tau1_raw, tau1_line = delay_sec.take("tau1", required=True)
-    tau2_raw, tau2_line = delay_sec.take("tau2", required=True)
-    ntau_raw, ntau_line = delay_sec.take("n_tau", "16")
-    delay_sec.reject_unknown()
-
-    init_sec = sections["initial"]
-    u0_raw, u0_line = init_sec.take("u0", required=True)
-    u1_raw, u1_line = init_sec.take("u1", required=True)
-    f0_raw, f0_line = init_sec.take("f0", "0")
-    scale_raw, scale_line = init_sec.take("scale", "1.0")
-    init_sec.reject_unknown()
-
-    run_sec = sections["run"]
-    t_end_raw, t_end_line = run_sec.take("t_end", required=True)
-    dt_raw, dt_line = run_sec.take("dt", "auto")
-    nrho_raw, nrho_line = run_sec.take("n_rho", "32")
-    thr_raw, thr_line = run_sec.take("threshold", "1e6")
-    override_raw, override_line = run_sec.take("override_conditions", "false")
-    nosrc_raw, nosrc_line = run_sec.take("disable_source", "false")
-    freeze_raw, freeze_line = run_sec.take("freeze_velocity", "false")
-    seed_raw, seed_line = run_sec.take("seed", "1234")
-    alpha_raw, alpha_line = run_sec.take("alpha", "auto")
-    eps_raw, eps_line = run_sec.take("eps", "auto")
-    run_sec.reject_unknown()
-
-    out_sec = sections["output"]
-    sample_raw, sample_line = out_sec.take("sample_dt", "auto")
-    factor_raw, factor_line = out_sec.take("decay_factor", "0.01")
-    out_sec.reject_unknown()
-
-    svars = ("x",) if dimension == 1 else ("x", "y")
-    _check_expression(m_raw, svars, "m", m_line)
-    _check_expression(p_raw, svars, "p", p_line)
-    _check_expression(u0_raw, svars, "u0", u0_line)
-    _check_expression(u1_raw, svars, "u1", u1_line)
-    _check_expression(f0_raw, svars + ("s",), "f0", f0_line)
-
-    if mu2_raw is not None and table_raw is not None:
+    length_keys, node_keys, node_default = _grid_keys(dimension)
+    values = {
+        "dimension": dimension,
+        "lengths": tuple(take("grid", key, "number", "1.0") for key in length_keys),
+        "nodes": tuple(take("grid", key, "integer", node_default) for key in node_keys),
+    }
+    delay = sections["delay"]
+    if "mu2" in delay and "mu2_table" in delay:
         raise ConfigError("give either mu2 or mu2_table, not both",
-                          line=table_line, key="mu2_table")
-    mu2_table = None
-    if table_raw is not None:
-        mu2_table = _parse_mu2_table(table_raw, "mu2_table", table_line)
-        mu2 = None
-    else:
-        mu2 = mu2_raw if mu2_raw is not None else "0"
-        _check_expression(mu2, ("tau",), "mu2", mu2_line)
+                          line=delay["mu2_table"][1], key="mu2_table")
+    values["mu2" if "mu2_table" in delay else "mu2_table"] = None  # the one left out
+    for section, key, field, kind, default in _KEYS:
+        if field not in values:
+            values[field] = take(section, key, kind, default, dimension)
+    for section, entries in sections.items():
+        for key, (_, line) in entries.items():
+            raise ConfigError(f"unknown key {key!r} in [{section}]", line=line, key=key)
 
-    cfg = RunConfig(
-        dimension=dimension,
-        lengths=lengths,
-        nodes=nodes,
-        m=m_raw,
-        p=p_raw,
-        log_holder_bound=_to_float(lh_a_raw, "log_holder_a", lh_a_line),
-        log_holder_delta=_to_float(lh_d_raw, "log_holder_delta", lh_d_line),
-        mu1=_to_float(mu1_raw, "mu1", mu1_line),
-        mu2=mu2,
-        mu2_table=mu2_table,
-        tau1=_to_float(tau1_raw, "tau1", tau1_line),
-        tau2=_to_float(tau2_raw, "tau2", tau2_line),
-        n_tau=_to_int(ntau_raw, "n_tau", ntau_line),
-        u0=u0_raw,
-        u1=u1_raw,
-        f0=f0_raw,
-        scale=_to_float(scale_raw, "scale", scale_line),
-        t_end=_to_float(t_end_raw, "t_end", t_end_line),
-        dt=_to_float_or_auto(dt_raw, "dt", dt_line),
-        n_rho=_to_int(nrho_raw, "n_rho", nrho_line),
-        threshold=_to_float(thr_raw, "threshold", thr_line),
-        override_conditions=_to_bool(override_raw, "override_conditions", override_line),
-        disable_source=_to_bool(nosrc_raw, "disable_source", nosrc_line),
-        freeze_velocity=_to_bool(freeze_raw, "freeze_velocity", freeze_line),
-        seed=_to_int(seed_raw, "seed", seed_line),
-        alpha=_to_float_or_auto(alpha_raw, "alpha", alpha_line),
-        eps=_to_float_or_auto(eps_raw, "eps", eps_line),
-        sample_dt=_to_float_or_auto(sample_raw, "sample_dt", sample_line),
-        decay_factor=_to_float(factor_raw, "decay_factor", factor_line),
-    )
+    cfg = RunConfig(**values)
     resolve_config(cfg)  # every rule; parse keeps dt and sample_dt unresolved
     return cfg
 
@@ -258,66 +199,25 @@ def _fmt_value(value):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):  # mu2_table
+        return "; ".join(f"{_fmt_value(t)},{_fmt_value(v)}" for t, v in value)
     return str(value)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical document; stable ordering, shortest round-trip floats."""
-    lines = ["[grid]", f"dimension = {cfg.dimension}"]
-    if cfg.dimension == 1:
-        lines += [f"length = {_fmt_value(cfg.lengths[0])}",
-                  f"nodes = {cfg.nodes[0]}"]
-    else:
-        lines += [
-            f"length_x = {_fmt_value(cfg.lengths[0])}",
-            f"length_y = {_fmt_value(cfg.lengths[1])}",
-            f"nodes_x = {cfg.nodes[0]}",
-            f"nodes_y = {cfg.nodes[1]}",
-        ]
-    lines += [
-        "",
-        "[exponents]",
-        f"m = {cfg.m}",
-        f"p = {cfg.p}",
-        f"log_holder_a = {_fmt_value(cfg.log_holder_bound)}",
-        f"log_holder_delta = {_fmt_value(cfg.log_holder_delta)}",
-        "",
-        "[delay]",
-        f"mu1 = {_fmt_value(cfg.mu1)}",
-    ]
-    if cfg.mu2_table is not None:
-        pairs = "; ".join(f"{_fmt_value(t)},{_fmt_value(v)}" for t, v in cfg.mu2_table)
-        lines.append(f"mu2_table = {pairs}")
-    else:
-        lines.append(f"mu2 = {cfg.mu2}")
-    lines += [
-        f"tau1 = {_fmt_value(cfg.tau1)}",
-        f"tau2 = {_fmt_value(cfg.tau2)}",
-        f"n_tau = {cfg.n_tau}",
-        "",
-        "[initial]",
-        f"u0 = {cfg.u0}",
-        f"u1 = {cfg.u1}",
-        f"f0 = {cfg.f0}",
-        f"scale = {_fmt_value(cfg.scale)}",
-        "",
-        "[run]",
-        f"t_end = {_fmt_value(cfg.t_end)}",
-        f"dt = {_fmt_value(cfg.dt)}",
-        f"n_rho = {cfg.n_rho}",
-        f"threshold = {_fmt_value(cfg.threshold)}",
-        f"override_conditions = {_fmt_value(cfg.override_conditions)}",
-        f"disable_source = {_fmt_value(cfg.disable_source)}",
-        f"freeze_velocity = {_fmt_value(cfg.freeze_velocity)}",
-        f"seed = {cfg.seed}",
-        f"alpha = {_fmt_value(cfg.alpha)}",
-        f"eps = {_fmt_value(cfg.eps)}",
-        "",
-        "[output]",
-        f"sample_dt = {_fmt_value(cfg.sample_dt)}",
-        f"decay_factor = {_fmt_value(cfg.decay_factor)}",
-        "",
-    ]
+    length_keys, node_keys, _ = _grid_keys(cfg.dimension)
+    entries = ([("grid", "dimension", cfg.dimension)]
+               + [("grid", key, v) for key, v in zip(length_keys, cfg.lengths)]
+               + [("grid", key, v) for key, v in zip(node_keys, cfg.nodes)])
+    table = cfg.mu2_table is not None
+    entries += [(section, key, getattr(cfg, field)) for section, key, field, _, _ in _KEYS
+                if key not in ("mu2", "mu2_table") or (key == "mu2_table") == table]
+    lines = []
+    for name in _SECTIONS:
+        lines += [f"[{name}]"]
+        lines += [f"{key} = {_fmt_value(v)}" for section, key, v in entries if section == name]
+        lines += [""]
     return "\n".join(lines)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionError, GridMismatchError
-from .spaces import ExponentField, Grid
+from .spaces import ExponentField, Grid, trapezoid_weights
 
 
 @dataclass(eq=False)
@@ -66,9 +66,7 @@ def build_kernel(mu2, tau1, tau2, n_tau=16, mu1=1.0) -> DelayKernel:
         raise ConditionError("mu1 must be nonnegative")
 
     nodes = np.linspace(tau1, tau2, n_tau)
-    h = (tau2 - tau1) / (n_tau - 1)
-    weights = np.full(n_tau, h)
-    weights[0] = weights[-1] = h / 2.0
+    weights = trapezoid_weights(n_tau, (tau2 - tau1) / (n_tau - 1))
 
     if callable(mu2):
         samples = np.asarray(mu2(nodes), dtype=float)

@@ -22,7 +22,7 @@ import numpy as np
 from . import parallel
 from .delay import DelayKernel, WeightField
 from .errors import ConditionError
-from .spaces import ExponentField, gradient_energy
+from .spaces import ExponentField, gradient_energy, trapezoid_weights
 
 TOL_RATE_STEPS = 50.0  # default dissipation slack is this many dt
 # Values per point chunk of _delay_integrals: 1 MiB of float64, so a chunk of
@@ -51,13 +51,6 @@ class EnergyReport:
     damping_modular: float
     delay_modular: float
     delay_bulk_modular: float
-
-
-def _rho_weights(n_rho):
-    d = 1.0 / (n_rho - 1)
-    w = np.full(n_rho, d)
-    w[0] = w[-1] = d / 2.0
-    return w
 
 
 def _power_path(exponent_values):
@@ -105,7 +98,7 @@ def _delay_integrals(z, kernel, xi, m, grid_weights):
     n_tau, n_rho = z.shape[:2]
     points = grid_weights.size
     field = z.reshape(n_tau, n_rho, points).transpose(2, 1, 0)
-    rho_w = _rho_weights(n_rho)
+    rho_w = trapezoid_weights(n_rho, 1.0 / (n_rho - 1))
     tau_w = kernel.weights
     tw = kernel.nodes * tau_w
     decay_jk = np.exp(-np.outer(np.linspace(0.0, 1.0, n_rho), kernel.nodes))

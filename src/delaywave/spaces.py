@@ -66,6 +66,13 @@ class Grid:
         return (x, y)
 
 
+def trapezoid_weights(n, h):
+    """Composite-trapezoid weights of n nodes spaced h apart."""
+    w = np.full(n, h)
+    w[0] = w[-1] = h / 2.0
+    return w
+
+
 def make_grid(lengths, counts) -> Grid:
     """Build a 1-D or 2-D uniform grid over (0, L1) [x (0, L2)]."""
     if np.isscalar(lengths):
@@ -89,11 +96,7 @@ def make_grid(lengths, counts) -> Grid:
     spacing = tuple(L / (n - 1) for L, n in zip(lengths, counts))
     coords = tuple(np.linspace(0.0, L, n) for L, n in zip(lengths, counts))
 
-    axis_weights = []
-    for h, n in zip(spacing, counts):
-        w = np.full(n, h)
-        w[0] = w[-1] = h / 2.0
-        axis_weights.append(w)
+    axis_weights = [trapezoid_weights(n, h) for h, n in zip(spacing, counts)]
     if len(counts) == 1:
         weights = axis_weights[0]
         boundary = np.zeros(counts, dtype=bool)
@@ -128,15 +131,6 @@ class GridFunction:
     @classmethod
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.shape))
-
-    @classmethod
-    def sample(cls, grid, fn):
-        """Sample a callable of the coordinate meshes; fn(x[, y])."""
-        vals = np.asarray(fn(*grid.meshes()), dtype=float)
-        return cls(grid, np.broadcast_to(vals, grid.shape).copy())
-
-    def is_dirichlet(self, tol=0.0):
-        return bool(np.all(np.abs(self.values[self.grid.boundary]) <= tol))
 
 
 @dataclass(eq=False)
@@ -184,29 +178,32 @@ def l2_norm(u: GridFunction) -> float:
     return float(np.sqrt(np.sum(u.grid.weights * u.values**2)))
 
 
-def gradient_energy(u: GridFunction) -> float:
-    """Squared discrete H1 seminorm, cell-difference form.
+def gradient_energies(samples, grid):
+    """Squared discrete H1 seminorm, cell-difference form, of each sample in a
+    (batch, *grid.shape) stack.
 
     Defined so that <u, -lap_h(u)> == gradient_energy(u) exactly for
     homogeneous Dirichlet data; this makes discrete energy balances and the
-    Poincare constant below mutually consistent.
+    Poincare constant below mutually consistent. A sample's value does not
+    depend on the batch: the axis sums reduce in the same order, and the 2-D
+    weighting keeps one dot per sample (a batched gemv rounds differently).
     """
-    vals = u.values
-    grid = u.grid
     if grid.dimension == 1:
-        h = grid.spacing[0]
-        d = np.diff(vals)
-        return float(np.sum(d * d) / h)
+        d = np.diff(samples, axis=1)
+        return np.sum(d * d, axis=1) / grid.spacing[0]
     hx, hy = grid.spacing
-    wx = np.full(grid.counts[0], hx)
-    wx[0] = wx[-1] = hx / 2.0
-    wy = np.full(grid.counts[1], hy)
-    wy[0] = wy[-1] = hy / 2.0
-    dx = np.diff(vals, axis=0)
-    dy = np.diff(vals, axis=1)
-    ex = np.sum(dx * dx, axis=0) / hx
-    ey = np.sum(dy * dy, axis=1) / hy
-    return float(np.dot(wy, ex) + np.dot(wx, ey))
+    wx = trapezoid_weights(grid.counts[0], hx)
+    wy = trapezoid_weights(grid.counts[1], hy)
+    dx = np.diff(samples, axis=1)
+    dy = np.diff(samples, axis=2)
+    ex = np.sum(dx * dx, axis=1) / hx
+    ey = np.sum(dy * dy, axis=2) / hy
+    return np.array([np.dot(wy, a) + np.dot(wx, b) for a, b in zip(ex, ey)])
+
+
+def gradient_energy(u: GridFunction) -> float:
+    """gradient_energies of one grid function."""
+    return float(gradient_energies(u.values[None], u.grid)[0])
 
 
 def modular(u: GridFunction, p: ExponentField) -> float:

@@ -11,11 +11,10 @@ from delaywave.analysis import (
     fit_blowup_growth,
     fit_decay,
     global_existence_gate,
-    _batched_gradient_energy,
     _max_split_ratio,
 )
 from delaywave.errors import ConditionError
-from delaywave.spaces import GridFunction, gradient_energy, make_grid
+from delaywave.spaces import GridFunction, gradient_energies, gradient_energy, make_grid
 
 
 def _dirichlet_family(grid, batch, rng):
@@ -207,7 +206,7 @@ def _ratio_oracle(grid, fam, num_low, num_high, den_low, den_high, num_scale):
         np.sum(np.where(big, absu**num_high, 0.0) * w, axis=tuple(range(1, fam.ndim)))
         + np.sum(np.where(big, 0.0, absu**num_low) * w, axis=tuple(range(1, fam.ndim)))
     )
-    ge = _batched_gradient_energy(fam, grid)
+    ge = gradient_energies(fam, grid)
     den = ge ** (den_high / 2.0) + ge ** (den_low / 2.0)
     valid = den > 0.0
     return num[valid] / den[valid]
@@ -395,7 +394,7 @@ def test_batched_gradient_energy_is_bitwise_per_sample(lengths, counts):
     grid = make_grid(lengths, counts)
     fam = _dirichlet_family(grid, 300, np.random.default_rng(11))
     per_sample = np.array([gradient_energy(GridFunction(grid, vals)) for vals in fam])
-    assert np.array_equal(_batched_gradient_energy(fam, grid), per_sample)
+    assert np.array_equal(gradient_energies(fam, grid), per_sample)
 
 
 def test_embedding_safety_factor_scales_linearly():

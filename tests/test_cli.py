@@ -75,6 +75,20 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert json.loads(captured.out)["error"]["type"] == "config"
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: None,  # missing
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"[grid]\nnodes = \xff\xfe\n"),  # not UTF-8
+], ids=["missing", "directory", "not-utf8"])
+def test_cli_unreadable_config_exit_2(tmp_path, capsys, make):
+    path = tmp_path / "doc.cfg"
+    make(path)
+    code = cli.main(["--config", str(path), "--out", str(tmp_path / "o")])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error["type"] == "config" and str(path) in error["message"]
+
+
 @pytest.mark.parametrize("doc,where", [
     ("[exponents]\nm = 2\nm = 3\n", {"key": "m", "line": 3}),
     ("[grid]\nnodes 51\n", {"line": 2, "column": 1}),

@@ -29,6 +29,32 @@ u1 = 0
 t_end = 1.0
 """
 
+DOC_2D = """
+[grid]
+dimension = 2
+length_x = 1.0
+length_y = 2.0
+nodes_x = 17
+nodes_y = 19
+
+[exponents]
+m = 2 + 0.1*x*y
+p = 3.5
+
+[delay]
+mu1 = 0.5
+mu2_table = 0.5,0.1; 0.75,0.2; 1.0,0.1
+tau1 = 0.5
+tau2 = 1.0
+
+[initial]
+u0 = 0.1*sin(pi*x)*sin(pi*y/2)
+u1 = 0
+
+[run]
+t_end = 0.5
+"""
+
 
 def test_minimal_document_defaults():
     cfg = parse_config(MINIMAL)
@@ -127,34 +153,48 @@ def test_presets_parse_and_round_trip(name):
 
 
 def test_round_trip_2d_and_tables():
-    doc = """
-[grid]
-dimension = 2
-length_x = 1.0
-length_y = 2.0
-nodes_x = 17
-nodes_y = 19
-
-[exponents]
-m = 2 + 0.1*x*y
-p = 3.5
-
-[delay]
-mu1 = 0.5
-mu2_table = 0.5,0.1; 0.75,0.2; 1.0,0.1
-tau1 = 0.5
-tau2 = 1.0
-
-[initial]
-u0 = 0.1*sin(pi*x)*sin(pi*y/2)
-u1 = 0
-
-[run]
-t_end = 0.5
-"""
-    cfg = parse_config(doc)
+    cfg = parse_config(DOC_2D)
     assert cfg.dimension == 2 and cfg.nodes == (17, 19)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+# The expression and table keys; every other key holds a number, an integer,
+# a boolean or ``auto``.
+_NON_SCALAR_KEYS = {"m", "p", "mu2", "mu2_table", "u0", "u1", "f0"}
+
+
+@pytest.mark.parametrize("doc,n_keys", [(MINIMAL, 22), (DOC_2D, 24)], ids=["1d", "2d"])
+def test_every_scalar_key_error_names_key_and_line(doc, n_keys):
+    lines = serialize_config(parse_config(doc)).splitlines()
+    keys = []
+    for index, line in enumerate(lines):
+        key, sep, _ = line.partition(" = ")
+        if not sep or key in _NON_SCALAR_KEYS:
+            continue
+        keys.append(key)
+        bad = "\n".join(lines[:index] + [f"{key} = abc"] + lines[index + 1:])
+        with pytest.raises(ConfigError) as caught:
+            parse_config(bad)
+        assert (caught.value.key, caught.value.line) == (key, index + 1)
+    assert len(keys) == n_keys
+
+
+# config_hash of each document as parsed; summary.json carries it, so a
+# change to the canonical form shows here first
+_PINNED_HASHES = {
+    "conservation": "a72f254e5c88ddfcb8a8453ec2620b2b02c3ac4187ee949018d101105f088bcc",
+    "decay_exponential": "f6dd60fe1edba8e631421de4c987b338d068ec0d3a98abd9f459d3baa833e901",
+    "decay_polynomial": "e61b42a51c85aa92bc063dd3cd5aa295449b07eea4a1e34dcdcaa1084ea62259",
+    "blowup": "994de9bccef8f3a2eda7fe5485d11242acf1c0ab847eea98aadff142c5fd81c0",
+    "instability_explore": "cd7a3d3230782758eeab4a8678321e306c499cd97b006f9730eaac5bc88e15fc",
+    "2d_table": "b5335ab333833787dcbbcc576f6986d300fe32bd7389b89e376db448344fa13b",
+}
+
+
+@pytest.mark.parametrize("name", _PINNED_HASHES)
+def test_config_hash_is_pinned(name):
+    doc = DOC_2D if name == "2d_table" else load_preset(name)
+    assert config_hash(parse_config(doc)) == _PINNED_HASHES[name]
 
 
 def test_unknown_preset_rejected():

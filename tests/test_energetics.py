@@ -11,7 +11,7 @@ from delaywave.energetics import (
     energy_report,
 )
 from delaywave.errors import ConditionError
-from delaywave.spaces import ExponentField, GridFunction, make_grid
+from delaywave.spaces import ExponentField, GridFunction, make_grid, trapezoid_weights
 
 
 def _setup(n=101, m_const=2.0, p_const=3.0, mu1=1.0, level=0.5):
@@ -213,7 +213,7 @@ def _abs_power_oracle(w, m_values):
 def _delay_integrals_oracle(z, kernel, xi, m, grid_weights):
     """The whole-array delay integrals: two transposed arrays reduced by six
     tensordots, and the delay modular from a copied rho = 1 tail."""
-    rho_w = energetics._rho_weights(z.shape[1])
+    rho_w = trapezoid_weights(z.shape[1], 1.0 / (z.shape[1] - 1))
     rho_nodes = np.linspace(0.0, 1.0, z.shape[1])
     tau_w = kernel.weights
     tw = kernel.nodes * tau_w

@@ -14,7 +14,7 @@ from importlib import resources
 
 from .errors import ConfigError, ExpressionError
 from .expressions import compile_expression
-from .solver import RunConfig, resolve_config
+from .solver import RunConfig, _grid_keys, resolve_config
 
 _SECTIONS = ("grid", "exponents", "delay", "initial", "run", "output")
 
@@ -55,13 +55,6 @@ _KEYS = (
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "on": True,
              "false": False, "no": False, "0": False, "off": False}
-
-
-def _grid_keys(dimension):
-    """[grid] keys of the axis lengths and node counts; the node default."""
-    if dimension == 1:
-        return ("length",), ("nodes",), "201"
-    return ("length_x", "length_y"), ("nodes_x", "nodes_y"), "65"
 
 
 def _parse_sections(text):

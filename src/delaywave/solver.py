@@ -112,6 +112,13 @@ class Resolved(NamedTuple):
     u0_fn: object
 
 
+def _grid_keys(dimension):
+    """[grid] keys of the axis lengths and node counts; the node default."""
+    if dimension == 1:
+        return ("length",), ("nodes",), "201"
+    return ("length_x", "length_y"), ("nodes_x", "nodes_y"), "65"
+
+
 def resolve_config(cfg: RunConfig) -> Resolved:
     """Check every config rule; fill dt and sample_dt when unset.
 
@@ -128,8 +135,8 @@ def resolve_config(cfg: RunConfig) -> Resolved:
             f"dimension {cfg.dimension} needs {cfg.dimension} lengths and node counts, "
             f"got {len(cfg.lengths)} and {len(cfg.nodes)}", key="dimension",
         )
-    lengths = ("length",) if cfg.dimension == 1 else ("length_x", "length_y")
-    floats = list(zip(lengths, cfg.lengths)) + [
+    length_keys, node_keys, _ = _grid_keys(cfg.dimension)
+    floats = list(zip(length_keys, cfg.lengths)) + [
         ("log_holder_a", cfg.log_holder_bound), ("log_holder_delta", cfg.log_holder_delta),
         ("mu1", cfg.mu1), ("tau1", cfg.tau1), ("tau2", cfg.tau2), ("scale", cfg.scale),
         ("t_end", cfg.t_end), ("dt", cfg.dt), ("threshold", cfg.threshold),
@@ -159,10 +166,15 @@ def resolve_config(cfg: RunConfig) -> Resolved:
     if cfg.decay_factor <= 0.0:
         raise ConfigError("decay_factor must be positive", key="decay_factor")
 
-    try:
-        grid = make_grid(cfg.lengths, cfg.nodes)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="nodes")
+    # make_grid's checks, axis by axis, naming each axis's key
+    for axis, (length, n) in enumerate(zip(cfg.lengths, cfg.nodes)):
+        if length <= 0.0:
+            raise ConfigError(f"domain length must be positive, got {float(length)}",
+                              key=length_keys[axis])
+        if n < 3:
+            raise ConfigError(f"need at least 3 nodes per axis, got {int(n)}",
+                              key=node_keys[axis])
+    grid = make_grid(cfg.lengths, cfg.nodes)
 
     # "not >=" also rejects NaN samples.
     svars = _spatial_vars(cfg.dimension)
@@ -355,17 +367,16 @@ def init_state(problem: Problem) -> SimState:
     u_vals[grid.boundary] = 0.0
     v_vals[grid.boundary] = 0.0
 
-    n_rho = problem.rho_nodes.size
-    n_tau = problem.kernel.nodes.size
-    z = np.zeros((n_tau, n_rho) + grid.shape)
-    for j, rho in enumerate(problem.rho_nodes):
+    # One spatial environment for every history node. s stays a numpy
+    # scalar per node: the array power differs from the scalar one in the
+    # last bit, so evaluating f0 over a stacked s would change bytes.
+    env = dict(zip(_spatial_vars(grid.dimension), grid.meshes()))
+    z = np.empty((problem.kernel.nodes.size, problem.rho_nodes.size) + grid.shape)
+    z[:, 0] = v_vals  # rho = 0
+    for j, rho in enumerate(problem.rho_nodes[1:], start=1):
         for k, tau in enumerate(problem.kernel.nodes):
-            if rho == 0.0:
-                z[k, j] = v_vals
-                continue
-            vals = scale * _sample_spatial(grid, problem.f0_fn, {"s": -rho * tau})
-            vals[grid.boundary] = 0.0
-            z[k, j] = vals
+            np.multiply(scale, problem.f0_fn(**env, s=-rho * tau), out=z[k, j])
+    z[..., grid.boundary] = 0.0
 
     f0_at_zero = scale * _sample_spatial(grid, problem.f0_fn, {"s": 0.0})
     f0_at_zero[grid.boundary] = 0.0

@@ -16,6 +16,7 @@ Laplacian eigenvalue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,50 +284,75 @@ def log_holder_modulus(q: ExponentField, delta=0.5) -> float:
     """max over node pairs with 0 < |x-y| < delta of |q(x)-q(y)|*|log|x-y||.
 
     delta must lie in (0, 1) so the logarithm has one sign on the admissible
-    pairs. A constant field scores exactly 0.
+    pairs. A constant field scores exactly 0. See ``log_holder_moduli``.
+    """
+    return log_holder_moduli((q,), delta)[0]
 
-    The loop runs over lattice offsets (di, dj) instead of all node pairs and
-    returns the all-pairs maximum bit for bit:
+
+def log_holder_moduli(fields, delta=0.5) -> tuple:
+    """``log_holder_modulus`` of each field on one grid, from one offset sweep.
+
+    The sweep runs over lattice offsets (di, dj) instead of all node pairs and
+    returns each field's all-pairs maximum bit for bit:
 
     - Each pair's distance is sqrt(dx*dx + dy*dy) from its own coordinate
-      differences, as in the all-pairs form. One hypot per offset would not
-      do: at a fixed offset the differences of non-dyadic coordinates vary in
-      the last bit from pair to pair.
+      differences, as in the all-pairs form: at a fixed offset the differences
+      of non-dyadic coordinates vary in the last bit from pair to pair. An
+      offset's distances, mask and |log d| weights serve every field.
     - The score is symmetric: swapping a pair negates dx, dy and q(x)-q(y)
       exactly. So only offsets with di > 0, or di == 0 and dj > 0, are
       visited; the mirrored half repeats their scores.
-    - A pair's distance is never below its gap along one axis, and the gaps
-      grow with the offset, so the loops stop once the gaps reach delta.
+    - Rounded +, * and sqrt are monotone, so an offset's shortest distance
+      d_min is that of its two smallest axis gaps. The gaps grow with the
+      offset, so the loops stop once d_min reaches delta.
+    - Pruning: |log d| decreases on (0, 1) and rounded multiplication is
+      monotone, so no score of an offset exceeds max|dq| * |log d_min|; the
+      factor 1 + 2**-40 absorbs any ulp by which math.log and numpy's
+      vectorised log differ. A field skips the offset when that bound is
+      below its running maximum (ties are scored). A maximum is exact, so the
+      skipped scores could not have changed it.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if q.low == q.high:
-        return 0.0
-    x = q.grid.coords[0]
-    y = q.grid.coords[1] if q.grid.dimension == 2 else np.zeros(1)
-    vals = q.values.reshape(x.size, y.size)
-    nx, ny = vals.shape
-    worst = 0.0
+    worst = [0.0] * len(fields)
+    live = [i for i, q in enumerate(fields) if q.low != q.high]
+    if not live:
+        return tuple(worst)
+    grid = _require_same_grid(*fields)
+    x = grid.coords[0]
+    y = grid.coords[1] if grid.dimension == 2 else np.zeros(1)
+    nx, ny = x.size, y.size
+    vals = {i: fields[i].values.reshape(nx, ny) for i in live}
     for di in range(nx):
         gx = x[di:] - x[:nx - di]
-        if gx.min() >= delta:
+        gx_min = gx.min()
+        if gx_min >= delta:
             break
-        near, far = vals[:nx - di], vals[di:]
         for dj in range(1 if di == 0 else 0, ny):
             gy = y[dj:] - y[:ny - dj]
-            dist = np.sqrt((gx * gx)[:, None] + gy * gy)
-            mask = (dist > 0.0) & (dist < delta)
-            if not np.any(mask):
+            gy_min = gy.min()
+            d_min = np.sqrt(gx_min * gx_min + gy_min * gy_min)
+            if d_min >= delta:
                 break
-            weight = np.abs(np.log(np.where(mask, dist, 1.0)))
-            # (di, dj), and (di, -dj) with the same distances
-            dqs = [far[:, dj:] - near[:, :ny - dj]]
-            if di > 0 and dj > 0:
-                dqs.append(far[:, :ny - dj] - near[:, dj:])
-            for dq in dqs:
-                score = np.where(mask, np.abs(dq) * weight, 0.0)
-                worst = max(worst, float(score.max()))
-    return worst
+            log_max = -math.log(d_min) * (1.0 + 2.0**-40) if d_min > 0.0 else math.inf
+            weight = None
+            for i in live:
+                near, far = vals[i][:nx - di], vals[i][di:]
+                # (di, dj), and (di, -dj) with the same distances
+                dqs = [far[:, dj:] - near[:, :ny - dj]]
+                if di > 0 and dj > 0:
+                    dqs.append(far[:, :ny - dj] - near[:, dj:])
+                for dq in dqs:
+                    dq = np.abs(dq)
+                    if dq.max() * log_max < worst[i]:
+                        continue
+                    if weight is None:
+                        dist = np.sqrt((gx * gx)[:, None] + gy * gy)
+                        mask = (dist > 0.0) & (dist < delta)
+                        weight = np.abs(np.log(np.where(mask, dist, 1.0)))
+                    score = np.where(mask, dq * weight, 0.0)
+                    worst[i] = max(worst[i], float(score.max()))
+    return tuple(worst)
 
 
 @dataclass(frozen=True)
@@ -372,8 +398,7 @@ def validate_exponent_pair(
         and np.isfinite(p.high)
         and p.high <= cap
     )
-    mod_m = log_holder_modulus(m, log_delta)
-    mod_p = log_holder_modulus(p, log_delta)
+    mod_m, mod_p = log_holder_moduli((m, p), log_delta)
     log_ok = mod_m <= log_bound and mod_p <= log_bound
     return ExponentValidation(
         chain_ok=bool(chain_ok),

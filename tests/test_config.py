@@ -179,6 +179,22 @@ def test_every_scalar_key_error_names_key_and_line(doc, n_keys):
     assert len(keys) == n_keys
 
 
+@pytest.mark.parametrize("key,value", [
+    ("length", "-1"), ("nodes", "2"),
+    ("length_x", "0"), ("length_y", "0"), ("nodes_x", "2"), ("nodes_y", "1"),
+])
+def test_grid_errors_name_their_key(key, value):
+    doc = MINIMAL if key in ("length", "nodes") else DOC_2D
+    lines = serialize_config(parse_config(doc)).splitlines()
+    bad = "\n".join(f"{key} = {value}" if line.startswith(f"{key} = ") else line
+                    for line in lines)
+    message = "domain length must be positive" if key.startswith("length") \
+        else "need at least 3 nodes per axis"
+    with pytest.raises(ConfigError, match=message) as caught:
+        parse_config(bad)
+    assert caught.value.key == key
+
+
 # config_hash of each document as parsed; summary.json carries it, so a
 # change to the canonical form shows here first
 _PINNED_HASHES = {

@@ -14,6 +14,7 @@ from delaywave.scenario import run_scenario
 from delaywave.solver import (
     RunConfig,
     SimState,
+    _sample_spatial,
     auto_dt,
     build_problem,
     damping_force,
@@ -82,6 +83,37 @@ def test_init_warns_on_inconsistent_history(caplog):
     with caplog.at_level(logging.WARNING):
         init_state(prob)
     assert any("f0(x, 0)" in rec.message for rec in caplog.records)
+
+
+def _per_node_history(problem):
+    """The memory field z as first filled: f0 sampled on a fresh mesh at each
+    (rho, tau) node, scaled, and its boundary zeroed node by node."""
+    grid, scale = problem.grid, problem.config.scale
+    v_vals = scale * _sample_spatial(grid, problem.u1_fn)
+    v_vals[grid.boundary] = 0.0
+    z = np.zeros((problem.kernel.nodes.size, problem.rho_nodes.size) + grid.shape)
+    for j, rho in enumerate(problem.rho_nodes):
+        for k, tau in enumerate(problem.kernel.nodes):
+            if rho == 0.0:
+                z[k, j] = v_vals
+                continue
+            vals = scale * _sample_spatial(grid, problem.f0_fn, {"s": -rho * tau})
+            vals[grid.boundary] = 0.0
+            z[k, j] = vals
+    return z
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_history_prefill_matches_per_node_oracle(dimension):
+    # f0 raises s to a power: numpy's array power and its scalar power differ
+    # in the last bit, so only a per-node scalar s reproduces these bytes
+    f0 = "(1 - s)^1.5*sin(pi*x) + exp(2*s)*x*(1-x)"
+    over = dict(f0=f0, u1="sin(pi*x)", scale=1.7, n_rho=9, n_tau=7, tau1=0.3, tau2=1.1)
+    if dimension == 2:
+        over.update(dimension=2, lengths=(1.0, 0.8), nodes=(17, 13),
+                    f0=f0.replace("x*(1-x)", "x*(1-x)*y^1.5"))
+    prob = build_problem(_config(**over))
+    assert np.array_equal(init_state(prob).z, _per_node_history(prob))
 
 
 # --- spatial operators ----------------------------------------------------------

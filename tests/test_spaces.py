@@ -10,6 +10,7 @@ from delaywave.spaces import (
     discrete_poincare_constant,
     gradient_energy,
     l2_norm,
+    log_holder_moduli,
     log_holder_modulus,
     luxemburg_norm,
     make_grid,
@@ -159,6 +160,39 @@ def test_log_modulus_property_equals_all_pairs():
         assert log_holder_modulus(q, delta) == _all_pairs_log_modulus(q, delta)
 
     check()
+
+
+def _pruning_fields(g):
+    """Fields where a pruned offset sweep could go wrong: a one-node spike
+    (its maximum sits at the smallest offset), a step jump, uniform noise, a
+    smooth field (its maximum sits at a long, oblique offset) and, last, a
+    constant field."""
+    spike = np.full(g.shape, 2.0)
+    spike[tuple(n // 3 for n in g.shape)] = 3.5
+    meshes = g.meshes()
+    step = np.where(meshes[0] < 0.4 * g.lengths[0], 2.0, 2.6)
+    noise = np.random.default_rng(7).uniform(1.0, 5.0, g.shape)
+    return [ExponentField(g, v) for v in (spike, step, noise, _smooth_exponent(*meshes))] \
+        + [ExponentField.constant(g, 2.5)]
+
+
+@pytest.mark.parametrize("lengths,counts", [
+    (1.0, 201),
+    ((1.0, 1.0), (65, 65)),
+    ((1.3, 0.7), (41, 29)),
+])
+@pytest.mark.parametrize("delta", [0.1, 0.5, 0.9])
+def test_log_moduli_shared_pass_equals_all_pairs(lengths, counts, delta):
+    g = make_grid(lengths, counts)
+    fields = _pruning_fields(g)
+    # the constant field, last, must score exactly 0
+    expected = [_all_pairs_log_modulus(q, delta, chunk=128) for q in fields[:-1]] + [0.0]
+    assert min(expected[:-1]) > 0.0
+    # neighbouring pairs in both orders; the last pairs the constant field
+    for a in range(len(fields) - 1):
+        for i, j in ((a, a + 1), (a + 1, a)):
+            assert log_holder_moduli((fields[i], fields[j]), delta) == (expected[i], expected[j])
+    assert log_holder_moduli(fields, delta) == tuple(expected)
 
 
 # --- modular -------------------------------------------------------------------

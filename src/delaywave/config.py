@@ -3,8 +3,9 @@
 Sections: [grid], [exponents], [delay], [initial], [run], [output].
 Values are numbers, booleans, the keyword ``auto``, or expressions in the
 grammar of ``expressions``. Unknown sections and keys are rejected with the
-offending line; range violations name the key. ``serialize_config`` emits a
-canonical document for which parse(serialize(parse(text))) == parse(text).
+offending line; range violations name the key, and its line when the
+document sets it. ``serialize_config`` emits a canonical document for which
+parse(serialize(parse(text))) == parse(text).
 """
 
 from __future__ import annotations
@@ -146,11 +147,13 @@ def parse_config(text) -> RunConfig:
     sweeps re-derive CFL-safe steps per point).
     """
     sections = _parse_sections(text)
+    lines = {}  # document key -> its line, for the range errors below
 
     def take(section, key, kind, default, dimension=None):
         entries = sections[section]
         if key in entries:
             raw, line = entries.pop(key)
+            lines[key] = line
         elif default is None:
             raise ConfigError(f"missing required key {key!r} in [{section}]", key=key)
         else:
@@ -181,7 +184,12 @@ def parse_config(text) -> RunConfig:
             raise ConfigError(f"unknown key {key!r} in [{section}]", line=line, key=key)
 
     cfg = RunConfig(**values)
-    resolve_config(cfg)  # every rule; parse keeps dt and sample_dt unresolved
+    try:
+        resolve_config(cfg)  # every rule; parse keeps dt and sample_dt unresolved
+    except ConfigError as exc:
+        if exc.key not in lines:
+            raise
+        raise ConfigError(exc.message, line=lines[exc.key], key=exc.key) from None
     return cfg
 
 

@@ -53,19 +53,8 @@ class EnergyReport:
     delay_bulk_modular: float
 
 
-def _power_path(exponent_values):
-    """How |w|**exponent is formed: None for w*w (exactly 2 everywhere), the
-    float when spatially constant, else the array. Chosen on the whole
-    field, so a chunk gets the bits the whole array would."""
-    lo = float(exponent_values.min())
-    hi = float(exponent_values.max())
-    if lo != hi:
-        return exponent_values
-    return None if lo == 2.0 else lo
-
-
 def _power_into(out, w, exponent):
-    """out = |w|**exponent for an exponent from _power_path (or a slice)."""
+    """out = |w|**exponent for an ``ExponentField.power`` (or a slice of it)."""
     with np.errstate(over="ignore"):
         if exponent is None:
             return np.multiply(w, w, out=out)
@@ -74,9 +63,9 @@ def _power_into(out, w, exponent):
         return out
 
 
-def _abs_power(w, exponent_values):
-    """|w|**exponent_values as a new C-ordered array."""
-    return _power_into(np.empty(w.shape), w, _power_path(exponent_values))
+def _abs_power(w, q: ExponentField):
+    """|w|**q on grid values w, as a new C-ordered array."""
+    return _power_into(np.empty(w.shape), w, q.power)
 
 
 def _delay_integrals(z, kernel, xi, m, grid_weights):
@@ -108,7 +97,8 @@ def _delay_integrals(z, kernel, xi, m, grid_weights):
     weights = [w.ravel() for w in (np.outer(rho_w, tau_w * kernel.mu2), np.outer(rho_w, tau_w),
                                    w_mu, w_one, w_mu * decay_jk, w_one * decay_jk)]
     m_values = m.values.reshape(points, 1, 1)
-    exponent = _power_path(m_values)
+    # m.power is chosen on the whole field, so a chunk gets the whole array's bits
+    exponent = m_values if isinstance(m.power, np.ndarray) else m.power
     sums = np.empty((7, points))
 
     def contract(rows):
@@ -153,13 +143,13 @@ def energy_report(state, m, p, kernel, xi, alpha=None, eps=0.0) -> EnergyReport:
     kinetic = 0.5 * float(np.sum(w * v * v))
     elastic = 0.5 * gradient_energy(state.u)
 
-    abs_u_p = _abs_power(u, p.values)
+    abs_u_p = _abs_power(u, p)
     source_modular = float(np.sum(w * abs_u_p))
     source_potential = float(np.sum(w * abs_u_p / p.values))
 
     delay_energy, weighted_delay, delay_bulk, delay_modular = _delay_integrals(
         state.z, kernel, xi, m, w)
-    damping_modular = float(np.sum(w * _abs_power(v, m.values)))
+    damping_modular = float(np.sum(w * _abs_power(v, m)))
 
     potential_energy = elastic + delay_energy - source_potential
     total_energy = kinetic + potential_energy

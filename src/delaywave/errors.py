@@ -21,6 +21,7 @@ class ConfigError(ValueError):
     """A configuration document is malformed or out of range."""
 
     def __init__(self, message, line=None, column=None, key=None):
+        self.message = message  # without the location
         self.line = line
         self.column = column
         self.key = key

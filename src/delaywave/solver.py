@@ -19,12 +19,14 @@ The acceleration is
     a = lap(u) - mu1 * v|v|^{m(x)-2} - integral mu2(tau) z_tail|z_tail|^{m(x)-2}
         + u|u|^{p(x)-2},
 
-with homogeneous Dirichlet walls; boundary nodes never move. Each force has
-one array-level kernel that ``step`` calls and the public ``*_force``
-functions wrap. Every per-step choice is resolved once, so a step runs
-only the ufunc calls that do arithmetic:
-- ``build_problem`` resolves the damping, source and tail exponent kinds
-  (an exponent of exactly 1 is the identity and copies nothing), the CFL
+with homogeneous Dirichlet walls; boundary nodes never move. ``step`` calls
+the public force routines ``laplacian``, ``damping_force`` and
+``source_force`` on grid arrays; ``delay_force`` is the two halves that step
+and the pool lane tasks run apart, ``_delay_terms`` and ``_delay``. Every
+per-step choice is resolved once, so a step runs only the ufunc calls that
+do arithmetic:
+- each ``ExponentField`` resolves its odd power once (m = 2 is the identity
+  and copies nothing); ``build_problem`` resolves the tail exponent, the CFL
   numbers and the tail coefficients;
 - the state's ``_Plan``, built on the first step, holds dt/2, the source
   switch, the upwind shift's views of z and its scratch, and one reused
@@ -163,6 +165,8 @@ def resolve_config(cfg: RunConfig) -> Resolved:
         raise ConfigError("n_tau must be at least 2", key="n_tau")
     if cfg.n_rho < 3:
         raise ConfigError("n_rho must be at least 3", key="n_rho")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}", key="seed")
     if cfg.decay_factor <= 0.0:
         raise ConfigError("decay_factor must be positive", key="decay_factor")
 
@@ -262,9 +266,7 @@ class Problem:
     u1_fn: object
     f0_fn: object
     # Per-step invariants of the integrator.
-    mexp: object  # m - 1 resolved by _exponent: None (m = 2), a float or an array
-    pexp: object  # p - 1; likewise
-    tail_exp: object  # mexp broadcast against a (*grid, n_tau) tail
+    tail_exp: object  # m.odd broadcast against a (*grid, n_tau) tail
     tail_coeff: np.ndarray  # tau-quadrature weight times mu2, per lane
     cfl: np.ndarray  # dt / (tau d_rho), shaped (n_tau, 1, ...) to broadcast over z
 
@@ -314,7 +316,6 @@ def build_problem(config: RunConfig) -> Problem:
     u1_fn = compile_expression(config.u1, svars)
     f0_fn = compile_expression(config.f0, svars + ("s",))
 
-    mexp = _exponent(m.values - 1.0)
     cfl = config.dt / (kernel.nodes * d_rho)
 
     return Problem(
@@ -334,9 +335,7 @@ def build_problem(config: RunConfig) -> Problem:
         u0_fn=u0_fn,
         u1_fn=u1_fn,
         f0_fn=f0_fn,
-        mexp=mexp,
-        pexp=_exponent(p.values - 1.0),
-        tail_exp=_tail_exponent(mexp),
+        tail_exp=_tail_exponent(m.odd),
         tail_coeff=kernel.weights * kernel.mu2,
         cfl=cfl.reshape((-1, 1) + (1,) * grid.dimension),
     )
@@ -394,16 +393,6 @@ def init_state(problem: Problem) -> SimState:
     )
 
 
-def _exponent(values):
-    """A grid exponent resolved once for ``_odd_power``: None when it is
-    exactly 1 everywhere (the identity), a float when spatially constant (the
-    fast ufunc path), else the array itself."""
-    if np.ptp(values) != 0.0:
-        return values
-    q = float(values.flat[0])
-    return None if q == 1.0 else q
-
-
 def _tail_exponent(exponent):
     """Broadcast a resolved grid exponent against a (*grid, n_tau) tail."""
     return exponent[..., None] if isinstance(exponent, np.ndarray) else exponent
@@ -412,18 +401,13 @@ def _tail_exponent(exponent):
 def _odd_power(w, exponent):
     """Sign-preserving power w |w|^{exponent-1}; exactly zero at w = 0.
 
-    With exponent p - 1 this is the source kernel u|u|^{p-2}. ``exponent`` is
-    resolved by ``_exponent``: None is the identity and returns w itself, not
-    a copy. Overflow is left to the caller's np.errstate.
+    ``exponent`` is an ``ExponentField.odd`` (or its tail broadcast): None is
+    the identity and returns w itself, not a copy. Overflow is left to the
+    caller's np.errstate.
     """
     if exponent is None:
         return w
     return np.sign(w) * np.abs(w) ** exponent
-
-
-def _damping(v, mexp, mu1):
-    """Damping kernel mu1 v|v|^{m-2} on grid values; mexp resolves m - 1."""
-    return mu1 * _odd_power(v, mexp)
 
 
 def _delay_terms(tail, coeff, tail_exp, out):
@@ -439,7 +423,9 @@ def _delay(terms):
     return terms.sum(axis=-1)
 
 
-def _laplacian_values(vals, grid):
+def laplacian(vals, grid):
+    """Second-order centered stencil of grid values; boundary rows stay zero
+    (Dirichlet)."""
     out = np.zeros(vals.shape)
     if grid.dimension == 1:
         h2 = grid.spacing[0] ** 2
@@ -454,30 +440,23 @@ def _laplacian_values(vals, grid):
     return out
 
 
-def laplacian(u: GridFunction) -> GridFunction:
-    """Second-order centered stencil; boundary rows stay zero (Dirichlet)."""
-    return GridFunction(u.grid, _laplacian_values(u.values, u.grid))
+def damping_force(v, m: ExponentField, mu1: float):
+    """Instantaneous damping mu1 * v |v|^{m(x)-2} of grid values v."""
+    return mu1 * _odd_power(v, m.odd)
 
 
-def damping_force(v: GridFunction, m: ExponentField, mu1: float) -> GridFunction:
-    """Instantaneous damping mu1 * v |v|^{m(x)-2}."""
-    return GridFunction(v.grid, _damping(v.values, _exponent(m.values - 1.0), mu1))
-
-
-def delay_force(z_tail, kernel: DelayKernel, m: ExponentField) -> GridFunction:
+def delay_force(z_tail, kernel: DelayKernel, m: ExponentField):
     """Delay-window quadrature of mu2(tau) z|z|^{m(x)-2} at the rho = 1 tail.
 
     ``z_tail`` is the rho = 1 row ``state.z[:, -1]`` moved to (*grid, n_tau).
     """
-    tail_exp = _tail_exponent(_exponent(m.values - 1.0))
-    return GridFunction(m.grid, _delay(_delay_terms(
-        z_tail, kernel.weights * kernel.mu2, tail_exp, np.empty(z_tail.shape))))
+    return _delay(_delay_terms(z_tail, kernel.weights * kernel.mu2,
+                               _tail_exponent(m.odd), np.empty(z_tail.shape)))
 
 
-def source_force(u: GridFunction, p: ExponentField) -> GridFunction:
-    """Focusing source u |u|^{p(x)-2}."""
-    # a copy: for p = 2 the kernel returns its input
-    return GridFunction(u.grid, np.array(_odd_power(u.values, _exponent(p.values - 1.0))))
+def source_force(u, p: ExponentField):
+    """Focusing source u |u|^{p(x)-2} of grid values u, always a new array."""
+    return u.copy() if p.odd is None else _odd_power(u, p.odd)
 
 
 # A memory field whose z[:, 1:] is at most this many bytes (any 1-D preset:
@@ -498,9 +477,6 @@ class _Plan:
         self.grid = problem.grid
         self.dt = cfg.dt
         self.half_dt = 0.5 * cfg.dt
-        self.mexp = problem.mexp
-        self.mu1 = problem.kernel.mu1
-        self.pexp = problem.pexp
         self.source = not cfg.disable_source
         self.frozen = cfg.freeze_velocity
         self.inflow = z[:, 0]
@@ -520,13 +496,13 @@ class _Plan:
     def shift_lanes(self, lanes, scratch):
         """One pool task: the upwind update of each tau lane k in ``lanes``,
         then its delay terms into column k of ``terms``."""
-        z, terms, mexp = self.z, self.terms, self.mexp
+        z, terms, odd = self.z, self.terms, self.problem.m.odd
         cfl, coeff = self.problem.cfl, self.problem.tail_coeff
         with np.errstate(over="ignore", invalid="ignore"):  # per thread
             for k in lanes:
                 _shift_rows(z[k, 1:], z[k, :-1], cfl[k], scratch)
                 if terms is not None:
-                    _delay_terms(z[k, -1], coeff[k], mexp, terms[..., k])
+                    _delay_terms(z[k, -1], coeff[k], odd, terms[..., k])
 
 
 def _shift_rows(hi, lo, cfl, scratch):
@@ -564,10 +540,10 @@ def _upwind_shift(plan):
 
 def _conservative(u_vals, plan):
     """lap(u) - delay force of plan.terms + source: the damping-free acceleration."""
-    acc = _laplacian_values(u_vals, plan.grid)
+    acc = laplacian(u_vals, plan.grid)
     acc -= _delay(plan.terms)
     if plan.source:
-        acc += _odd_power(u_vals, plan.pexp)
+        acc += source_force(u_vals, plan.problem.p)
     return acc
 
 
@@ -593,16 +569,16 @@ def step(state: SimState, problem: Problem) -> SimState:
     if g0 is None:
         _tail_terms(plan)
         g0 = _conservative(u0, plan)
-    half, mexp, mu1 = plan.half_dt, plan.mexp, plan.mu1
-    v_half = v0 + half * (g0 - _damping(v0, mexp, mu1))
-    v_half = v0 + half * (g0 - _damping(v_half, mexp, mu1))
+    half, m, mu1 = plan.half_dt, problem.m, problem.kernel.mu1
+    v_half = v0 + half * (g0 - damping_force(v0, m, mu1))
+    v_half = v0 + half * (g0 - damping_force(v_half, m, mu1))
 
     u1 = u0 + plan.dt * v_half
 
     _upwind_shift(plan)
 
     g1 = _conservative(u1, plan)
-    v1 = v_half + half * (g1 - _damping(v_half, mexp, mu1))
+    v1 = v_half + half * (g1 - damping_force(v_half, m, mu1))
 
     plan.inflow[...] = v1
     state.u.values = u1

@@ -3,7 +3,8 @@
 The domain is a 1-D interval (0, L) or a 2-D box (0, Lx) x (0, Ly), sampled
 on a uniform node lattice with composite-trapezoid quadrature. An exponent
 field is a node sample of a user-supplied closed form; its essential bounds
-are cached at construction. On top of that sit the modular
+and the resolved exponents of its powers are cached at construction. On top
+of that sit the modular
 
     rho_q(u) = integral |u(x)|^{q(x)} dx,
 
@@ -17,7 +18,7 @@ Laplacian eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -136,15 +137,22 @@ class GridFunction:
 
 @dataclass(eq=False)
 class ExponentField:
-    """Node-sampled exponent q(x) with cached essential bounds.
+    """Node-sampled exponent q(x) with cached essential bounds and powers.
 
     ``low``/``high`` are the node-wise min/max; every value must be >= 1.
+    ``power`` is the exponent q of |w|^q and ``odd`` the exponent q - 1 of
+    the odd power sign(w)|w|^{q-1} = w|w|^{q-2}. Each is None where q = 2
+    everywhere (w*w and the identity), a float where q is constant and
+    otherwise ``values`` or ``values - 1``, so every force and energy
+    modular takes the same path.
     """
 
     grid: Grid
     values: np.ndarray
-    low: float = None
-    high: float = None
+    low: float = field(init=False)
+    high: float = field(init=False)
+    power: object = field(init=False)
+    odd: object = field(init=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -154,6 +162,12 @@ class ExponentField:
             raise ConditionError("exponent field must satisfy q(x) >= 1 everywhere")
         self.low = float(self.values.min())
         self.high = float(self.values.max())
+        if self.low != self.high:
+            self.power, self.odd = self.values, self.values - 1.0
+        elif self.low == 2.0:
+            self.power = self.odd = None
+        else:
+            self.power, self.odd = self.low, self.low - 1.0
 
     @classmethod
     def constant(cls, grid, value):

@@ -119,7 +119,11 @@ def test_cli_non_finite_number_exit_2(tmp_path, capsys, key, value):
     error = json.loads(capsys.readouterr().out)["error"]
     assert code == 2
     assert error["type"] == "config" and error["key"] == key
-    assert error["message"] == f"{key} must be a finite number, got {value}"
+    # the document sets the key, so the error names its line too
+    line = next(i for i, text in enumerate(ZERO_DATA.splitlines(), 1)
+                if text.startswith(f"{key} = "))
+    assert error["line"] == line
+    assert error["message"] == f"{key} must be a finite number, got {value} (line {line})"
 
 
 def test_cli_bad_mu2_table_entry_exit_2(tmp_path, capsys):
@@ -287,6 +291,39 @@ def test_cli_seed_flag_changes_certified_constants(tmp_path, capsys):
     assert s1["energy"] == s2["energy"]
 
 
+
+@pytest.mark.parametrize("route", ["document", "flag", "sweep"])
+def test_negative_seed_is_a_config_error_before_any_step(tmp_path, capsys, monkeypatch,
+                                                          route):
+    # the certification generator rejects a negative seed, so the validator
+    # must, before the simulation runs
+    from delaywave import solver
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+    monkeypatch.setattr(solver, "step", no_step)
+    out = tmp_path / "o"
+    if route == "document":
+        doc = tmp_path / "seed.cfg"
+        doc.write_text(ZERO_DATA + "seed = -1\n")
+        argv = ["--config", str(doc)]
+    else:
+        argv = ["--preset", "conservation"]
+        argv += ["--seed", "-1"] if route == "flag" else ["--sweep", "seed=-1"]
+    code = cli.main(argv + ["--out", str(out)])
+    captured = capsys.readouterr().out
+    if route == "sweep":
+        assert code == 0
+        row = (out / "sweep.csv").read_text().splitlines()[1]
+        assert row.endswith(",failed,,,,,,,ConfigError: seed must be nonnegative, got -1")
+        return
+    error = json.loads(captured)["error"]
+    assert code == 2
+    assert error["type"] == "config" and error["key"] == "seed"
+    assert error["message"].startswith("seed must be nonnegative, got -1")
+    assert error.get("line") == (ZERO_DATA.count("\n") + 1 if route == "document" else None)
+    assert not out.exists()
+
 def test_sweep_single_point_matches_run_scenario(tmp_path):
     cfg = parse_config(load_preset("blowup"))
     solo = run_scenario(cfg)
@@ -336,14 +373,15 @@ def test_sweep_records_failures_and_continues():
     ("t_end", float("inf")),
 ])
 def test_sweep_point_meets_the_document_rules(key, value):
-    # a sweep point fails as a document with the same value fails to parse
+    # a sweep point fails as a document with the same value fails to parse,
+    # with the same message; only the document's error has a line to name
     cfg = parse_config(load_preset("blowup"))
     with pytest.raises(ConfigError) as doc_error:
         parse_config(serialize_config(_apply_axis(cfg, key, value)))
-    assert doc_error.value.key == key
+    assert doc_error.value.key == key and doc_error.value.line is not None
     rows, table = sweep(cfg, key, [value])
     assert rows[0]["summary"] is None
-    assert rows[0]["error"] == f"ConfigError: {doc_error.value}"
+    assert rows[0]["error"] == f"ConfigError: {doc_error.value.message}"
     assert table.splitlines()[1].split(",")[1] == "failed"
 
 

@@ -195,6 +195,43 @@ def test_grid_errors_name_their_key(key, value):
     assert caught.value.key == key
 
 
+
+@pytest.mark.parametrize("key,value,message", [
+    ("t_end", "-1", "t_end must be positive"),
+    ("threshold", "0", "threshold must be positive"),
+    ("mu1", "-0.5", "mu1 must be nonnegative"),
+    ("tau1", "2.0", "need 0 < tau1 < tau2"),
+    ("n_tau", "1", "n_tau must be at least 2"),
+    ("n_rho", "2", "n_rho must be at least 3"),
+    ("log_holder_delta", "1.5", r"log_holder_delta must lie in \(0, 1\)"),
+    ("decay_factor", "0", "decay_factor must be positive"),
+    ("dt", "0.1", "CFL"),
+    ("m", "1.5", r"m\(x\) >= 2"),
+    ("seed", "-1", "seed must be nonnegative"),
+    ("length_y", "0", "domain length must be positive"),
+    ("nodes_x", "2", "need at least 3 nodes per axis"),
+])
+def test_range_error_names_key_and_line(key, value, message):
+    # a rule broken by a key the document sets names that key's line
+    doc = DOC_2D if key in ("length_y", "nodes_x") else MINIMAL
+    lines = serialize_config(parse_config(doc)).splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+    bad = "\n".join(lines[:index] + [f"{key} = {value}"] + lines[index + 1:])
+    with pytest.raises(ConfigError, match=message) as caught:
+        parse_config(bad)
+    assert (caught.value.key, caught.value.line) == (key, index + 1)
+    assert str(caught.value) == f"{caught.value.message} (line {index + 1})"
+
+
+def test_range_error_of_a_default_key_has_no_line():
+    # the default threshold 1e6 is below this u0's sup-norm; the document
+    # does not set threshold, so the error names the key and no line
+    bad = MINIMAL.replace("u0 = 0.1*sin(pi*x)", "u0 = 2e6*sin(pi*x)")
+    with pytest.raises(ConfigError, match="must exceed the initial sup-norm") as caught:
+        parse_config(bad)
+    assert (caught.value.key, caught.value.line) == ("threshold", None)
+
+
 # config_hash of each document as parsed; summary.json carries it, so a
 # change to the canonical form shows here first
 _PINNED_HASHES = {

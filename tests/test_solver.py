@@ -9,6 +9,7 @@ from _history import VelocityHistory, advance
 
 from delaywave import parallel, solver
 from delaywave.delay import build_kernel
+from delaywave.energetics import _abs_power
 from delaywave.errors import ConditionError, ConfigError, NumericalError
 from delaywave.scenario import run_scenario
 from delaywave.solver import (
@@ -120,8 +121,8 @@ def test_history_prefill_matches_per_node_oracle(dimension):
 
 def test_laplacian_zero():
     g = make_grid(1.0, 21)
-    out = laplacian(GridFunction.zeros(g))
-    assert not np.any(out.values)
+    out = laplacian(np.zeros(g.shape), g)
+    assert not np.any(out)
 
 
 def test_laplacian_sine_taylor_bound():
@@ -129,8 +130,7 @@ def test_laplacian_sine_taylor_bound():
         g = make_grid(1.0, n)
         h = g.spacing[0]
         x = g.coords[0]
-        u = GridFunction(g, np.sin(np.pi * x))
-        got = laplacian(u).values
+        got = laplacian(np.sin(np.pi * x), g)
         exact = -np.pi**2 * np.sin(np.pi * x)
         exact[g.boundary] = 0.0
         assert np.max(np.abs(got - exact)) <= (np.pi**4 / 12.0) * h**2 * 1.01
@@ -138,17 +138,16 @@ def test_laplacian_sine_taylor_bound():
 
 def test_laplacian_annihilates_affine_interior():
     g = make_grid(1.0, 21)
-    u = GridFunction(g, 0.25 + 0.5 * g.coords[0])
-    out = laplacian(u).values
+    out = laplacian(0.25 + 0.5 * g.coords[0], g)
     assert np.allclose(out[2:-2], 0.0, atol=1e-10)
 
 
 def test_laplacian_2d_separable():
     g = make_grid((1.0, 1.0), (41, 41))
     xx, yy = g.meshes()
-    u = GridFunction(g, np.sin(np.pi * xx) * np.sin(np.pi * yy))
-    got = laplacian(u).values
-    exact = -2.0 * np.pi**2 * u.values
+    u = np.sin(np.pi * xx) * np.sin(np.pi * yy)
+    got = laplacian(u, g)
+    exact = -2.0 * np.pi**2 * u
     exact[g.boundary] = 0.0
     h = g.spacing[0]
     assert np.max(np.abs(got - exact)) <= 2.0 * (np.pi**4 / 12.0) * h**2 * 1.01
@@ -158,10 +157,10 @@ def test_laplacian_2d_separable():
 
 def test_damping_force_linear_case():
     g = make_grid(1.0, 21)
-    v = GridFunction(g, np.linspace(-1, 1, 21))
+    v = np.linspace(-1, 1, 21)
     m = ExponentField.constant(g, 2.0)
     out = damping_force(v, m, mu1=0.7)
-    assert np.allclose(out.values, 0.7 * v.values)
+    assert np.allclose(out, 0.7 * v)
 
 
 @pytest.mark.parametrize("mu1", [0.7, 1.0])
@@ -170,21 +169,21 @@ def test_forces_with_exponent_one_share_no_memory(mu1):
     g = make_grid(1.0, 21)
     vals = np.linspace(-1, 1, 21)
     two = ExponentField.constant(g, 2.0)
-    damp = damping_force(GridFunction(g, vals), two, mu1=mu1)
-    src = source_force(GridFunction(g, vals), two)
+    damp = damping_force(vals, two, mu1=mu1)
+    src = source_force(vals, two)
     for out in (damp, src):
-        assert not np.shares_memory(out.values, vals)
-    assert np.array_equal(src.values, vals)
-    assert np.array_equal(damp.values, mu1 * vals)
+        assert not np.shares_memory(out, vals)
+    assert np.array_equal(src, vals)
+    assert np.array_equal(damp, mu1 * vals)
 
 
 def test_damping_force_odd_power_node():
     g = make_grid(1.0, 21)
     vals = np.zeros(21)
     vals[10] = -2.0
-    out = damping_force(GridFunction(g, vals), ExponentField.constant(g, 3.0), mu1=1.0)
-    assert out.values[10] == pytest.approx(-4.0)
-    assert out.values[0] == 0.0
+    out = damping_force(vals, ExponentField.constant(g, 3.0), mu1=1.0)
+    assert out[10] == pytest.approx(-4.0)
+    assert out[0] == 0.0
 
 
 def test_damping_force_alternative_form():
@@ -192,9 +191,9 @@ def test_damping_force_alternative_form():
     rng = np.random.default_rng(3)
     v = rng.standard_normal(g.shape)
     m = ExponentField(g, rng.uniform(2.0, 4.0, g.shape))
-    out = damping_force(GridFunction(g, v), m, mu1=1.3)
+    out = damping_force(v, m, mu1=1.3)
     oracle = 1.3 * np.sign(v) * np.abs(v) ** (m.values - 1.0)
-    assert np.allclose(out.values, oracle, rtol=1e-13)
+    assert np.allclose(out, oracle, rtol=1e-13)
 
 
 def test_delay_force_zero_and_mass_factor():
@@ -202,11 +201,11 @@ def test_delay_force_zero_and_mass_factor():
     m = ExponentField.constant(g, 2.0)
     k = build_kernel(lambda t: np.full_like(t, 0.4), 1.0, 2.0, 11, mu1=1.0)
     zero = delay_force(np.zeros(g.shape + (11,)), k, m)
-    assert not np.any(zero.values)
+    assert not np.any(zero)
     # tau-independent tail with m = 2 integrates to mass * z
     z_tail = np.broadcast_to(np.linspace(-1, 1, 21)[:, None], (21, 11)).copy()
     out = delay_force(z_tail, k, m)
-    assert np.allclose(out.values, 0.4 * z_tail[:, 0], atol=1e-14)
+    assert np.allclose(out, 0.4 * z_tail[:, 0], atol=1e-14)
 
 
 def test_delay_force_closed_form():
@@ -216,21 +215,80 @@ def test_delay_force_closed_form():
     k = build_kernel(lambda t: np.exp(-t), 1.0, 2.0, 101, mu1=1.0)
     z_tail = np.broadcast_to(k.nodes, (5, 101)).copy()
     exact = 2.0 * np.exp(-1.0) - 3.0 * np.exp(-2.0)
-    assert np.allclose(delay_force(z_tail, k, m).values, exact, atol=1e-5)
+    assert np.allclose(delay_force(z_tail, k, m), exact, atol=1e-5)
 
 
 def test_source_force_examples():
     g = make_grid(1.0, 21)
     p = ExponentField.constant(g, 4.0)
-    assert not np.any(source_force(GridFunction.zeros(g), p).values)
+    assert not np.any(source_force(np.zeros(g.shape), p))
     vals = np.zeros(21)
     vals[7] = 3.0
-    assert source_force(GridFunction(g, vals), p).values[7] == pytest.approx(27.0)
+    assert source_force(vals, p)[7] == pytest.approx(27.0)
     rng = np.random.default_rng(19)
     u = rng.standard_normal(g.shape)
     pp = ExponentField(g, rng.uniform(2.5, 5.0, g.shape))
     oracle = np.sign(u) * np.abs(u) ** (pp.values - 1.0)
-    assert np.allclose(source_force(GridFunction(g, u), pp).values, oracle, rtol=1e-13)
+    assert np.allclose(source_force(u, pp), oracle, rtol=1e-13)
+
+
+def _old_exponent(values):
+    """The per-call resolution of an odd-power exponent that the force
+    routines used to repeat: None when exactly 1, a float when constant."""
+    if np.ptp(values) != 0.0:
+        return values
+    q = float(values.flat[0])
+    return None if q == 1.0 else q
+
+
+def _old_power_path(values):
+    """The per-sample resolution of a modular's exponent that the energy
+    functionals used to repeat: None when exactly 2, a float when constant."""
+    lo = float(values.min())
+    hi = float(values.max())
+    if lo != hi:
+        return values
+    return None if lo == 2.0 else lo
+
+
+def _old_odd_power(w, exponent):
+    return w if exponent is None else np.sign(w) * np.abs(w) ** exponent
+
+
+def _same_resolution(got, want):
+    if want is None or isinstance(want, float):
+        return type(got) is type(want) and got == want
+    return isinstance(got, np.ndarray) and got.dtype == want.dtype \
+        and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("q", ["two", "one", "constant", "variable"])
+@pytest.mark.parametrize("grid_shape", [(33,), (9, 7)], ids=["1d", "2d"])
+def test_exponent_resolution_matches_the_old_rederivation(grid_shape, q):
+    grid = make_grid((1.0,) * len(grid_shape), grid_shape)
+    values = {"two": np.full(grid_shape, 2.0), "one": np.full(grid_shape, 1.0),
+              "constant": np.full(grid_shape, 2.5),
+              "variable": 2.2 + 0.3 * grid.meshes()[0] ** 2}[q]
+    field = ExponentField(grid, values)
+    odd = _old_exponent(field.values - 1.0)
+    power = _old_power_path(field.values)
+    assert _same_resolution(field.odd, odd)
+    assert _same_resolution(field.power, power)
+
+    rng = np.random.default_rng(29)
+    w = rng.standard_normal(grid_shape) * rng.uniform(0.1, 10.0, grid_shape)
+    w.flat[::5] = 0.0
+    modular = w * w if power is None else np.abs(w) ** power
+    assert np.array_equal(_abs_power(w, field), modular)
+    assert np.array_equal(source_force(w, field), np.array(_old_odd_power(w, odd)))
+    if q == "one":  # only the source exponent p may be 1
+        return
+    assert np.array_equal(damping_force(w, field, 0.7), 0.7 * _old_odd_power(w, odd))
+    kernel = build_kernel(lambda t: 0.5 + 0.2 * t, 1.0, 2.0, 5, mu1=1.0)
+    tail = memory_tail(rng.standard_normal((5, 3) + grid_shape))
+    tail_odd = odd[..., None] if isinstance(odd, np.ndarray) else odd
+    terms = _old_odd_power(tail, tail_odd) * (kernel.weights * kernel.mu2)
+    assert np.array_equal(delay_force(tail, kernel, field), terms.sum(axis=-1))
 
 
 # --- stepping -------------------------------------------------------------------
@@ -295,9 +353,9 @@ def test_step_inflow_consistency_and_boundary():
 
 def _public_accel(state, prob):
     """The conservative acceleration from the public force routines."""
-    return (laplacian(state.u).values
-            - delay_force(memory_tail(state.z), prob.kernel, prob.m).values
-            + source_force(state.u, prob.p).values)
+    return (laplacian(state.u.values, prob.grid)
+            - delay_force(memory_tail(state.z), prob.kernel, prob.m)
+            + source_force(state.u.values, prob.p))
 
 
 @pytest.mark.parametrize("dimension,m,p", [
@@ -321,7 +379,7 @@ def test_step_runs_the_public_forces(dimension, m, p):
     dt = prob.config.dt
 
     def damping(vals):
-        return damping_force(GridFunction(prob.grid, vals), prob.m, prob.kernel.mu1).values
+        return damping_force(vals, prob.m, prob.kernel.mu1)
 
     for _ in range(3):
         u0 = state.u.values.copy()
@@ -336,6 +394,30 @@ def test_step_runs_the_public_forces(dimension, m, p):
         assert np.array_equal(state.v.values, v_half + 0.5 * dt * (g1 - damping(v_half)))
     assert np.any(state.z[:, -1])  # the delay force was exercised
 
+
+
+def test_step_calls_the_public_force_routines(monkeypatch):
+    calls = {"damping_force": 0, "laplacian": 0, "source_force": 0}
+
+    def counting(name):
+        real = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name))
+    prob = build_problem(_config(m="2.5", u0="0.3*sin(pi*x)", u1="0.2*sin(2*pi*x)",
+                                 f0="0.2*sin(2*pi*x)*cos(s)", n_rho=9, n_tau=5))
+    state = init_state(prob)
+    n = 4
+    for _ in range(n):
+        step(state, prob)
+    # two half-step damping passes and the final kick's; one conservative
+    # acceleration per step, plus the first step's, which has none cached
+    assert calls == {"damping_force": 3 * n, "laplacian": n + 1, "source_force": n + 1}
 
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_memory_field_is_tau_major_and_contiguous(dimension):
@@ -410,7 +492,7 @@ def test_pool_lanes_form_the_whole_tail_delay_terms(monkeypatch, grid_shape, m):
     assert len(plan.lanes) == 2 and plan.terms.flags.c_contiguous
     for _ in range(2):
         solver._upwind_shift(plan)
-        expected = delay_force(memory_tail(z), prob.kernel, prob.m).values
+        expected = delay_force(memory_tail(z), prob.kernel, prob.m)
         assert np.array_equal(solver._delay(plan.terms), expected)
         whole = np.empty_like(plan.terms)
         solver._delay_terms(memory_tail(z), prob.tail_coeff, prob.tail_exp, whole)

@@ -22,7 +22,8 @@ import numpy as np
 from . import parallel
 from .delay import DelayKernel, WeightField
 from .errors import ConditionError
-from .spaces import ExponentField, gradient_energy, trapezoid_weights
+from .spaces import ExponentField, _abs_power, _power_into, gradient_energy, \
+    trapezoid_weights
 
 TOL_RATE_STEPS = 50.0  # default dissipation slack is this many dt
 # Values per point chunk of _delay_integrals: 1 MiB of float64, so a chunk of
@@ -51,21 +52,6 @@ class EnergyReport:
     damping_modular: float
     delay_modular: float
     delay_bulk_modular: float
-
-
-def _power_into(out, w, exponent):
-    """out = |w|**exponent for an ``ExponentField.power`` (or a slice of it)."""
-    with np.errstate(over="ignore"):
-        if exponent is None:
-            return np.multiply(w, w, out=out)
-        np.abs(w, out=out)
-        out **= exponent
-        return out
-
-
-def _abs_power(w, q: ExponentField):
-    """|w|**q on grid values w, as a new C-ordered array."""
-    return _power_into(np.empty(w.shape), w, q.power)
 
 
 def _delay_integrals(z, kernel, xi, m, grid_weights):

@@ -2,21 +2,23 @@
 
 numpy releases the GIL inside ufuncs and reductions on large arrays, so
 threads overlap that work. The pool has one worker per CPU this process may
-run on and is created on first use; importing this module starts no thread.
-A call made from inside a pool task runs inline, so a task never waits on
-the pool it occupies.
+use (``workers``) and is created on first use; importing this module starts
+no thread. A call made from inside a pool task runs inline, so a task never
+waits on the pool it occupies.
 
-Callers cut their work with ``chunks``, each at its own size:
+The pool runs the energy chunks and certification. Callers cut their work
+with ``chunks``, each at its own size:
 - ``analysis._CHUNK_VALUES`` (2**17 values): the certification kernel holds
   several float64 temporaries per chunk, so the size bounds peak memory;
 - ``energetics._CHUNK_VALUES`` (2**17 values, 1 MiB): a chunk of grid points
   stays in one core's 2 MiB L2 through its power, division and seven
   reductions. Chunks are aligned to 4 points, the row group of OpenBLAS's
-  gemv, so each chunk's products are bitwise those of the whole product;
-- ``solver._INLINE_BYTES`` (1 MiB) only decides whether the upwind shift
-  uses the pool; its pieces are whole tau lanes, one group per worker, and
-  each task also forms the delay terms z|z|^{m-2} of its lanes' tails.
+  gemv, so each chunk's products are bitwise those of the whole product.
 Each size is such that every 1-D preset is one piece and runs inline.
+
+The upwind shift of the memory field does not use the pool: the GIL keeps
+threads from splitting it, so ``solver.run`` forks one helper process for
+half its lanes where ``spare_cpu`` allows.
 """
 
 from __future__ import annotations
@@ -28,14 +30,36 @@ from concurrent.futures import ThreadPoolExecutor
 _lock = threading.Lock()
 _pool = None
 _local = threading.local()
+_one_cpu = False  # set by use_one_cpu
 
 
 def workers() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may use: those it may run on, or one after
+    use_one_cpu."""
+    if _one_cpu:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         return os.cpu_count() or 1
+
+
+def use_one_cpu():
+    """Use one CPU in this process from now on: a sweep worker's
+    initializer, as its siblings use the other CPUs."""
+    global _one_cpu
+    _one_cpu = True
+
+
+def _inline() -> bool:
+    """Whether work stays in the calling thread: one CPU, or a pool task."""
+    return workers() < 2 or getattr(_local, "in_pool", False)
+
+
+def spare_cpu() -> bool:
+    """Whether the caller may fork a helper process to use a second CPU:
+    fork exists, and the caller is neither on one CPU nor a pool task."""
+    return hasattr(os, "fork") and not _inline()
 
 
 def _mark_worker():
@@ -68,7 +92,7 @@ def map(fn, *iterables) -> list:
     several calls and several workers; inline otherwise, and inside a pool
     task. Results keep the order of the calls."""
     calls = list(zip(*iterables))
-    if len(calls) < 2 or workers() < 2 or getattr(_local, "in_pool", False):
+    if len(calls) < 2 or _inline():
         return [fn(*args) for args in calls]
     return list(_executor().map(fn, *zip(*calls)))
 

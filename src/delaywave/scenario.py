@@ -303,12 +303,15 @@ def _fork_pool(processes):
     delaywave already imported. It relies on no other inherited state:
     the shared thread pool is dropped in the child (parallel._forget_pool)
     and a worker only simulates, so it never reads the certification memo.
+    Each worker is capped at one CPU, its share, so it starts no thread
+    pool and forks no shift helper.
     """
-    import multiprocessing  # here: a single run never forks, nor pays its import
+    import multiprocessing  # here: a single run never imports it
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
-    return multiprocessing.get_context("fork").Pool(processes)
+    return multiprocessing.get_context("fork").Pool(processes,
+                                                    initializer=parallel.use_one_cpu)
 
 
 def _simulations(configs):

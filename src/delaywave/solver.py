@@ -21,27 +21,36 @@ The acceleration is
 
 with homogeneous Dirichlet walls; boundary nodes never move. ``step`` calls
 the public force routines ``laplacian``, ``damping_force`` and
-``source_force`` on grid arrays; ``delay_force`` is the two halves that step
-and the pool lane tasks run apart, ``_delay_terms`` and ``_delay``. Every
-per-step choice is resolved once, so a step runs only the ufunc calls that
-do arithmetic:
+``source_force`` on grid arrays; ``delay_force`` is the two halves that the
+shift and step run apart, ``_delay_terms`` and ``_delay``. Every per-step
+choice is resolved once, so a step runs only the ufunc calls that do
+arithmetic:
 - each ``ExponentField`` resolves its odd power once (m = 2 is the identity
   and copies nothing); ``build_problem`` resolves the tail exponent, the CFL
   numbers and the tail coefficients;
-- the state's ``_Plan``, built on the first step, holds dt/2, the source
-  switch, the upwind shift's views of z and its scratch, and one reused
-  C-ordered (*grid, n_tau) buffer of delay terms. The terms are formed from
-  the strided tail ``z[:, -1]`` straight into it, by the shift itself: in one
-  whole-tail pass inline, or lane by lane in the pool tasks that shift the
-  lanes, so the calling thread only sums them.
-``run`` silences floating-point overflow once around its loop and checks
-each step's state for finiteness.
+- the state's ``_Plan``, built by ``run`` or on the first step, holds dt/2,
+  the source switch, the upwind shift's lane blocks of z with their
+  scratch, and one reused C-ordered (*grid, n_tau) buffer of delay terms.
+  The shift forms each block's terms from the strided tail ``z[:, -1]``
+  straight into it, so step only sums them.
+``run`` forks a ``_Helper`` process, where a second CPU is free, that
+shifts lanes [0, n_tau // 2) in shared memory while the calling process
+kicks, drifts and shifts the other lanes, in the stretches of steps where that
+measures faster (the thread pool cannot split the shift: it holds the GIL
+between its many small ufunc calls). ``step`` outside ``run`` shifts every
+lane itself, through the same lane blocks. ``run`` silences floating-point overflow once around its loop
+and checks each step's state for finiteness.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import mmap
+import os
+import select
+import signal
+import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -355,8 +364,14 @@ class SimState:
     plan: object = None  # step's _Plan for this state's z
 
 
-def init_state(problem: Problem) -> SimState:
-    """Sample initial data and pre-fill the memory field from the history f0."""
+def init_state(problem: Problem, shared: bool = False) -> SimState:
+    """Sample initial data and pre-fill the memory field from the history f0.
+
+    ``shared`` puts z in anonymous shared memory, where a shift helper
+    forked later writes its lanes (``run``). Otherwise z is private memory,
+    which numpy backs with huge pages when it is large, so it costs less to
+    fill.
+    """
     cfg = problem.config
     grid = problem.grid
     scale = cfg.scale
@@ -370,7 +385,8 @@ def init_state(problem: Problem) -> SimState:
     # scalar per node: the array power differs from the scalar one in the
     # last bit, so evaluating f0 over a stacked s would change bytes.
     env = dict(zip(_spatial_vars(grid.dimension), grid.meshes()))
-    z = np.empty((problem.kernel.nodes.size, problem.rho_nodes.size) + grid.shape)
+    shape = (problem.kernel.nodes.size, problem.rho_nodes.size) + grid.shape
+    z = _shared_empty(shape) if shared else np.empty(shape)
     z[:, 0] = v_vals  # rho = 0
     for j, rho in enumerate(problem.rho_nodes[1:], start=1):
         for k, tau in enumerate(problem.kernel.nodes):
@@ -459,16 +475,29 @@ def source_force(u, p: ExponentField):
     return u.copy() if p.odd is None else _odd_power(u, p.odd)
 
 
-# A memory field whose z[:, 1:] is at most this many bytes (any 1-D preset:
-# 0.8 MB) is shifted inline: the pool's hand-off would cost more than it saves.
-_INLINE_BYTES = 1 << 20
+# Each side of the shift walks its tau lanes in blocks of at most this many
+# bytes of z[:, 1:], and never less than one lane: a 1-D preset's lanes are
+# one block per side, a 65 x 65 lane one block on its own, so a block's three
+# passes stay in one core's 2 MiB L2.
+_BLOCK_BYTES = 1 << 20
+
+
+def _shared_empty(shape):
+    """An uninitialised float64 array in anonymous MAP_SHARED memory: a process
+    forked after it is made reads and writes the same pages as its maker."""
+    count = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * count), count=count).reshape(shape)
 
 
 class _Plan:
     """What ``step`` resolves once per problem and memory field z (see the
-    module docstring). The shift's scratch is one whole-field buffer inline,
-    else one lane-sized buffer per pool worker. A frozen-velocity run uses no
-    tail, so its plan allocates no ``terms``."""
+    module docstring). ``terms`` lives in shared memory, as a run's z does
+    when it has a helper, so a shift helper forked after the plan writes its
+    lanes' terms where this process sums them. ``scratch`` is private, so a
+    helper forked after the plan shifts through its own copy. ``own`` holds
+    the operands of the lanes this process shifts: every lane unless a
+    ``_Helper`` took some. A frozen-velocity run uses no tail, so its plan
+    allocates no ``terms``."""
 
     def __init__(self, problem, z):
         cfg = problem.config
@@ -481,28 +510,38 @@ class _Plan:
         self.frozen = cfg.freeze_velocity
         self.inflow = z[:, 0]
         self.tail = np.moveaxis(z[:, -1], 0, -1)  # (*grid, n_tau), strided
-        self.terms = None if self.frozen else np.empty(self.tail.shape)
-        if z[:, 1:].nbytes <= _INLINE_BYTES:
-            self.lanes = None
-            self.scratch = [np.empty_like(z[:, 1:])]
-            self.rows = (z[:, 1:], z[:, :-1], problem.cfl, self.scratch[0])
-        else:
-            n_tau = z.shape[0]
-            n_groups = min(parallel.workers(), n_tau)
-            self.lanes = [range(i * n_tau // n_groups, (i + 1) * n_tau // n_groups)
-                          for i in range(n_groups)]
-            self.scratch = [np.empty_like(z[0, 1:]) for _ in self.lanes]
+        self.terms = None if self.frozen else _shared_empty(self.tail.shape)
+        self.block = max(1, min(z.shape[0], _BLOCK_BYTES // z[0, 1:].nbytes))
+        self.scratch = np.empty((self.block,) + z[0, 1:].shape)
+        self.helper = None
+        self.own = _lane_blocks(self, range(z.shape[0]))
 
-    def shift_lanes(self, lanes, scratch):
-        """One pool task: the upwind update of each tau lane k in ``lanes``,
-        then its delay terms into column k of ``terms``."""
-        z, terms, odd = self.z, self.terms, self.problem.m.odd
-        cfl, coeff = self.problem.cfl, self.problem.tail_coeff
-        with np.errstate(over="ignore", invalid="ignore"):  # per thread
-            for k in lanes:
-                _shift_rows(z[k, 1:], z[k, :-1], cfl[k], scratch)
-                if terms is not None:
-                    _delay_terms(z[k, -1], coeff[k], odd, terms[..., k])
+
+def _lane_blocks(plan, lanes):
+    """The operands of ``_shift_blocks`` for the tau lanes in ``lanes`` (a
+    range), cut into blocks of plan.block lanes: the rows and scratch of
+    each block's upwind update, then those of its delay terms (None in a
+    frozen-velocity run)."""
+    z, problem = plan.z, plan.problem
+    blocks = []
+    for lo in range(lanes.start, lanes.stop, plan.block):
+        k = slice(lo, min(lo + plan.block, lanes.stop))
+        rows = (z[k, 1:], z[k, :-1], problem.cfl[k], plan.scratch[:k.stop - lo])
+        terms = None
+        if plan.terms is not None:
+            terms = (plan.tail[..., k], problem.tail_coeff[k], problem.tail_exp,
+                     plan.terms[..., k])
+        blocks.append((rows, terms))
+    return blocks
+
+
+def _shift_blocks(blocks):
+    """The upwind update of each block of ``_lane_blocks``, then its delay
+    terms, while the block is in cache."""
+    for rows, terms in blocks:
+        _shift_rows(*rows)
+        if terms is not None:
+            _delay_terms(*terms)
 
 
 def _shift_rows(hi, lo, cfl, scratch):
@@ -511,6 +550,168 @@ def _shift_rows(hi, lo, cfl, scratch):
     np.subtract(hi, lo, out=scratch)
     np.multiply(scratch, cfl, out=scratch)
     np.subtract(hi, scratch, out=hi)
+
+
+# The helper's use is decided per stretch of this many steps, by the wall
+# time from each step's start to the next's, which any cost of the helper
+# shows in: on a loaded host a step that waits for a second CPU can take
+# several times as long as one that does not. A stretch runs the preferred
+# way, and the other way is tried after 1, 2, 4, ... stretches, at most
+# _MAX_PROBE_GAP; it is taken when its time per step is below _SWITCH_SHARE
+# of the preferred way's. A stretch of either way ends early once it has
+# taken as long as a whole stretch of the other way would at its last time
+# per step; a preferred stretch cut short is followed by a try of the other
+# way.
+_STRETCH_STEPS = 64
+_MAX_PROBE_GAP = 64
+_SWITCH_SHARE = 0.9
+# A process waiting for its partner's byte polls the pipe this long, yielding
+# its CPU between polls, before it blocks: a CPU left idle between two steps
+# can take a loaded host longer to wake than a step lasts.
+_SPIN_S = 1e-3
+
+
+class _Helper:
+    """A forked process that shifts tau lanes [0, n_tau // 2) of a plan's
+    memory field, while the calling process shifts the rest.
+
+    z and the plan's terms are shared memory, so the helper writes its lanes
+    in place. One byte on a pipe starts the helper's lanes of a step
+    (``go``), one byte on another says they are done (``wait``). The helper
+    ignores SIGINT and exits when its pipe reaches EOF, that is, when
+    ``close`` closes it, or when this process ends. If the helper dies,
+    ``go`` or ``wait`` raises ChildProcessError instead of waiting.
+
+    ``split`` says whether the current stretch of steps uses the helper or
+    shifts every lane in this process (see _STRETCH_STEPS); either way gives
+    the same bits. ``clock`` times the stretches.
+    """
+
+    def __init__(self, plan):
+        n_tau = plan.z.shape[0]
+        split = n_tau // 2
+        go_r, self._go = os.pipe()
+        self._done, done_w = os.pipe()
+        os.set_blocking(go_r, False)
+        os.set_blocking(self._done, False)
+        # SIGINT stays blocked across the fork, so it cannot interrupt the
+        # child before the child ignores it
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            self.pid = os.fork()
+        except OSError:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for fd in (go_r, self._go, self._done, done_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            _serve(plan, range(split), go_r, done_w, mask)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(go_r)
+        os.close(done_w)
+        self.plan = plan
+        self.clock = time.perf_counter
+        self._lanes = {True: _lane_blocks(plan, range(split, n_tau)), False: plan.own}
+        self.split = self._prefer = True
+        self._cost = {True: math.inf, False: math.inf}  # last time per step of each way
+        self._gap = 1  # stretches of the preferred way before the other is tried
+        self._since = 0
+        self._steps = 0
+        self._spent = 0.0
+        self._started = None  # when the step before started
+        plan.own = self._lanes[True]
+        plan.helper = self
+
+    def go(self):
+        """Start a step, once its inflow row is written: time the step
+        before it, then start the helper's lanes if this stretch is split."""
+        now = self.clock()
+        if self._started is not None:
+            self._spent += now - self._started
+            self._steps += 1
+            if (self._steps == _STRETCH_STEPS
+                    or self._spent > _STRETCH_STEPS * self._cost[not self.split]):
+                self._next_stretch()
+        self._started = now
+        if self.split:
+            try:
+                os.write(self._go, b"g")
+            except BrokenPipeError:
+                self._lost()
+
+    def wait(self):
+        """Return once the helper's lanes of this step are shifted."""
+        if self.split and not _receive(self._done):
+            self._lost()
+
+    def _next_stretch(self):
+        """Score the stretch just run and choose the way of the next one."""
+        way, cut = self.split, self._steps < _STRETCH_STEPS
+        self._cost[way] = self._spent / self._steps
+        self._steps, self._spent = 0, 0.0
+        if way != self._prefer:
+            if self._cost[way] < _SWITCH_SHARE * self._cost[self._prefer]:
+                self._prefer, self._gap = way, 1
+            else:
+                self._gap = min(2 * self._gap, _MAX_PROBE_GAP)
+            self._since = 0
+        else:
+            self._since = self._gap if cut else self._since + 1
+        self.split = self._prefer if self._since < self._gap else not self._prefer
+        self.plan.own = self._lanes[self.split]
+
+    def _lost(self):
+        raise ChildProcessError(f"the memory-field shift helper (pid {self.pid}) died")
+
+    def close(self) -> bool:
+        """Hand every lane back to the plan, end the helper and reap it;
+        whether it exited cleanly, not by a signal or an error."""
+        plan = self.plan
+        plan.helper = None
+        plan.own = self._lanes[False]
+        os.close(self._go)
+        os.close(self._done)
+        return os.waitpid(self.pid, 0)[1] == 0
+
+
+def _receive(fd):
+    """One byte from the non-blocking pipe ``fd``, b"" at EOF: polled for up
+    to _SPIN_S, then waited for."""
+    deadline = time.perf_counter() + _SPIN_S
+    while True:
+        try:
+            return os.read(fd, 1)
+        except BlockingIOError:
+            if time.perf_counter() < deadline:
+                os.sched_yield()
+                continue
+            poller = select.poll()
+            poller.register(fd, select.POLLIN)
+            poller.poll()
+
+
+def _serve(plan, lanes, go, done, mask):
+    """The helper process: shift ``lanes`` of plan once per byte read from
+    ``go`` and answer each with a byte on ``done``, until EOF; ``mask`` is
+    the signal mask to restore once SIGINT is ignored. Never returns."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        # hold no other process's pipe ends, so each of them sees EOF when
+        # its owner closes it
+        first, second = sorted((go, done))
+        os.closerange(3, first)
+        os.closerange(first + 1, second)
+        os.closerange(second + 1, os.sysconf("SC_OPEN_MAX"))
+        blocks = _lane_blocks(plan, lanes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while _receive(go):
+                _shift_blocks(blocks)
+                os.write(done, b"d")
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _tail_terms(plan):
@@ -523,43 +724,52 @@ def _upwind_shift(plan):
     """In-place first-order upwind update of the memory field along rho,
     leaving the delay terms of the shifted tail in plan.terms.
 
-    A field of at most _INLINE_BYTES is one whole-field pass, then one
-    whole-tail pass of the terms. A larger field splits its tau lanes into
-    one group per worker of the shared pool; each worker updates its lanes
-    one at a time through its own lane-sized scratch and forms each lane's
-    terms right after it. Each node gets the same operations either way, so
-    the result is bitwise that of the whole-field passes.
+    This process shifts the lanes of plan.own, then waits for the helper,
+    if there is one, which ``step`` started on the other lanes. Every node
+    gets the same three ufunc passes and every term the same operations in
+    any block and in either process, so the result is bitwise that of one
+    whole-field pass and one whole-tail pass.
     """
-    if plan.lanes is None:
-        _shift_rows(*plan.rows)
-        if plan.terms is not None:
-            _tail_terms(plan)
-        return
-    parallel.map(plan.shift_lanes, plan.lanes, plan.scratch)
+    _shift_blocks(plan.own)
+    if plan.helper is not None:
+        plan.helper.wait()
 
 
-def _conservative(u_vals, plan):
-    """lap(u) - delay force of plan.terms + source: the damping-free acceleration."""
-    acc = laplacian(u_vals, plan.grid)
-    acc -= _delay(plan.terms)
-    if plan.source:
-        acc += source_force(u_vals, plan.problem.p)
-    return acc
+def _local_forces(u_vals, plan):
+    """lap(u) and the source (None when switched off): the part of the
+    damping-free acceleration that does not read z."""
+    return (laplacian(u_vals, plan.grid),
+            source_force(u_vals, plan.problem.p) if plan.source else None)
+
+
+def _conservative(lap, source, plan):
+    """lap(u) - delay force of plan.terms + source: the damping-free
+    acceleration, in place in ``lap``."""
+    lap -= _delay(plan.terms)
+    if source is not None:
+        lap += source
+    return lap
 
 
 def step(state: SimState, problem: Problem) -> SimState:
     """Advance one dt: kick-drift-kick plus the upwind shift of the memory field.
 
-    The state's ``_Plan`` is rebuilt when the problem or z is replaced.
+    The state's ``_Plan`` is rebuilt when the problem or z is replaced. A
+    plan's helper, in a split stretch, starts on its lanes first; the kicks,
+    the drift and the forces of the new u that do not read z run while it
+    shifts them.
     Overflow is left to the caller's np.errstate, as ``run`` sets it.
     """
     plan = state.plan
     if plan is None or plan.problem is not problem or plan.z is not state.z:
         plan = state.plan = _Plan(problem, state.z)
+    helper = plan.helper
     u0 = state.u.values
     v0 = state.v.values
 
     if plan.frozen:
+        if helper is not None:
+            helper.go()
         _upwind_shift(plan)
         plan.inflow[...] = v0
         state.t += plan.dt
@@ -568,16 +778,19 @@ def step(state: SimState, problem: Problem) -> SimState:
     g0 = state.accel
     if g0 is None:
         _tail_terms(plan)
-        g0 = _conservative(u0, plan)
+        g0 = _conservative(*_local_forces(u0, plan), plan)
+    if helper is not None:
+        helper.go()
     half, m, mu1 = plan.half_dt, problem.m, problem.kernel.mu1
     v_half = v0 + half * (g0 - damping_force(v0, m, mu1))
     v_half = v0 + half * (g0 - damping_force(v_half, m, mu1))
 
     u1 = u0 + plan.dt * v_half
+    forces = _local_forces(u1, plan)
 
     _upwind_shift(plan)
 
-    g1 = _conservative(u1, plan)
+    g1 = _conservative(*forces, plan)
     v1 = v_half + half * (g1 - damping_force(v_half, m, mu1))
 
     plan.inflow[...] = v1
@@ -617,10 +830,36 @@ def _auto_eps(report0, state0, problem):
 def run(problem: Problem) -> Trajectory:
     """Integrate to t_end or a threshold crossing.
 
-    Raises NumericalError when u or v stops being finite.
+    Where a second CPU is free (``parallel.spare_cpu``), a ``_Helper``
+    process shifts half the memory field's lanes while that is faster. It is
+    forked before the t = 0 energy sample, so that a fresh process has no
+    pool threads yet, and reaped on the way out, however the run ends.
+
+    Raises NumericalError when u or v stops being finite, and
+    ChildProcessError when the helper dies.
     """
+    spare = parallel.spare_cpu()
+    state = init_state(problem, shared=spare)
+    state.plan = _Plan(problem, state.z)
+    helper = None
+    if spare:
+        try:
+            helper = _Helper(state.plan)
+        except OSError as exc:  # no process or pipe to spare
+            log.warning("cannot start the shift helper (%s); shifting every lane here", exc)
+    try:
+        trajectory = _integrate(state, problem)
+    finally:
+        clean = helper is None or helper.close()
+    if not clean:  # it died in a stretch that ran without it
+        helper._lost()
+    return trajectory
+
+
+def _integrate(state, problem):
+    """run's loop from the t = 0 sample on, calling the module globals
+    ``step`` and ``energy_report``."""
     cfg = problem.config
-    state = init_state(problem)
 
     def report_at(st, eps):
         return energy_report(

@@ -179,6 +179,21 @@ class ExponentField:
         return cls(grid, np.broadcast_to(vals, grid.shape).copy())
 
 
+def _power_into(out, w, exponent):
+    """out = |w|**exponent for an ``ExponentField.power`` (or a slice of it)."""
+    with np.errstate(over="ignore"):
+        if exponent is None:
+            return np.multiply(w, w, out=out)
+        np.abs(w, out=out)
+        out **= exponent
+        return out
+
+
+def _abs_power(w, q: ExponentField):
+    """|w|**q on grid values w, as a new C-ordered array."""
+    return _power_into(np.empty(w.shape), w, q.power)
+
+
 def _require_same_grid(*objs):
     grid = objs[0].grid
     for other in objs[1:]:
@@ -224,8 +239,7 @@ def gradient_energy(u: GridFunction) -> float:
 def modular(u: GridFunction, p: ExponentField) -> float:
     """Quadrature value of integral |u|^{p(x)} dx."""
     _require_same_grid(u, p)
-    with np.errstate(over="ignore"):
-        return float(np.sum(u.grid.weights * np.abs(u.values) ** p.values))
+    return float(np.sum(u.grid.weights * _abs_power(u.values, p)))
 
 
 def luxemburg_norm(u: GridFunction, p: ExponentField, tol=1e-12, max_iter=200) -> float:
@@ -248,7 +262,8 @@ def luxemburg_norm(u: GridFunction, p: ExponentField, tol=1e-12, max_iter=200) -
 
     def modular_scaled(lam):
         with np.errstate(over="ignore"):
-            return float(np.sum(u.grid.weights * (np.abs(u.values) / lam) ** p.values))
+            scaled = u.values / lam
+        return float(np.sum(u.grid.weights * _abs_power(scaled, p)))
 
     if rho >= 1.0:
         lo, hi = rho ** (1.0 / p.high), rho ** (1.0 / p.low)

@@ -4,11 +4,11 @@ import threading
 import time
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from delaywave import parallel, solver
 from delaywave.config import load_preset, parse_config
+from delaywave.energetics import energy_report
 from delaywave.scenario import run_scenario
 
 
@@ -106,8 +106,10 @@ def test_one_dimensional_run_starts_no_pool(no_pool):
     cfg = parse_config(load_preset("decay_exponential"))
     result = run_scenario(replace(cfg, t_end=2.0))
     assert result.summary["termination"] == "reached-t-end"
-    # the patch is the pool's only door: a field beyond _INLINE_BYTES goes through it
+    # the patch is the pool's only door: a 2-D energy sample of several
+    # chunks goes through it
     prob = solver.build_problem(solver.RunConfig(dimension=2, lengths=(1.0, 1.0),
                                                  nodes=(65, 65), n_tau=8, n_rho=9))
+    state = solver.init_state(prob)
     with pytest.raises(AssertionError, match="shared pool"):
-        solver._upwind_shift(solver._Plan(prob, np.zeros((8, 9, 65, 65))))
+        energy_report(state, prob.m, prob.p, prob.kernel, prob.xi)

@@ -1,4 +1,6 @@
+import contextlib
 import logging
+import os
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -7,9 +9,8 @@ import pytest
 
 from _history import VelocityHistory, advance
 
-from delaywave import parallel, solver
+from delaywave import solver
 from delaywave.delay import build_kernel
-from delaywave.energetics import _abs_power
 from delaywave.errors import ConditionError, ConfigError, NumericalError
 from delaywave.scenario import run_scenario
 from delaywave.solver import (
@@ -27,7 +28,7 @@ from delaywave.solver import (
     source_force,
     step,
 )
-from delaywave.spaces import ExponentField, GridFunction, l2_norm, make_grid
+from delaywave.spaces import ExponentField, GridFunction, _abs_power, l2_norm, make_grid
 
 # memory_tail's transpose of z[:, -1], keyed by z.ndim (1-D and 2-D grids)
 _TAIL_AXES = {3: (1, 0), 4: (1, 2, 0)}
@@ -454,122 +455,162 @@ def _shift_problem(grid_shape, m="2", **over):
     return build_problem(cfg)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("inline", [True, False], ids=["inline", "pool"])
+def _cuts(n, parts):
+    """Every way to cut range(n) into ``parts`` consecutive ranges, empty ones
+    included."""
+    if parts == 1:
+        return [[range(n)]]
+    return [[range(s)] + [range(s + r.start, s + r.stop) for r in rest]
+            for s in range(n + 1) for rest in _cuts(n - s, parts - 1)]
+
+
+@contextlib.contextmanager
+def _helper(state, prob):
+    """A forked shift helper on half the lanes of state, as run sets it up;
+    state.z must be shared memory (init_state's ``shared``)."""
+    state.plan = solver._Plan(prob, state.z)
+    helper = solver._Helper(state.plan)
+    try:
+        yield helper
+    finally:
+        helper.close()
+
+
+fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+# "inline": the lanes of each range in blocks of at most _BLOCK_BYTES, one
+# block for these fields; "pool": one lane per block, as 2-D lanes are cut
+@pytest.mark.parametrize("one_lane", [False, True], ids=["inline", "pool"])
 @pytest.mark.parametrize("grid_shape", [(41,), (9, 7)], ids=["1d", "2d"])
-def test_upwind_shift_equals_one_pass(monkeypatch, grid_shape, inline, workers):
-    # 5 lanes split unevenly among 2 or 3 workers
+def test_upwind_shift_equals_one_pass(monkeypatch, grid_shape, one_lane, parts):
+    # the 5 lanes cut at every split point into 1, 2 or 3 ranges, each
+    # shifted apart as the helper and the caller do
     rng = np.random.default_rng(7)
-    z = rng.standard_normal((5, 17) + grid_shape)
+    z0 = rng.standard_normal((5, 17) + grid_shape)
     cfl = rng.uniform(0.05, 1.0, 5).reshape((-1, 1) + (1,) * len(grid_shape))
-    if not inline:
-        monkeypatch.setattr(solver, "_INLINE_BYTES", 0)
-    monkeypatch.setattr(parallel, "workers", lambda: workers)
-    monkeypatch.setattr(parallel, "_pool", None)  # this test's pool is its own
-    plan = solver._Plan(replace(_shift_problem(grid_shape), cfl=cfl), z.copy())
-    for _ in range(3):
-        solver._upwind_shift(plan)
-        _upwind_oracle(z, cfl)
-    assert np.array_equal(plan.z, z)
-    if inline:
-        assert [s.shape for s in plan.scratch] == [z[:, 1:].shape]
-    else:
-        assert [s.shape for s in plan.scratch] == [z[0, 1:].shape] * min(workers, 5)
+    if one_lane:
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 0)
+    prob = replace(_shift_problem(grid_shape), cfl=cfl)
+    for cut in _cuts(5, parts):
+        z = z0.copy()
+        plan = solver._Plan(prob, z0.copy())
+        assert plan.scratch.shape == ((1 if one_lane else 5),) + z[0, 1:].shape
+        for _ in range(3):
+            for lanes in cut:
+                solver._shift_blocks(solver._lane_blocks(plan, lanes))
+            _upwind_oracle(z, cfl)
+        assert np.array_equal(plan.z, z), cut
 
 
+@fork_only
 @pytest.mark.parametrize("m", ["2", "2.5", "2.2 + 0.3*x*x"], ids=["m2", "const", "var"])
 @pytest.mark.parametrize("grid_shape", [(41,), (9, 7)], ids=["1d", "2d"])
-def test_pool_lanes_form_the_whole_tail_delay_terms(monkeypatch, grid_shape, m):
-    # each pool task powers its own lanes' tail into columns of plan.terms;
-    # their sum must be bitwise the public delay force of the whole tail
-    monkeypatch.setattr(solver, "_INLINE_BYTES", 0)
-    monkeypatch.setattr(parallel, "workers", lambda: 2)
-    monkeypatch.setattr(parallel, "_pool", None)
+def test_pool_lanes_form_the_whole_tail_delay_terms(grid_shape, m):
+    # the helper process powers its lanes' tail into columns of plan.terms,
+    # this process the rest; their sum must be bitwise the public delay
+    # force of the whole tail
     prob = _shift_problem(grid_shape, m)
+    state = init_state(prob, shared=True)
     rng = np.random.default_rng(11)
-    z = rng.standard_normal((5, 17) + grid_shape) * rng.uniform(0.1, 10.0, grid_shape)
-    plan = solver._Plan(prob, z)
-    assert len(plan.lanes) == 2 and plan.terms.flags.c_contiguous
-    for _ in range(2):
-        solver._upwind_shift(plan)
-        expected = delay_force(memory_tail(z), prob.kernel, prob.m)
-        assert np.array_equal(solver._delay(plan.terms), expected)
-        whole = np.empty_like(plan.terms)
-        solver._delay_terms(memory_tail(z), prob.tail_coeff, prob.tail_exp, whole)
-        assert np.array_equal(plan.terms, whole)
+    state.z[...] = rng.standard_normal(state.z.shape) * rng.uniform(0.1, 10.0, grid_shape)
+    z = state.z.copy()
+    with _helper(state, prob) as helper:
+        plan = state.plan
+        assert plan.terms.flags.c_contiguous
+        assert [rows[0].shape[0] for rows, _ in plan.own] == [3]  # lanes 2..4
+        for _ in range(2):
+            helper.go()
+            solver._upwind_shift(plan)
+            _upwind_oracle(z, prob.cfl)
+            assert np.array_equal(plan.z, z)
+            expected = delay_force(memory_tail(z), prob.kernel, prob.m)
+            assert np.array_equal(solver._delay(plan.terms), expected)
+            whole = np.empty_like(plan.terms)
+            solver._delay_terms(memory_tail(z), prob.tail_coeff, prob.tail_exp, whole)
+            assert np.array_equal(plan.terms, whole)
+    assert len(plan.own) == 1 and plan.helper is None  # every lane back with the caller
 
 
 def test_upwind_scratch_is_one_lane_per_worker():
+    # a lane of this field is one block: each process shifts through one
+    # lane of scratch, the helper through its own copy
     cfg = RunConfig(dimension=2, lengths=(1.0, 1.0), nodes=(65, 65), n_tau=16,
                     n_rho=32, t_end=0.01)
     prob = build_problem(cfg)
     state = init_state(prob)
     step(state, prob)
     assert state.z.nbytes > 16 * 2 ** 20
-    assert [s.shape for s in state.plan.scratch] == \
-        [state.z[0, 1:].shape] * min(parallel.workers(), 16)
+    assert state.plan.scratch.shape == (1,) + state.z[0, 1:].shape
+    assert len(state.plan.own) == 16
     assert state.plan.terms.shape == (65, 65, 16)
 
 
-@pytest.mark.parametrize("inline", [True, False], ids=["inline", "pool"])
-def test_frozen_velocity_allocates_no_delay_terms(monkeypatch, inline):
-    if not inline:
-        monkeypatch.setattr(solver, "_INLINE_BYTES", 0)
+@pytest.mark.parametrize("with_helper", [False, True], ids=["inline", "pool"])
+def test_frozen_velocity_allocates_no_delay_terms(with_helper):
+    if with_helper and not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
     prob = build_problem(_config(u1="sin(pi*x)", f0="sin(pi*x)", freeze_velocity=True))
-    state = init_state(prob)
-    step(state, prob)
+    state = init_state(prob, shared=with_helper)
+    with _helper(state, prob) if with_helper else contextlib.nullcontext():
+        step(state, prob)
+        step(state, prob)
     assert state.plan.terms is None
     assert np.array_equal(state.z[:, 0], np.broadcast_to(state.v.values, state.z[:, 0].shape))
 
 
 @pytest.mark.parametrize("edit", ["z-replaced", "z-in-place"])
-@pytest.mark.parametrize("inline", [True, False], ids=["inline", "pool"])
-def test_step_after_a_hand_edit_matches_a_fresh_state(monkeypatch, edit, inline):
+@pytest.mark.parametrize("with_helper", [False, True], ids=["inline", "pool"])
+def test_step_after_a_hand_edit_matches_a_fresh_state(edit, with_helper):
     # a state's plan holds views of its z; after u and z are edited by hand
     # and accel is reset, step must give the bits of a state never stepped
-    if not inline:
-        monkeypatch.setattr(solver, "_INLINE_BYTES", 0)
+    # (a helper shifts the edited z in place; a replaced z gets a plan of
+    # its own)
+    if with_helper and not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
     prob = _shift_problem((9, 7), m="2.2 + 0.3*x*y", u0="0.3*sin(pi*x)*sin(pi*y)",
                           u1="0.2*sin(2*pi*x)*sin(pi*y)", f0="0.2*sin(2*pi*x)*sin(pi*y)")
-    state = init_state(prob)
-    for _ in range(3):
-        step(state, prob)
-    rng = np.random.default_rng(3)
-    u = 0.1 * rng.standard_normal(prob.grid.shape)
-    u[prob.grid.boundary] = 0.0
-    z = 0.1 * rng.standard_normal(state.z.shape)
-    z[..., prob.grid.boundary] = 0.0
-    state.u = GridFunction(prob.grid, u.copy())
-    if edit == "z-replaced":
-        state.z = z.copy()
-    else:
-        state.z[...] = z
-    state.accel = None
-    fresh = SimState(t=state.t, u=GridFunction(prob.grid, u.copy()),
-                     v=GridFunction(prob.grid, state.v.values.copy()), z=z.copy())
-    for _ in range(2):
-        step(state, prob)
-        step(fresh, prob)
-        for name in ("u", "v"):
-            assert np.array_equal(getattr(state, name).values, getattr(fresh, name).values)
-        assert np.array_equal(state.z, fresh.z)
-        assert np.array_equal(state.accel, fresh.accel)
+    state = init_state(prob, shared=with_helper)
+    with _helper(state, prob) if with_helper else contextlib.nullcontext():
+        for _ in range(3):
+            step(state, prob)
+        rng = np.random.default_rng(3)
+        u = 0.1 * rng.standard_normal(prob.grid.shape)
+        u[prob.grid.boundary] = 0.0
+        z = 0.1 * rng.standard_normal(state.z.shape)
+        z[..., prob.grid.boundary] = 0.0
+        state.u = GridFunction(prob.grid, u.copy())
+        if edit == "z-replaced":
+            state.z = z.copy()
+        else:
+            state.z[...] = z
+        state.accel = None
+        fresh = SimState(t=state.t, u=GridFunction(prob.grid, u.copy()),
+                         v=GridFunction(prob.grid, state.v.values.copy()), z=z.copy())
+        for _ in range(2):
+            step(state, prob)
+            step(fresh, prob)
+            for name in ("u", "v"):
+                assert np.array_equal(getattr(state, name).values, getattr(fresh, name).values)
+            assert np.array_equal(state.z, fresh.z)
+            assert np.array_equal(state.accel, fresh.accel)
 
 
 def test_zero_state_stays_exactly_zero_property(monkeypatch):
     # scalar and array exponents, the identity kernels m = 2 and p = 2, the
-    # source switch, and both upwind paths
+    # source switch, and whole-side or one-lane shift blocks
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    inline_bytes = solver._INLINE_BYTES
+    block_bytes = solver._BLOCK_BYTES
 
     @hypothesis.settings(max_examples=25, deadline=None)
     @hypothesis.given(dimension=st.sampled_from([1, 2]),
                       m=st.sampled_from(["2", "2.5", "2.2 + 0.3*x"]),
                       p=st.sampled_from(["2", "3", "3.2 + 0.3*x"]),
-                      disable_source=st.booleans(), pool=st.booleans())
-    def check(dimension, m, p, disable_source, pool):
-        monkeypatch.setattr(solver, "_INLINE_BYTES", 0 if pool else inline_bytes)
+                      disable_source=st.booleans(), one_lane=st.booleans())
+    def check(dimension, m, p, disable_source, one_lane):
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 0 if one_lane else block_bytes)
         over = dict(m=m, p=p, disable_source=disable_source, n_rho=5, n_tau=3,
                     u0="0", u1="0", f0="0")
         if dimension == 1:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from delaywave import spaces
 from delaywave.errors import ConditionError, GridMismatchError
 from delaywave.solver import laplacian
 from delaywave.spaces import (
     ExponentField,
     GridFunction,
+    _abs_power,
     check_sandwich,
     discrete_poincare_constant,
     gradient_energy,
@@ -216,6 +218,25 @@ def test_modular_piecewise_closed_form():
     oracle = float(np.sum(g.weights * np.abs(u.values) ** pvals))
     assert got == pytest.approx(oracle, rel=1e-14)
     assert got == pytest.approx(10.0, abs=16.0 * h)
+
+
+@pytest.mark.parametrize("q", ["two", "constant", "variable"])
+def test_modular_uses_the_resolved_power(q, monkeypatch):
+    # the modular powers with the exponent field's resolved power, as the
+    # energy report does: the bits of the weighted sum of _abs_power, and
+    # the Luxemburg norm's bisection and the sandwich check through it
+    g = make_grid(1.0, 31)
+    values = {"two": np.full(g.shape, 2.0), "constant": np.full(g.shape, 3.3),
+              "variable": 2.2 + 0.3 * g.coords[0]}[q]
+    p = ExponentField(g, values)
+    rng = np.random.default_rng(17)
+    u = GridFunction(g, rng.standard_normal(g.shape) * rng.uniform(0.1, 10.0, g.shape))
+    assert modular(u, p) == float(np.sum(g.weights * _abs_power(u.values, p)))
+    powered = []
+    monkeypatch.setattr(spaces, "_abs_power",
+                        lambda w, field: powered.append(field) or _abs_power(w, field))
+    assert check_sandwich(u, p)
+    assert len(powered) > 1 and all(field is p for field in powered)
 
 
 def test_modular_monotone_in_amplitude():

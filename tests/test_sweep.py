@@ -1,6 +1,7 @@
 """Sweep points: simulated in forked worker processes, analysed in the caller."""
 
 import multiprocessing
+import os
 import threading
 from dataclasses import replace
 
@@ -33,7 +34,8 @@ def _sweep_within(seconds, *args):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Counts the fork pools a sweep opens; two CPUs whatever the host has."""
+    """Counts the fork pools a sweep opens; two CPUs whatever the host has,
+    so each worker is capped at one as on a host with two."""
     opened = []
     real = scenario._fork_pool
 
@@ -42,7 +44,7 @@ def pools(monkeypatch):
         return real(processes)
 
     monkeypatch.setattr(scenario, "_fork_pool", counted)
-    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return opened
 
 
@@ -121,15 +123,41 @@ def test_sweep_records_an_error_that_does_not_unpickle(pools, monkeypatch):
 @fork_only
 def test_sweep_after_the_shared_pool_has_threads(pools, monkeypatch):
     # a 2-D certification leaves the shared thread pool's workers alive;
-    # the sweep's workers are forked next to them, and each must map on a
-    # thread pool of its own (every upwind shift goes through the pool here)
+    # the sweep's workers are forked next to them and must still finish
     grid = make_grid((1.0, 1.0), (33, 33))  # 5 chunks of samples; no memo without a seed
     embedding_constant_for_gate(grid, 3.0, 4.0, n_samples=1000, seed=None)
     assert any(t.name.startswith("delaywave") for t in threading.enumerate())
-    monkeypatch.setattr(solver, "_INLINE_BYTES", 0)
     rows, _ = _sweep_within(120, _short_blowup(), "scale", [6.0, 7.0])
     assert pools == [2]
     assert [row["error"] for row in rows] == [None, None]
+
+
+@fork_only
+def test_sweep_workers_use_neither_the_pool_nor_a_helper(pools, monkeypatch, tmp_path):
+    # on two CPUs each of the two workers is capped at one, its share: a
+    # 2-D point's energy sample (3 chunks) maps inline, and its run forks
+    # no shift helper
+    calls = tmp_path / "calls"
+
+    def recorded(name, real):
+        def wrapper(*args, **kwargs):
+            with open(calls, "a") as handle:
+                handle.write(f"{name} {os.getpid()}\n")
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(parallel, "_executor", recorded("pool", parallel._executor))
+    monkeypatch.setattr(solver, "_Helper", recorded("helper", solver._Helper))
+    monkeypatch.setattr(scenario, "simulate", recorded("simulate", scenario.simulate))
+    cfg = solver.RunConfig(dimension=2, lengths=(1.0, 1.0), nodes=(33, 33), n_tau=16,
+                           n_rho=16, u0="0.3*sin(pi*x)*sin(pi*y)", t_end=0.02)
+    rows, _ = _sweep_within(120, cfg, "mu1", [0.5, 1.0])
+    assert pools == [2]
+    assert [row["error"] for row in rows] == [None, None]
+    seen = [line.split() for line in calls.read_text().splitlines()]
+    workers = {pid for name, pid in seen if name == "simulate"}
+    assert workers and str(os.getpid()) not in workers
+    assert [name for name, pid in seen if pid in workers] == ["simulate"] * 2
 
 
 def test_sweep_order_invariant_property():

@@ -3,8 +3,9 @@
 Sections: [grid], [exponents], [delay], [initial], [run], [output].
 Values are numbers, booleans, the keyword ``auto``, or expressions in the
 grammar of ``expressions``. Unknown sections and keys are rejected with the
-offending line; range violations name the key, and its line when the
-document sets it. ``serialize_config`` emits a canonical document for which
+offending line; range violations, and expressions that ``resolve_config``
+cannot compile or evaluate, name the key, and its line when the document
+sets it. ``serialize_config`` emits a canonical document for which
 parse(serialize(parse(text))) == parse(text).
 """
 
@@ -13,8 +14,7 @@ from __future__ import annotations
 import hashlib
 from importlib import resources
 
-from .errors import ConfigError, ExpressionError
-from .expressions import compile_expression
+from .errors import ConfigError
 from .solver import RunConfig, _grid_keys, resolve_config
 
 _SECTIONS = ("grid", "exponents", "delay", "initial", "run", "output")
@@ -22,23 +22,22 @@ _SECTIONS = ("grid", "exponents", "delay", "initial", "run", "output")
 # Every key after [grid], in document order: (section, document key,
 # RunConfig field, kind, document default). A default of None makes the key
 # required; mu2_table, when given, replaces mu2. Kinds: number, integer,
-# boolean, auto (``auto`` or a number), an expression in x[, y]
-# ("expression"), in x[, y], s ("history") or in tau ("density"), and
-# mu2_table. Expressions keep their source text.
+# boolean, auto (``auto`` or a number), expression and mu2_table.
+# Expressions keep their source text.
 _KEYS = (
     ("exponents", "m", "m", "expression", None),
     ("exponents", "p", "p", "expression", None),
     ("exponents", "log_holder_a", "log_holder_bound", "number", "10.0"),
     ("exponents", "log_holder_delta", "log_holder_delta", "number", "0.5"),
     ("delay", "mu1", "mu1", "number", None),
-    ("delay", "mu2", "mu2", "density", "0"),
+    ("delay", "mu2", "mu2", "expression", "0"),
     ("delay", "mu2_table", "mu2_table", "mu2_table", None),
     ("delay", "tau1", "tau1", "number", None),
     ("delay", "tau2", "tau2", "number", None),
     ("delay", "n_tau", "n_tau", "integer", "16"),
     ("initial", "u0", "u0", "expression", None),
     ("initial", "u1", "u1", "expression", None),
-    ("initial", "f0", "f0", "history", "0"),
+    ("initial", "f0", "f0", "expression", "0"),
     ("initial", "scale", "scale", "number", "1.0"),
     ("run", "t_end", "t_end", "number", None),
     ("run", "dt", "dt", "auto", "auto"),
@@ -113,19 +112,12 @@ def _parse_mu2_table(raw, key, line):
     return tuple(rows)
 
 
-def _convert(kind, raw, key, line, dimension):
+def _convert(kind, raw, key, line):
     """The RunConfig value of a document entry of a kind of _KEYS; a value not
     of its kind raises ConfigError naming the key and line."""
     if kind == "mu2_table":
         return _parse_mu2_table(raw, key, line)
-    if kind in ("expression", "history", "density"):
-        variables = ("tau",) if kind == "density" else ("x", "y")[:dimension]
-        if kind == "history":
-            variables += ("s",)
-        try:
-            compile_expression(raw, variables)
-        except ExpressionError as exc:
-            raise ConfigError(f"{key}: {exc}", line=line, key=key)
+    if kind == "expression":
         return raw
     if kind == "auto" and raw.lower() == "auto":
         return None
@@ -149,7 +141,7 @@ def parse_config(text) -> RunConfig:
     sections = _parse_sections(text)
     lines = {}  # document key -> its line, for the range errors below
 
-    def take(section, key, kind, default, dimension=None):
+    def take(section, key, kind, default):
         entries = sections[section]
         if key in entries:
             raw, line = entries.pop(key)
@@ -158,7 +150,7 @@ def parse_config(text) -> RunConfig:
             raise ConfigError(f"missing required key {key!r} in [{section}]", key=key)
         else:
             raw, line = default, None
-        return _convert(kind, raw, key, line, dimension)
+        return _convert(kind, raw, key, line)
 
     dim_line = sections["grid"].get("dimension", (None, None))[1]
     dimension = take("grid", "dimension", "integer", "1")
@@ -178,7 +170,7 @@ def parse_config(text) -> RunConfig:
     values["mu2" if "mu2_table" in delay else "mu2_table"] = None  # the one left out
     for section, key, field, kind, default in _KEYS:
         if field not in values:
-            values[field] = take(section, key, kind, default, dimension)
+            values[field] = take(section, key, kind, default)
     for section, entries in sections.items():
         for key, (_, line) in entries.items():
             raise ConfigError(f"unknown key {key!r} in [{section}]", line=line, key=key)

@@ -1,12 +1,14 @@
 """Tiny arithmetic expression grammar for config files.
 
-Supported: + - * / ^ (power, right associative), unary minus, parentheses,
-functions sin cos exp abs, constants pi and e, and a caller-defined variable
-set. Evaluation is numpy-vectorized so sampled fields come out as arrays.
+Supported: + - * / ^ (power, right associative), unary minus and plus,
+parentheses, sin cos exp abs, constants pi and e, and caller-defined
+variables. Python's parser reads the text (^ as **), one walk keeps only
+those nodes, and nothing reaches ``eval``. Evaluation is numpy-vectorized.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass
 
@@ -16,114 +18,37 @@ from .errors import ExpressionError
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
 _CONSTANTS = {"pi": np.pi, "e": np.e}
-
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-zτ_][A-Za-z0-9τ_]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
-
-def _tokenize(text):
-    pos = 0
-    out = []
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None or match.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ExpressionError(f"unexpected character {rest[0]!r} in expression {text!r}")
-        if match.group("num") is not None:
-            out.append(("num", float(match.group("num"))))
-        elif match.group("name") is not None:
-            out.append(("name", match.group("name")))
-        else:
-            out.append(("op", match.group("op")))
-        pos = match.end()
-    out.append(("end", None))
-    return out
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+# Any other character; Python's power; a letter after a number, not of an
+# exponent (0x1, 1j, and 2if, which makes Python warn).
+_REJECT = re.compile(r"[^0-9A-Za-zτ.+\-*/^() ]|\*\*|[\d.](?![eE][+-]?\d)[A-Za-zτ]")
+# An integer literal, made a float literal: Python then reads 07 as 7.0 and a
+# long one as inf, as the grammar does; it rejects 07 and ints of 4301 digits.
+_INTEGER = re.compile(r"(?<![\w.])(?<![\d.][eE][+-])\d+(?![\w.])")
 
 
-class _Parser:
-    def __init__(self, tokens, text, variables):
-        self.tokens = tokens
-        self.text = text
-        self.variables = variables
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r} in expression {self.text!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ExpressionError(f"trailing input in expression {self.text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            node = (op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            node = (op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return ("neg", self.unary())
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            return ("^", base, self.unary())
-        return base
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return ("const", val)
-        if kind == "name":
-            if val in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return ("call", val, arg)
-            if val in _CONSTANTS:
-                return ("const", _CONSTANTS[val])
-            if val in self.variables:
-                return ("var", val)
-            raise ExpressionError(
-                f"unknown name {val!r} in expression {self.text!r} "
-                f"(allowed variables: {', '.join(sorted(self.variables)) or 'none'})"
-            )
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(f"malformed expression {self.text!r}")
+def _tree(node, text, variables):
+    kind = type(node)
+    if kind is ast.BinOp and type(node.op) in _BINARY:
+        return (_BINARY[type(node.op)], _tree(node.left, text, variables),
+                _tree(node.right, text, variables))
+    if kind is ast.Constant and type(node.value) is float:
+        return ("const", node.value)
+    if kind is ast.Name and node.id not in _FUNCTIONS:
+        name = "tau" if node.id == "τ" else node.id
+        if name in _CONSTANTS:
+            return ("const", _CONSTANTS[name])
+        if name not in variables:
+            raise ExpressionError(f"unknown name {node.id!r} in expression {text!r} (allowed "
+                                  f"variables: {', '.join(sorted(variables)) or 'none'})")
+        return ("var", name)
+    if kind is ast.UnaryOp and type(node.op) in (ast.USub, ast.UAdd):
+        operand = _tree(node.operand, text, variables)
+        return ("neg", operand) if type(node.op) is ast.USub else operand
+    if (kind is ast.Call and type(node.func) is ast.Name and node.func.id in _FUNCTIONS
+            and len(node.args) == 1 and not node.keywords):
+        return ("call", node.func.id, _tree(node.args[0], text, variables))
+    raise ExpressionError(f"malformed expression {text!r}")
 
 
 def _evaluate(node, env):
@@ -173,8 +98,13 @@ def compile_expression(text, variables=()) -> Expression:
     """Parse ``text`` against an allowed variable set; 'tau' aliases 'τ'."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError(f"empty expression {text!r}")
+    source = " ".join(text.split())
+    if rejected := _REJECT.search(source):
+        raise ExpressionError(f"unexpected {rejected[0]!r} in expression {text!r}")
+    source = _INTEGER.sub(lambda integer: integer[0] + ".", source).replace("^", "**")
     variables = tuple(variables)
-    tokens = _tokenize(text)
-    tokens = [("name", "tau") if t == ("name", "τ") else t for t in tokens]
-    ast = _Parser(tokens, text, set(variables)).parse()
-    return Expression(text, variables, ast)
+    try:
+        body = ast.parse(source, mode="eval").body
+        return Expression(text, variables, _tree(body, text, variables))
+    except (SyntaxError, RecursionError):  # RecursionError: nested too deeply
+        raise ExpressionError(f"malformed expression {text!r}") from None

@@ -60,7 +60,7 @@ from . import parallel
 from .delay import DelayKernel, WeightField, build_kernel, check_mass_condition, \
     check_xi_condition, dissipation_constant, dissipation_margins, xi_default
 from .energetics import alpha_window, blowup_indicator, energy_report
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, ExpressionError, NumericalError
 from .expressions import compile_expression
 from .spaces import ExponentField, Grid, GridFunction, make_grid, validate_exponent_pair
 
@@ -121,6 +121,8 @@ class Resolved(NamedTuple):
     p: ExponentField
     mu2: np.ndarray  # delay density on linspace(tau1, tau2, n_tau)
     u0_fn: object
+    u1_fn: object
+    f0_fn: object
 
 
 def _grid_keys(dimension):
@@ -136,7 +138,9 @@ def resolve_config(cfg: RunConfig) -> Resolved:
     This is the one validator: ``parse_config`` runs it on each document and
     ``build_problem`` on each config it is given, so sweep points and configs
     built in code meet the same rules. A violation raises ConfigError naming
-    the key. The grid and the fields sampled for the checks are returned, so
+    the key. Each closed form is compiled and sampled once here (f0 at
+    s = 0), so one that cannot be parsed or evaluated is a ConfigError too.
+    The grid, the sampled fields and the compiled forms are returned, so
     ``build_problem`` compiles and samples each of them once.
     """
     if cfg.dimension not in (1, 2):
@@ -191,13 +195,14 @@ def resolve_config(cfg: RunConfig) -> Resolved:
 
     # "not >=" also rejects NaN samples.
     svars = _spatial_vars(cfg.dimension)
-    m_vals = _sample_spatial(grid, compile_expression(cfg.m, svars))
+    env = dict(zip(svars, grid.meshes()))
+    _, m_vals = _field("m", cfg.m, svars, env, grid.shape)
     if not m_vals.min() >= 2.0:
         raise ConfigError(
             f"damping exponent m(x) must satisfy m(x) >= 2 everywhere; "
             f"sampled minimum is {float(m_vals.min())}", key="m",
         )
-    p_vals = _sample_spatial(grid, compile_expression(cfg.p, svars))
+    _, p_vals = _field("p", cfg.p, svars, env, grid.shape)
     if not p_vals.min() >= 1.0:
         raise ConfigError(
             f"source exponent p(x) must satisfy p(x) >= 1 everywhere; "
@@ -206,8 +211,7 @@ def resolve_config(cfg: RunConfig) -> Resolved:
 
     tau = np.linspace(cfg.tau1, cfg.tau2, cfg.n_tau)
     if cfg.mu2_table is None:
-        mu2 = np.asarray(compile_expression(cfg.mu2, ("tau",))(tau=tau), dtype=float)
-        mu2 = np.broadcast_to(mu2, tau.shape).copy()
+        _, mu2 = _field("mu2", cfg.mu2, ("tau",), {"tau": tau}, tau.shape)
         if not mu2.min() >= 0.0:
             raise ConfigError("delay density mu2 must be nonnegative", key="mu2")
     else:
@@ -216,8 +220,10 @@ def resolve_config(cfg: RunConfig) -> Resolved:
             raise ConfigError("delay density mu2_table must be nonnegative", key="mu2_table")
         mu2 = np.interp(tau, table_tau, table_mu2)
 
-    u0_fn = compile_expression(cfg.u0, svars)
-    sup0 = float(np.max(np.abs(cfg.scale * _sample_spatial(grid, u0_fn))))
+    u0_fn, u0_vals = _field("u0", cfg.u0, svars, env, grid.shape)
+    u1_fn, _ = _field("u1", cfg.u1, svars, env, grid.shape)
+    f0_fn, _ = _field("f0", cfg.f0, svars + ("s",), {**env, "s": 0.0}, grid.shape)
+    sup0 = float(np.max(np.abs(cfg.scale * u0_vals)))
     if cfg.threshold <= sup0:
         raise ConfigError(
             f"threshold {cfg.threshold} must exceed the initial sup-norm {sup0}",
@@ -251,7 +257,7 @@ def resolve_config(cfg: RunConfig) -> Resolved:
             )
 
     config = replace(cfg, dt=float(dt), sample_dt=float(sample_dt))
-    return Resolved(config, grid, m, p, mu2, u0_fn)
+    return Resolved(config, grid, m, p, mu2, u0_fn, u1_fn, f0_fn)
 
 
 @dataclass(eq=False)
@@ -284,6 +290,27 @@ def _spatial_vars(dimension):
     return ("x",) if dimension == 1 else ("x", "y")
 
 
+def _field(key, text, variables, env, shape):
+    """The compiled closed form of a key and its float samples on env.
+
+    Python floats (the constants, and f0's s = 0) raise on a zero division or
+    an overflow, and a negative one's fractional power is complex, where the
+    numpy grid values give inf or nan. Either outcome, like a text the grammar
+    rejects, is a ConfigError naming the key.
+    """
+    try:
+        expr = compile_expression(text, variables)
+        values = np.asarray(expr(**env))
+    except ExpressionError as exc:
+        raise ConfigError(f"{key}: {exc}", key=key) from None
+    except ArithmeticError as exc:
+        raise ConfigError(f"{key}: evaluating {text!r} raises {type(exc).__name__}: {exc}",
+                          key=key) from None
+    if np.iscomplexobj(values):
+        raise ConfigError(f"{key}: {text!r} takes complex values", key=key)
+    return expr, np.broadcast_to(values, shape).copy()
+
+
 def _sample_spatial(grid, expr, extra=None):
     env = dict(zip(_spatial_vars(grid.dimension), grid.meshes()))
     if extra:
@@ -294,7 +321,7 @@ def _sample_spatial(grid, expr, extra=None):
 
 def build_problem(config: RunConfig) -> Problem:
     """Check the config, then build the kernel, weight field and invariants."""
-    config, grid, m, p, mu2, u0_fn = resolve_config(config)
+    config, grid, m, p, mu2, u0_fn, u1_fn, f0_fn = resolve_config(config)
     report = validate_exponent_pair(
         m, p, config.dimension, config.log_holder_bound, config.log_holder_delta
     )
@@ -319,11 +346,8 @@ def build_problem(config: RunConfig) -> Problem:
     if report.chain_ok:
         alpha = config.alpha if config.alpha is not None else 0.5 * alpha_window(m, p)
 
-    svars = _spatial_vars(config.dimension)
     rho_nodes = np.linspace(0.0, 1.0, config.n_rho)
     d_rho = 1.0 / (config.n_rho - 1)
-    u1_fn = compile_expression(config.u1, svars)
-    f0_fn = compile_expression(config.f0, svars + ("s",))
 
     cfl = config.dt / (kernel.nodes * d_rho)
 

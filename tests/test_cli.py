@@ -324,6 +324,36 @@ def test_negative_seed_is_a_config_error_before_any_step(tmp_path, capsys, monke
     assert error.get("line") == (ZERO_DATA.count("\n") + 1 if route == "document" else None)
     assert not out.exists()
 
+@pytest.mark.filterwarnings("error")  # no ComplexWarning: nothing is cast to float
+@pytest.mark.parametrize("key,value", [
+    ("m", "10^400"),  # OverflowError
+    ("p", "1/0"),  # ZeroDivisionError
+    ("p", "(0-1)^0.5"),  # a complex constant
+    ("u1", "1/0"),  # a key no other rule samples
+    ("f0", "0.1*sin(pi*x)*cos(s)*(0-1)^0.5"),
+    ("u0", "0.1*sin(pi*x)+(0-1)^0.5"),  # complex on the grid, real part usable
+])
+def test_expression_that_cannot_be_evaluated_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                                 key, value):
+    from delaywave import solver
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+    monkeypatch.setattr(solver, "step", no_step)
+    doc = ZERO_DATA.replace("u1 = 0\n", "u1 = 0\nf0 = 0\n")
+    doc = re.sub(rf"^{key} = .*$", f"{key} = {value}", doc, flags=re.M)
+    line = doc.splitlines().index(f"{key} = {value}") + 1
+    path = tmp_path / "bad.cfg"
+    path.write_text(doc)
+    out = tmp_path / "o"
+    code = cli.main(["--config", str(path), "--out", str(out)])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert (error["type"], error["key"], error["line"]) == ("config", key, line)
+    assert error["message"].startswith(f"{key}: ") and repr(value) in error["message"]
+    assert not out.exists()
+
+
 def test_sweep_single_point_matches_run_scenario(tmp_path):
     cfg = parse_config(load_preset("blowup"))
     solo = run_scenario(cfg)

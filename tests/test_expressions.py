@@ -1,5 +1,9 @@
+import random
+import warnings
+
 import numpy as np
 import pytest
+from _reference_parser import compile_expression as reference_compile
 
 from delaywave.errors import ExpressionError
 from delaywave.expressions import compile_expression
@@ -40,9 +44,48 @@ def test_unknown_name_lists_allowed_variables():
 
 
 def test_malformed_expressions():
-    for bad in ("", "2 +", "sin 3", "2 ** 3", "(1", "1 2"):
+    # the grammar's own errors, then Python syntax outside the grammar
+    for bad in ("", "2 +", "sin 3", "2 ** 3", "(1", "1 2",
+                "1 # 2", "x_1", "_", "0x1", "0X1", "0b1", "0o7", "00x1", "1j", "1_0",
+                "[1]", "x[0]", "1, 2", "x = 1", "x < 1", "5 % 2", "5 // 2", "x @ x", "~1",
+                "lambda: 1", "lambda x: x", "1 if x else 2", "1if x else 2", "2or x",
+                "True", "None", "...", "'a'", '"a"', "x.real", "1 .real", "not x",
+                "sin(x, x)", "sin()", "sin(x=1)", "sin(*x)", "sin", "sin(x)(x)", "x(1)",
+                "ｐｉ", "é", "x\\\n+1", "1\x00", "(" * 300 + "1" + ")" * 300,
+                "-" * 5000 + "1"):
         with pytest.raises(ExpressionError):
             compile_expression(bad, ("x",))
+
+
+def test_errors_quote_the_users_text():
+    # the text is rewritten for Python's parser (^ to **, 07 to 07.), but an
+    # error quotes what the user wrote
+    for text, name in (("2^07 + τ*q", "'q'"), ("τx^2", "'τx'")):
+        with pytest.raises(ExpressionError, match="unknown name") as caught:
+            compile_expression(text, ("tau",))
+        assert f"{name} in expression {text!r}" in str(caught.value)
+    for text in ("2^07 +", "2^ ^3", "1 2^3", "0x1^2", "2^07 # c"):
+        with pytest.raises(ExpressionError) as caught:
+            compile_expression(text, ("x",))
+        assert repr(text) in str(caught.value) and "**" not in str(caught.value)
+
+
+def test_integer_literals_read_as_the_grammar_reads_them():
+    assert compile_expression("07")() == 7.0  # a leading zero, which Python rejects
+    assert compile_expression("2^010")() == 1024.0
+    assert compile_expression("1" * 400)() == np.inf  # float("1" * 400), not OverflowError
+    assert compile_expression("1" * 5000 + " - 1")() == np.inf  # beyond Python's int limit
+    assert compile_expression("123456789012345678901")() == 123456789012345678901.0
+    assert compile_expression("e+5")() == np.e + 5.0
+    assert compile_expression("2e+5")() == 2e5
+
+
+def test_unicode_spaces_separate_and_unicode_digits_are_rejected():
+    # whitespace is Unicode whitespace, as the tokenizer's \s read it; digits
+    # are ASCII only (that tokenizer's \d also took other scripts' digits)
+    assert compile_expression("1\xa0+\u2003x\t*\n2", ("x",))(x=3.0) == 7.0
+    with pytest.raises(ExpressionError):
+        compile_expression("\u0663")
 
 
 def test_missing_variable_at_call():
@@ -151,3 +194,49 @@ def test_minimal_rendering_follows_the_documented_precedence():
     assert _minimal(("^", ("neg", num(2.0)), num(2.0)))[0] == "(-2.0)^2.0"
     assert _minimal(("-", ("x",), ("-", ("x",), num(1.0))))[0] == "x - (x - 1.0)"
     assert _minimal(("*", ("+", ("x",), num(1.0)), ("x",)))[0] == "(x + 1.0) * x"
+
+
+# --- Python's parser against the hand-written one it replaced ------------------
+
+_GRAMMAR_TOKENS = ("0", "1", "2", "7", "10", "0.5", ".5", "1.", "1e3", "2.5e-3", "1E+2", "e", "E",
+                   ".", "+", "-", "*", "/", "^", "(", ")", "x", "tau", "τ", "pi", "sin", "cos",
+                   "exp", "abs", " ", "y")
+_PYTHON_TOKENS = ("**", "#", "_", "0x", "0b", "0o", "1j", "1_0", "07", "00x1", "[", "]", ",",
+                  "=", "<", "%", "//", "@", "~", "lambda", "if", "True", "None", "'a'", "ｐｉ",
+                  "é", "not", ":", "\\", "\t", "\n", "\xa0", "1" * 400)
+
+
+def _evaluation(expression, env):
+    """The value as an array, or the type of the exception evaluation raised."""
+    try:
+        return np.asarray(expression(**env))
+    except Exception as error:  # noqa: BLE001 - the type is the outcome compared
+        return type(error)
+
+
+def test_parser_matches_the_reference_parser_on_random_text():
+    rng = random.Random(20241115)
+    variables = ("x", "tau")
+    env = {"x": np.linspace(-2.0, 2.0, 5), "tau": np.linspace(0.5, 1.0, 5)}
+    accepted = 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(200_000):
+            text = "".join(
+                rng.choice(_GRAMMAR_TOKENS) if rng.random() < 0.85 else rng.choice(_PYTHON_TOKENS)
+                for _ in range(rng.randint(1, 8))
+            )
+            try:
+                want = reference_compile(text, variables)
+            except ExpressionError:
+                want = None
+            try:
+                got = compile_expression(text, variables)
+            except ExpressionError:
+                got = None
+            assert (got is None) == (want is None), (text, "accepted by one parser only")
+            if got is not None:
+                accepted += 1
+                assert _same_bits(_evaluation(got, env), _evaluation(want, env)), text
+    assert accepted > 10_000  # the grammar's side of the sample is exercised
+    assert not caught, [str(w.message) for w in caught[:5]]  # ast.parse never warned

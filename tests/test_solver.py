@@ -788,6 +788,20 @@ def test_build_problem_compiles_each_expression_once(monkeypatch):
     assert sorted(compiled) == sorted([cfg.m, cfg.p, cfg.mu2, cfg.u0, cfg.u1, cfg.f0])
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("mu2", "0.1*tau +", "malformed expression"),
+    ("f0", "sin(pi*x)*cos(q)", "unknown name 'q'"),
+    ("mu2", "tau^(0-1)^0.5", "complex values"),
+    ("f0", "x + s*10^400", "OverflowError"),
+])
+def test_closed_forms_are_compiled_and_evaluated_by_the_validator(key, value, message):
+    # configs built in code meet the rules documents meet: every closed form
+    # is compiled and sampled once, and a failure names its key
+    with pytest.raises(ConfigError, match=message) as caught:
+        build_problem(_config(**{key: value}))
+    assert caught.value.key == key and caught.value.message.startswith(f"{key}: ")
+
+
 def test_dimension_must_match_lengths_and_nodes():
     with pytest.raises(ConfigError, match="needs 2 lengths") as err:
         build_problem(RunConfig(dimension=2, lengths=(1.0,), nodes=(51,)))

@@ -9,7 +9,11 @@ evaluated as adaptive Gauss-Legendre quadrature on a finite head plus an
 analytic tail bound.
 The constant c is certified empirically: the ratio the inequality must
 dominate is maximized over a large randomized family of grid functions and
-doubled. The same machinery certifies the smallness-gate constant.
+doubled. The same machinery certifies the smallness-gate constant. The
+maximization screens every sample with a rigorous upper bound of its ratio
+and scores exactly only those whose bound can still beat the best exact
+ratio so far; as max is exact, the result is bitwise the maximum over the
+whole family (_max_split_ratio).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from . import parallel
 from .errors import ConditionError, NumericalError
 from .solver import TERMINATED_BLOWUP, TERMINATED_END
-from .spaces import Grid, gradient_energies
+from .spaces import Grid, gradient_energies, trapezoid_weights
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +40,9 @@ _N_MODES = 6  # sine modes per axis in the certification family
 # grid values per certification chunk: 1 MB per float64 temporary, so a 65x65
 # batch of 500 splits into 17 chunks of 31 samples while a 1-D batch stays whole
 _CHUNK_VALUES = 1 << 17
+# relative inflation of the screen's ratio bound: its samples and energies
+# round differently from the exact ones, by about 1e-13 relative
+_SCREEN_MARGIN = 1e-6
 
 _GAUSS_POINTS = 10  # coarse rule of the life-span quadrature; the fine one has 20
 _MAX_PANELS = 1 << 12  # panel evaluations before the life-span quadrature gives up
@@ -183,11 +190,15 @@ def _family_draws(grid: Grid, batch, rng, modes):
     return smooth, bumps, pick, amp
 
 
-def _synthesize(grid: Grid, modes, draws, rows):
-    """Samples `rows` (a slice) of the family drawn by _family_draws.
+def _synthesize(grid: Grid, modes, draws, rows, screen=False):
+    """Samples `rows` (a slice or an index array) of the family drawn by
+    _family_draws.
 
-    Every step is elementwise or contracts within one sample, so a slice
-    gives the same bits as the whole batch.
+    Every step is elementwise or contracts within one sample, so any rows
+    give the same bits as the whole batch. screen=True builds the 2-D smooth
+    part by two BLAS products instead of the per-sample einsum, about 20
+    times faster but rounded differently (by about 1e-14): only the screen's
+    bound in _max_split_ratio reads those samples.
     """
     smooth, bumps, pick, amp = draws
     # a sample is smooth (pick < 0.45), a bump (< 0.9) or their sum: each
@@ -199,7 +210,10 @@ def _synthesize(grid: Grid, modes, draws, rows):
 
     smooth = smooth[rows][use_smooth]
     if grid.dimension == 2:
-        smooth = np.einsum("bkl,ki,lj->bij", smooth, modes[0], modes[1])
+        if screen:
+            smooth = modes[0].T @ smooth @ modes[1]
+        else:
+            smooth = np.einsum("bkl,ki,lj->bij", smooth, modes[0], modes[1])
 
     # sharp bumps, forced to zero at the walls by the first-mode envelope
     profiles = []
@@ -224,6 +238,40 @@ def _synthesize(grid: Grid, modes, draws, rows):
     return fams
 
 
+def _screen_energies(fam, grid: Grid):
+    """gradient_energies of a stack, to rounding: in 2-D each axis is
+    weighted by one product over the stack, where gradient_energies keeps one
+    dot per sample to stay bitwise per sample. For the screen only."""
+    if grid.dimension == 1:
+        return gradient_energies(fam, grid)
+    hx, hy = grid.spacing
+    dx = np.diff(fam, axis=1)
+    dx *= dx
+    dy = np.diff(fam, axis=2)
+    dy *= dy
+    return (dx.sum(axis=1) @ trapezoid_weights(grid.counts[1], hy) / hx
+            + dy.sum(axis=2) @ trapezoid_weights(grid.counts[0], hx) / hy)
+
+
+def _ratio_bounds(grid, modes, draws, rows, num_low, num_high, den_low, den_high,
+                  num_scale):
+    """An upper bound of each split ratio of samples `rows` of the batch drawn
+    by _family_draws: the screen of _max_split_ratio, which states it."""
+    if min(num_low, num_high) < 2.0:
+        return np.full(draws[2][rows].size, np.inf)
+    fam = _synthesize(grid, modes, draws, rows, screen=True)
+    ge = _screen_energies(fam, grid)
+    flat = fam.reshape(len(fam), -1)
+    peak = np.maximum(flat.max(axis=1), -flat.min(axis=1))
+    l2 = np.square(flat) @ grid.weights.ravel()
+    den = ge ** (den_high / 2.0) + ge ** (den_low / 2.0)
+    with np.errstate(all="ignore"):
+        bound = (num_scale * (1.0 + _SCREEN_MARGIN) * l2
+                 * np.maximum(peak ** (num_low - 2.0), peak ** (num_high - 2.0)) / den)
+    bound[~(den > 0.0) | np.isnan(bound)] = np.inf
+    return bound
+
+
 def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
                      n_samples, rng, batch=500):
     """max over the family of
@@ -231,22 +279,40 @@ def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
         num_scale * (int_{|u|>=1} |u|^num_high + int_{|u|<1} |u|^num_low)
         / (ge^{den_high/2} + ge^{den_low/2}),   ge = gradient energy.
 
-    Each batch is built and scored in chunks of about _CHUNK_VALUES grid
-    values, on the shared pool (``parallel``) when the batch has more than
-    one chunk. The result is bitwise the one-batch, one-thread maximum:
+    Screen, then score. Each exponent e >= 2 has |u|^e <= u^2 M^(e-2) with
+    M = max|u|, so with L2 = int u^2 a sample's ratio is at most
+
+        num_scale * L2 * max(M^(num_low-2), M^(num_high-2)) / den.
+
+    The screen computes this bound for every sample of a batch, from samples
+    and energies built by cheaper products (_synthesize's screen=True,
+    _screen_energies) and inflated by _SCREEN_MARGIN, which dominates their
+    rounding differences. The bound is +inf where an exponent is below 2,
+    where den <= 0 and where it is NaN. The sample with the top bound is then
+    scored exactly, and after it every sample whose bound is >= the best
+    exact ratio so far. A sample left unscored has a ratio below that best,
+    and max is exact, so the result is bitwise the maximum over every sample.
+    On the 2-D presets about 3% of the samples are scored, in 1-D about 10%.
+
+    Screen and scoring run in chunks of about _CHUNK_VALUES grid values, on
+    the shared pool (``parallel``) when there are several. The exact score
+    is bitwise the one-batch, one-thread one:
     - the batch's draws are made in the calling thread, in a fixed order and
       size, before the batch is split;
-    - synthesis and scoring are per sample, so a chunk gives the same bits
-      as the rows of the whole batch;
-    - the one BLAS product (1-D smooth part) is taken on the whole batch,
-      since OpenBLAS rounds a row slice differently;
-    - max is exact, so chunk maxima folded in chunk order equal the batch's.
+    - synthesis and scoring are per sample, so any rows give the same bits
+      as those rows of the whole batch;
+    - the one BLAS product that enters a score (1-D smooth part) is taken on
+      the whole batch, since OpenBLAS rounds a row slice differently;
+    - max is exact, so chunk maxima fold to the batch's in any order.
     A batch of at most _CHUNK_VALUES values (any 1-D preset) is one chunk
     and runs inline.
     """
     modes = _axis_modes(grid)
     w = grid.weights
     axes = tuple(range(1, grid.dimension + 1))
+    chunk_bound = functools.partial(
+        _ratio_bounds, grid, modes, num_low=num_low, num_high=num_high,
+        den_low=den_low, den_high=den_high, num_scale=num_scale)
 
     def chunk_max(draws, rows):
         fam = _synthesize(grid, modes, draws, rows)
@@ -266,10 +332,17 @@ def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
     while done < n_samples:
         b = min(batch, n_samples - done)
         draws = _family_draws(grid, b, rng, modes)
-        chunks = parallel.chunks(b, w.size, _CHUNK_VALUES)
-        maxima = parallel.map(chunk_max, repeat(draws), chunks)
+        bound = np.concatenate(parallel.map(
+            chunk_bound, repeat(draws), parallel.chunks(b, w.size, _CHUNK_VALUES)))
+        # the top bound's exact ratio sets the bar the other samples must reach
+        top = int(np.argmax(bound))
+        best = max(best, float(chunk_max(draws, slice(top, top + 1))))
+        rows = np.flatnonzero(bound >= best)
+        rows = rows[rows != top]
+        maxima = parallel.map(chunk_max, repeat(draws),
+                              [rows[c] for c in parallel.chunks(rows.size, w.size, _CHUNK_VALUES)])
         # -inf (no valid sample) leaves best unchanged
-        best = max(best, float(np.max(maxima)))
+        best = max(best, float(np.max(maxima, initial=-np.inf)))
         done += b
     return best
 

@@ -8,8 +8,11 @@ waits on the pool it occupies.
 
 The pool runs the energy chunks and certification. Callers cut their work
 with ``chunks``, each at its own size:
-- ``analysis._CHUNK_VALUES`` (2**17 values): the certification kernel holds
-  several float64 temporaries per chunk, so the size bounds peak memory;
+- ``analysis._CHUNK_VALUES`` (2**17 values): certification screens each
+  batch in chunks, then scores the samples the screen keeps in chunks of
+  the same size; both hold several float64 temporaries per chunk, so the
+  size bounds peak memory. The screen's bound may round differently per
+  chunk, which its margin covers; the scores are per sample and bitwise;
 - ``energetics._CHUNK_VALUES`` (2**17 values, 1 MiB): a chunk of grid points
   stays in one core's 2 MiB L2 through its power, division and seven
   reductions. Chunks are aligned to 4 points, the row group of OpenBLAS's

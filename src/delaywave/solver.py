@@ -69,6 +69,10 @@ log = logging.getLogger(__name__)
 TERMINATED_END = "reached-t-end"
 TERMINATED_BLOWUP = "blowup-threshold"
 
+# f0's s = 0 as the history fill's s = -rho*tau is typed: a numpy scalar,
+# where 1/s is inf and a negative s to a fractional power is nan
+_S0 = np.float64(0.0)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -139,7 +143,9 @@ def resolve_config(cfg: RunConfig) -> Resolved:
     ``build_problem`` on each config it is given, so sweep points and configs
     built in code meet the same rules. A violation raises ConfigError naming
     the key. Each closed form is compiled and sampled once here (f0 at
-    s = 0), so one that cannot be parsed or evaluated is a ConfigError too.
+    s = 0), so one that cannot be parsed or evaluated is a ConfigError too,
+    and so is initial data (u0, u1, f0 at s = 0) that is not finite at an
+    interior node.
     The grid, the sampled fields and the compiled forms are returned, so
     ``build_problem`` compiles and samples each of them once.
     """
@@ -221,8 +227,16 @@ def resolve_config(cfg: RunConfig) -> Resolved:
         mu2 = np.interp(tau, table_tau, table_mu2)
 
     u0_fn, u0_vals = _field("u0", cfg.u0, svars, env, grid.shape)
-    u1_fn, _ = _field("u1", cfg.u1, svars, env, grid.shape)
-    f0_fn, _ = _field("f0", cfg.f0, svars + ("s",), {**env, "s": 0.0}, grid.shape)
+    u1_fn, u1_vals = _field("u1", cfg.u1, svars, env, grid.shape)
+    f0_fn, f0_vals = _field("f0", cfg.f0, svars + ("s",), {**env, "s": _S0}, grid.shape)
+    # a non-finite initial value would surface only as an overflow after the
+    # first step; boundary nodes are not checked, as init_state zeroes them
+    for key, text, values in (("u0", cfg.u0, u0_vals), ("u1", cfg.u1, u1_vals),
+                              ("f0", cfg.f0, f0_vals)):
+        bad = values[~grid.boundary & ~np.isfinite(values)]
+        if bad.size:
+            raise ConfigError(f"{key}: {text!r} takes the value {float(bad[0])} on the grid",
+                              key=key)
     sup0 = float(np.max(np.abs(cfg.scale * u0_vals)))
     if cfg.threshold <= sup0:
         raise ConfigError(
@@ -293,14 +307,17 @@ def _spatial_vars(dimension):
 def _field(key, text, variables, env, shape):
     """The compiled closed form of a key and its float samples on env.
 
-    Python floats (the constants, and f0's s = 0) raise on a zero division or
-    an overflow, and a negative one's fractional power is complex, where the
-    numpy grid values give inf or nan. Either outcome, like a text the grammar
-    rejects, is a ConfigError naming the key.
+    Python float constants raise on a zero division or an overflow, and a
+    negative one's fractional power is complex. Either, like a text the
+    grammar rejects, is a ConfigError naming the key. The variables are
+    numpy values (the grid, and f0's s = 0 as _S0, the scalar type of the
+    history fill), which give inf or nan without a warning; the caller
+    decides which of those it accepts.
     """
     try:
         expr = compile_expression(text, variables)
-        values = np.asarray(expr(**env))
+        with np.errstate(all="ignore"):
+            values = np.asarray(expr(**env))
     except ExpressionError as exc:
         raise ConfigError(f"{key}: {exc}", key=key) from None
     except ArithmeticError as exc:
@@ -315,7 +332,10 @@ def _sample_spatial(grid, expr, extra=None):
     env = dict(zip(_spatial_vars(grid.dimension), grid.meshes()))
     if extra:
         env.update(extra)
-    vals = np.asarray(expr(**env), dtype=float)
+    # resolve_config has checked the interior samples; a non-finite value on
+    # the boundary is zeroed by the caller
+    with np.errstate(all="ignore"):
+        vals = np.asarray(expr(**env), dtype=float)
     return np.broadcast_to(vals, grid.shape).copy()
 
 
@@ -417,7 +437,7 @@ def init_state(problem: Problem, shared: bool = False) -> SimState:
             np.multiply(scale, problem.f0_fn(**env, s=-rho * tau), out=z[k, j])
     z[..., grid.boundary] = 0.0
 
-    f0_at_zero = scale * _sample_spatial(grid, problem.f0_fn, {"s": 0.0})
+    f0_at_zero = scale * _sample_spatial(grid, problem.f0_fn, {"s": _S0})
     f0_at_zero[grid.boundary] = 0.0
     gap = float(np.max(np.abs(f0_at_zero - v_vals)))
     if gap > 1e-8:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from pathlib import Path
 from types import SimpleNamespace
 
 from delaywave import analysis, parallel
@@ -15,6 +16,8 @@ from delaywave.analysis import (
 )
 from delaywave.errors import ConditionError
 from delaywave.spaces import GridFunction, gradient_energies, gradient_energy, make_grid
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _dirichlet_family(grid, batch, rng):
@@ -279,6 +282,91 @@ def test_one_dimensional_certification_runs_inline(monkeypatch):
     with pytest.raises(AssertionError, match="shared pool"):
         _max_split_ratio(make_grid((1.0, 1.0), (65, 65)), n_samples=100,
                          rng=np.random.default_rng(1), **_GATE)
+
+
+_LOW_EXPONENT = dict(num_low=1.5, num_high=3.0, den_low=1.5, den_high=3.0, num_scale=1.0)
+
+
+@pytest.mark.parametrize("exponents", [_GATE, _BOUND, _LOW_EXPONENT],
+                         ids=["gate", "bound", "num_low-1.5"])
+@pytest.mark.parametrize("lengths,counts", _CERT_GRIDS)
+def test_screen_bounds_every_ratio_of_a_batch(lengths, counts, exponents):
+    # the screen may skip a sample only if its bound is at least the exact
+    # ratio; an all-zero sample (den = 0) and an exponent below 2 are +inf
+    grid = make_grid(lengths, counts)
+    modes = analysis._axis_modes(grid)
+    for seed in (7, 2024, 1234):
+        draws = analysis._family_draws(grid, 500, np.random.default_rng(seed), modes)
+        draws[3][17] = 0.0  # amplitude 0: an all-zero sample
+        bound = analysis._ratio_bounds(grid, modes, draws, slice(None), **exponents)
+        fam = analysis._synthesize(grid, modes, draws, slice(None))
+        ge = gradient_energies(fam, grid)
+        valid = ge ** (exponents["den_high"] / 2.0) + ge ** (exponents["den_low"] / 2.0) > 0.0
+        assert not valid[17] and np.isinf(bound[17])
+        assert np.all(bound[valid] >= _ratio_oracle(grid, fam, **exponents))
+        assert np.all(np.isinf(bound[~valid]))
+        if exponents is _LOW_EXPONENT:
+            assert np.all(np.isinf(bound))
+        else:
+            assert np.isfinite(bound).sum() == 499
+
+
+def test_screen_scores_few_samples_of_the_2d_gate(monkeypatch):
+    # box-2d's gate family: the screen leaves under 5% of 10 000 samples to
+    # the exact score, and the certified bits stay the recorded ones
+    scored = []
+    real = analysis._synthesize
+
+    def counted(grid, modes, draws, rows, screen=False):
+        if not screen:
+            scored.append(draws[2][rows].size)
+        return real(grid, modes, draws, rows, screen=screen)
+
+    monkeypatch.setattr(analysis, "_synthesize", counted)
+    monkeypatch.setattr(analysis, "_ratio_memo", {})
+    grid = make_grid((1.0, 1.0), (65, 65))
+    c = embedding_constant_for_gate(grid, 3.2, 3.5, n_samples=10000, seed=1234)
+    assert c == 0.014550392754873446
+    assert 0 < sum(scored) < 500
+
+
+def _bench_workloads(monkeypatch):
+    """bench/workloads.py's WORKLOADS: the CLI source of each workload."""
+    import importlib.util
+    import sys
+
+    spec = importlib.util.spec_from_file_location("delaywave_bench_workloads",
+                                                  BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass resolves annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["decay-1d", "blowup-sweep", "box-2d"])
+def test_certified_constants_equal_the_benchmark_reference(monkeypatch, name):
+    # the recorded constants, bit for bit: a change to the draws, the screen
+    # or the scoring fails here, not only in the benchmark's rtol check
+    import json
+
+    from delaywave.config import parse_config
+    from delaywave.solver import resolve_config
+
+    monkeypatch.setattr(analysis, "_ratio_memo", {})
+    reference = json.loads((BENCH / "reference" / f"{name}.json").read_text())
+    resolved = resolve_config(parse_config(
+        _bench_workloads(monkeypatch)[name].config_text(BENCH.parent)))
+    embeddings = {"c_embed_gate": embedding_constant_for_gate,
+                  "c_embed_bound": embedding_constant_for_bound}
+    recorded = {(key, value) for scenario in reference["scenarios"].values()
+                for key, value in scenario["summary"]["constants"].items()
+                if key in embeddings and value is not None}
+    assert recorded
+    for key, want in recorded:
+        got = embeddings[key](resolved.grid, resolved.p.low, resolved.p.high,
+                              seed=reference["seed"])
+        assert got == want, (name, key)
 
 
 def test_dirichlet_family_equals_one_batch_oracle():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -332,6 +333,10 @@ def test_negative_seed_is_a_config_error_before_any_step(tmp_path, capsys, monke
     ("u1", "1/0"),  # a key no other rule samples
     ("f0", "0.1*sin(pi*x)*cos(s)*(0-1)^0.5"),
     ("u0", "0.1*sin(pi*x)+(0-1)^0.5"),  # complex on the grid, real part usable
+    # initial data that is nan or inf at an interior node, without a warning
+    ("u0", "(x - 2)^0.5"),
+    ("u1", "1/(x - 0.5)"),  # x = 0.5 is a node of the 51
+    ("f0", "(s - 1)^0.5"),  # nan at s = 0 in the history's arithmetic
 ])
 def test_expression_that_cannot_be_evaluated_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                                  key, value):
@@ -352,6 +357,25 @@ def test_expression_that_cannot_be_evaluated_is_a_config_error(tmp_path, capsys,
     assert (error["type"], error["key"], error["line"]) == ("config", key, line)
     assert error["message"].startswith(f"{key}: ") and repr(value) in error["message"]
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key,value", [
+    ("u0", "0.1*sin(pi*x)/x"),  # 0/0 only at x = 0, a boundary node
+    # 1/s is inf at s = 0 as in the history fill, where a Python 0.0 raised
+    # ZeroDivisionError; tau2 = 0.9 keeps the fill off the pole at s = -1
+    ("f0", "sin(pi*x)/(1 + 1/s)"),
+])
+def test_initial_data_checks_what_the_run_reads(tmp_path, capsys, key, value):
+    doc = ZERO_DATA.replace("u1 = 0\n", "u1 = 0\nf0 = 0\n").replace("tau2 = 1.0", "tau2 = 0.9")
+    doc = re.sub(rf"^{key} = .*$", f"{key} = {value}", doc, flags=re.M)
+    path = tmp_path / "ok.cfg"
+    path.write_text(doc)
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()[1:]
+    energies = [float(row.split(",")[1]) for row in rows]
+    assert len(energies) > 2 and all(map(math.isfinite, energies))
 
 
 def test_sweep_single_point_matches_run_scenario(tmp_path):

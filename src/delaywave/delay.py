@@ -10,6 +10,7 @@ the kernel mass M = integral mu2. Stability of the energy requires M < mu1
 
 for the positive weight field xi entering the energy. The canonical choice
 xi = m * (mu1 - M) / (2 (tau2 - tau1)) satisfies it with margin (mu1 - M)/2.
+``rho_quadrature`` is the memory field's one quadrature over rho in [0, 1].
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionError, GridMismatchError
-from .spaces import ExponentField, Grid, trapezoid_weights
+from .spaces import ExponentField, GridFunction, trapezoid_weights
 
 
 @dataclass(eq=False)
@@ -37,17 +38,11 @@ class DelayKernel:
         return self.tau2 - self.tau1
 
 
-@dataclass(eq=False)
-class WeightField:
-    """Positive nodal weight multiplying the delay energy density."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
-            raise GridMismatchError("weight samples do not match the grid")
+def rho_quadrature(n_rho):
+    """The memory field's rho nodes on [0, 1], their spacing and their
+    composite-trapezoid weights."""
+    d_rho = 1.0 / (n_rho - 1)
+    return np.linspace(0.0, 1.0, n_rho), d_rho, trapezoid_weights(n_rho, d_rho)
 
 
 def build_kernel(mu2, tau1, tau2, n_tau=16, mu1=1.0) -> DelayKernel:
@@ -89,17 +84,17 @@ def check_mass_condition(kernel: DelayKernel) -> bool:
     return kernel.mass < kernel.mu1
 
 
-def xi_default(kernel: DelayKernel, m: ExponentField) -> WeightField:
+def xi_default(kernel: DelayKernel, m: ExponentField) -> GridFunction:
     """Canonical weight xi = m * (mu1 - mass) / (2 * width); requires mass < mu1."""
     if not check_mass_condition(kernel):
         raise ConditionError(
             "mass condition fails (mass >= mu1); default weight would not be positive"
         )
     vals = m.values * (kernel.mu1 - kernel.mass) / (2.0 * kernel.width)
-    return WeightField(m.grid, vals)
+    return GridFunction(m.grid, vals)
 
 
-def check_xi_condition(kernel: DelayKernel, xi: WeightField, m: ExponentField) -> bool:
+def check_xi_condition(kernel: DelayKernel, xi: GridFunction, m: ExponentField) -> bool:
     """Node-wise strict inequality mass + width * xi/m < mu1."""
     if xi.grid.counts != m.grid.counts:
         raise GridMismatchError("weight and exponent fields live on different grids")
@@ -107,7 +102,7 @@ def check_xi_condition(kernel: DelayKernel, xi: WeightField, m: ExponentField) -
     return bool(np.all(lhs < kernel.mu1))
 
 
-def dissipation_margins(kernel: DelayKernel, xi: WeightField, m: ExponentField):
+def dissipation_margins(kernel: DelayKernel, xi: GridFunction, m: ExponentField):
     """The two node-wise infima controlling the energy decay rate.
 
     Returns (inf_x f(x), inf_x xi(x)/m(x)) with
@@ -118,7 +113,7 @@ def dissipation_margins(kernel: DelayKernel, xi: WeightField, m: ExponentField):
     return float(f.min()), float(ratio.min())
 
 
-def dissipation_constant(kernel: DelayKernel, xi: WeightField, m: ExponentField) -> float:
+def dissipation_constant(kernel: DelayKernel, xi: GridFunction, m: ExponentField) -> float:
     """Constant C0 > 0 such that the energy decays at least at rate
     C0 * (damping modular + boundary delay modular).
 

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .delay import DelayKernel, WeightField
+from .delay import DelayKernel, rho_quadrature
 from .errors import ConditionError
-from .spaces import ExponentField, _abs_power, _power_into, gradient_energy, \
-    trapezoid_weights
+from .spaces import ExponentField, GridFunction, _abs_power, _power_into, gradient_energy
 
 TOL_RATE_STEPS = 50.0  # default dissipation slack is this many dt
 # Values per point chunk of _delay_integrals: 1 MiB of float64, so a chunk of
@@ -73,10 +72,10 @@ def _delay_integrals(z, kernel, xi, m, grid_weights):
     n_tau, n_rho = z.shape[:2]
     points = grid_weights.size
     field = z.reshape(n_tau, n_rho, points).transpose(2, 1, 0)
-    rho_w = trapezoid_weights(n_rho, 1.0 / (n_rho - 1))
+    rho_nodes, _, rho_w = rho_quadrature(n_rho)
     tau_w = kernel.weights
     tw = kernel.nodes * tau_w
-    decay_jk = np.exp(-np.outer(np.linspace(0.0, 1.0, n_rho), kernel.nodes))
+    decay_jk = np.exp(-np.outer(rho_nodes, kernel.nodes))
     w_mu = np.outer(rho_w, tw * kernel.mu2)
     w_one = np.outer(rho_w, tw)
     # (rho, tau) weights of sums rows 0-1 (of |z|^m) and 2-5 (of |z|^m / m)
@@ -204,7 +203,7 @@ def alpha_window(m: ExponentField, p: ExponentField) -> float:
     return window
 
 
-def decay_inequality_constants(kernel: DelayKernel, xi: WeightField,
+def decay_inequality_constants(kernel: DelayKernel, xi: GridFunction,
                                m: ExponentField):
     """Constants (alpha1, alpha2) for the weighted-delay decay inequality
 

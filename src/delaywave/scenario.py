@@ -21,7 +21,7 @@ import logging
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import parallel
 from .analysis import (
@@ -32,11 +32,11 @@ from .analysis import (
     fit_blowup_growth,
     global_existence_gate,
 )
-from .config import config_hash
+from .config import RunConfig, _apply_axis, config_hash
 from .delay import dissipation_margins
 from .energetics import decay_inequality_constants
-from .errors import ConditionError, ConfigError
-from .solver import RunConfig, TERMINATED_BLOWUP, build_problem, run
+from .errors import ConditionError
+from .solver import TERMINATED_BLOWUP, build_problem, run
 from .spaces import discrete_poincare_constant
 
 log = logging.getLogger(__name__)
@@ -259,30 +259,6 @@ def _write_atomic(out_dir, name, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-SWEEP_FLOAT_KEYS = (
-    "mu1", "scale", "tau1", "tau2", "t_end", "dt", "threshold",
-    "sample_dt", "decay_factor", "alpha", "eps",
-)
-SWEEP_INT_KEYS = ("seed", "n_tau", "n_rho")
-SWEEP_EXPR_KEYS = ("m", "p")  # swept as constant-exponent fields
-
-
-def _apply_axis(cfg: RunConfig, key, value) -> RunConfig:
-    if key in SWEEP_FLOAT_KEYS:
-        return replace(cfg, **{key: float(value)})
-    if key in SWEEP_INT_KEYS:
-        if not float(value).is_integer():
-            raise ConfigError(f"{key} must be an integer, got {value!r}", key=key)
-        return replace(cfg, **{key: int(value)})
-    if key in SWEEP_EXPR_KEYS:
-        return replace(cfg, **{key: repr(float(value))})
-    raise ConfigError(
-        f"sweep key {key!r} is not a scalar config key; choose one of "
-        + ", ".join(SWEEP_FLOAT_KEYS + SWEEP_INT_KEYS + SWEEP_EXPR_KEYS),
-        key=key,
-    )
 
 
 def _simulate_point(config):

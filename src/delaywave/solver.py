@@ -1,5 +1,8 @@
 """Explicit time integration of the delayed nonlinear wave system.
 
+The numerics only: ``build_problem`` builds on what ``config.resolve_config``
+checked and sampled, and ``init_state`` evaluates only the history f0 again.
+
 State layout: ``SimState`` holds t, u and v on the spatial grid and the
 memory field z(x, rho, tau) = u_t(x, t - rho tau), one C-contiguous array
 stored tau-major as (n_tau, n_rho, *grid): each delay node tau owns a
@@ -52,226 +55,21 @@ import select
 import signal
 import time
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from . import parallel
-from .delay import DelayKernel, WeightField, build_kernel, check_mass_condition, \
-    check_xi_condition, dissipation_constant, dissipation_margins, xi_default
+from .config import RunConfig, _spatial_vars, resolve_config
+from .delay import DelayKernel, build_kernel, check_mass_condition, check_xi_condition, \
+    dissipation_constant, dissipation_margins, rho_quadrature, xi_default
 from .energetics import alpha_window, blowup_indicator, energy_report
-from .errors import ConfigError, ExpressionError, NumericalError
-from .expressions import compile_expression
-from .spaces import ExponentField, Grid, GridFunction, make_grid, validate_exponent_pair
+from .errors import ConfigError, NumericalError
+from .spaces import ExponentField, Grid, GridFunction, validate_exponent_pair
 
 log = logging.getLogger(__name__)
 
 TERMINATED_END = "reached-t-end"
 TERMINATED_BLOWUP = "blowup-threshold"
-
-# f0's s = 0 as the history fill's s = -rho*tau is typed: a numpy scalar,
-# where 1/s is inf and a negative s to a fractional power is nan
-_S0 = np.float64(0.0)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run parameters; expression fields keep their source text."""
-
-    dimension: int = 1
-    lengths: tuple = (1.0,)
-    nodes: tuple = (201,)
-    m: str = "2"
-    p: str = "3"
-    log_holder_bound: float = 10.0
-    log_holder_delta: float = 0.5
-    mu1: float = 0.5
-    mu2: str = "0.1"
-    mu2_table: tuple = None
-    tau1: float = 0.5
-    tau2: float = 1.0
-    n_tau: int = 16
-    u0: str = "0"
-    u1: str = "0"
-    f0: str = "0"
-    scale: float = 1.0
-    t_end: float = 10.0
-    dt: float = None
-    n_rho: int = 32
-    threshold: float = 1e6
-    override_conditions: bool = False
-    disable_source: bool = False
-    freeze_velocity: bool = False
-    seed: int = 1234
-    alpha: float = None
-    eps: float = None
-    sample_dt: float = None
-    decay_factor: float = 0.01
-
-
-def auto_dt(lengths, nodes, tau1, n_rho) -> float:
-    """CFL-safe step: 0.5 * min(spatial spacing, tau1 * rho spacing)."""
-    h_min = min(L / (n - 1) for L, n in zip(lengths, nodes))
-    d_rho = 1.0 / (n_rho - 1)
-    return 0.5 * min(h_min, tau1 * d_rho)
-
-
-class Resolved(NamedTuple):
-    """A config that meets every rule, with the fields sampled to check it."""
-
-    config: RunConfig  # dt and sample_dt filled in
-    grid: Grid
-    m: ExponentField
-    p: ExponentField
-    mu2: np.ndarray  # delay density on linspace(tau1, tau2, n_tau)
-    u0_fn: object
-    u1_fn: object
-    f0_fn: object
-
-
-def _grid_keys(dimension):
-    """[grid] keys of the axis lengths and node counts; the node default."""
-    if dimension == 1:
-        return ("length",), ("nodes",), "201"
-    return ("length_x", "length_y"), ("nodes_x", "nodes_y"), "65"
-
-
-def resolve_config(cfg: RunConfig) -> Resolved:
-    """Check every config rule; fill dt and sample_dt when unset.
-
-    This is the one validator: ``parse_config`` runs it on each document and
-    ``build_problem`` on each config it is given, so sweep points and configs
-    built in code meet the same rules. A violation raises ConfigError naming
-    the key. Each closed form is compiled and sampled once here (f0 at
-    s = 0), so one that cannot be parsed or evaluated is a ConfigError too,
-    and so is initial data (u0, u1, f0 at s = 0) that is not finite at an
-    interior node.
-    The grid, the sampled fields and the compiled forms are returned, so
-    ``build_problem`` compiles and samples each of them once.
-    """
-    if cfg.dimension not in (1, 2):
-        raise ConfigError(f"dimension must be 1 or 2, got {cfg.dimension}", key="dimension")
-    if not len(cfg.lengths) == len(cfg.nodes) == cfg.dimension:
-        raise ConfigError(
-            f"dimension {cfg.dimension} needs {cfg.dimension} lengths and node counts, "
-            f"got {len(cfg.lengths)} and {len(cfg.nodes)}", key="dimension",
-        )
-    length_keys, node_keys, _ = _grid_keys(cfg.dimension)
-    floats = list(zip(length_keys, cfg.lengths)) + [
-        ("log_holder_a", cfg.log_holder_bound), ("log_holder_delta", cfg.log_holder_delta),
-        ("mu1", cfg.mu1), ("tau1", cfg.tau1), ("tau2", cfg.tau2), ("scale", cfg.scale),
-        ("t_end", cfg.t_end), ("dt", cfg.dt), ("threshold", cfg.threshold),
-        ("alpha", cfg.alpha), ("eps", cfg.eps), ("sample_dt", cfg.sample_dt),
-        ("decay_factor", cfg.decay_factor),
-    ] + [("mu2_table", value) for row in cfg.mu2_table or () for value in row]
-    for key, value in floats:
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{key} must be a finite number, got {value!r}", key=key)
-
-    if cfg.t_end <= 0.0:
-        raise ConfigError("t_end must be positive", key="t_end")
-    if cfg.threshold <= 0.0:
-        raise ConfigError("threshold must be positive", key="threshold")
-    if not 0.0 < cfg.log_holder_delta < 1.0:
-        raise ConfigError("log_holder_delta must lie in (0, 1)", key="log_holder_delta")
-    if cfg.log_holder_bound <= 0.0:
-        raise ConfigError("log_holder_a must be positive", key="log_holder_a")
-    if cfg.mu1 < 0.0:
-        raise ConfigError("mu1 must be nonnegative", key="mu1")
-    if not 0.0 < cfg.tau1 < cfg.tau2:
-        raise ConfigError("need 0 < tau1 < tau2", key="tau1")
-    if cfg.n_tau < 2:
-        raise ConfigError("n_tau must be at least 2", key="n_tau")
-    if cfg.n_rho < 3:
-        raise ConfigError("n_rho must be at least 3", key="n_rho")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}", key="seed")
-    if cfg.decay_factor <= 0.0:
-        raise ConfigError("decay_factor must be positive", key="decay_factor")
-
-    # make_grid's checks, axis by axis, naming each axis's key
-    for axis, (length, n) in enumerate(zip(cfg.lengths, cfg.nodes)):
-        if length <= 0.0:
-            raise ConfigError(f"domain length must be positive, got {float(length)}",
-                              key=length_keys[axis])
-        if n < 3:
-            raise ConfigError(f"need at least 3 nodes per axis, got {int(n)}",
-                              key=node_keys[axis])
-    grid = make_grid(cfg.lengths, cfg.nodes)
-
-    # "not >=" also rejects NaN samples.
-    svars = _spatial_vars(cfg.dimension)
-    env = dict(zip(svars, grid.meshes()))
-    _, m_vals = _field("m", cfg.m, svars, env, grid.shape)
-    if not m_vals.min() >= 2.0:
-        raise ConfigError(
-            f"damping exponent m(x) must satisfy m(x) >= 2 everywhere; "
-            f"sampled minimum is {float(m_vals.min())}", key="m",
-        )
-    _, p_vals = _field("p", cfg.p, svars, env, grid.shape)
-    if not p_vals.min() >= 1.0:
-        raise ConfigError(
-            f"source exponent p(x) must satisfy p(x) >= 1 everywhere; "
-            f"sampled minimum is {float(p_vals.min())}", key="p",
-        )
-
-    tau = np.linspace(cfg.tau1, cfg.tau2, cfg.n_tau)
-    if cfg.mu2_table is None:
-        _, mu2 = _field("mu2", cfg.mu2, ("tau",), {"tau": tau}, tau.shape)
-        if not mu2.min() >= 0.0:
-            raise ConfigError("delay density mu2 must be nonnegative", key="mu2")
-    else:
-        table_tau, table_mu2 = np.array(cfg.mu2_table, dtype=float).T
-        if table_mu2.min() < 0.0:
-            raise ConfigError("delay density mu2_table must be nonnegative", key="mu2_table")
-        mu2 = np.interp(tau, table_tau, table_mu2)
-
-    u0_fn, u0_vals = _field("u0", cfg.u0, svars, env, grid.shape)
-    u1_fn, u1_vals = _field("u1", cfg.u1, svars, env, grid.shape)
-    f0_fn, f0_vals = _field("f0", cfg.f0, svars + ("s",), {**env, "s": _S0}, grid.shape)
-    # a non-finite initial value would surface only as an overflow after the
-    # first step; boundary nodes are not checked, as init_state zeroes them
-    for key, text, values in (("u0", cfg.u0, u0_vals), ("u1", cfg.u1, u1_vals),
-                              ("f0", cfg.f0, f0_vals)):
-        bad = values[~grid.boundary & ~np.isfinite(values)]
-        if bad.size:
-            raise ConfigError(f"{key}: {text!r} takes the value {float(bad[0])} on the grid",
-                              key=key)
-    sup0 = float(np.max(np.abs(cfg.scale * u0_vals)))
-    if cfg.threshold <= sup0:
-        raise ConfigError(
-            f"threshold {cfg.threshold} must exceed the initial sup-norm {sup0}",
-            key="threshold",
-        )
-
-    dt = cfg.dt
-    limit = auto_dt(cfg.lengths, cfg.nodes, cfg.tau1, cfg.n_rho)
-    if dt is None:
-        dt = limit
-    elif dt <= 0.0:
-        raise ConfigError("dt must be positive", key="dt")
-    elif dt > limit * (1.0 + 1e-9):
-        raise ConfigError(
-            f"dt={dt} violates the CFL contract dt <= {limit:.6g}", key="dt"
-        )
-    sample_dt = cfg.sample_dt
-    if sample_dt is None:
-        sample_dt = max(cfg.t_end / 400.0, dt)
-
-    m = ExponentField(grid, m_vals)
-    p = ExponentField(grid, p_vals)
-    # alpha is used only under the exponent chain m_high < p_low, p_high < inf
-    # (validate_exponent_pair's chain_ok once m >= 2 in 1-D and 2-D).
-    if cfg.alpha is not None and m.high < p.low and p.high < math.inf:
-        window = alpha_window(m, p)
-        if not 0.0 < cfg.alpha <= window:
-            raise ConfigError(
-                f"alpha={cfg.alpha} outside the admissible window (0, {window:.6g}]",
-                key="alpha",
-            )
-
-    config = replace(cfg, dt=float(dt), sample_dt=float(sample_dt))
-    return Resolved(config, grid, m, p, mu2, u0_fn, u1_fn, f0_fn)
 
 
 @dataclass(eq=False)
@@ -283,7 +81,7 @@ class Problem:
     m: ExponentField
     p: ExponentField
     kernel: DelayKernel
-    xi: WeightField
+    xi: GridFunction
     exponent_report: object
     mass_ok: bool
     xi_ok: bool
@@ -291,57 +89,19 @@ class Problem:
     c0_max_margin: float
     alpha: float
     rho_nodes: np.ndarray
-    u0_fn: object
-    u1_fn: object
-    f0_fn: object
+    u0_vals: np.ndarray  # resolve_config's samples of u0, u1 and f0 at s = 0
+    u1_vals: np.ndarray
+    f0_vals: np.ndarray
+    f0_fn: object  # the compiled f0(x, s) of the history fill
     # Per-step invariants of the integrator.
     tail_exp: object  # m.odd broadcast against a (*grid, n_tau) tail
     tail_coeff: np.ndarray  # tau-quadrature weight times mu2, per lane
     cfl: np.ndarray  # dt / (tau d_rho), shaped (n_tau, 1, ...) to broadcast over z
 
 
-def _spatial_vars(dimension):
-    return ("x",) if dimension == 1 else ("x", "y")
-
-
-def _field(key, text, variables, env, shape):
-    """The compiled closed form of a key and its float samples on env.
-
-    Python float constants raise on a zero division or an overflow, and a
-    negative one's fractional power is complex. Either, like a text the
-    grammar rejects, is a ConfigError naming the key. The variables are
-    numpy values (the grid, and f0's s = 0 as _S0, the scalar type of the
-    history fill), which give inf or nan without a warning; the caller
-    decides which of those it accepts.
-    """
-    try:
-        expr = compile_expression(text, variables)
-        with np.errstate(all="ignore"):
-            values = np.asarray(expr(**env))
-    except ExpressionError as exc:
-        raise ConfigError(f"{key}: {exc}", key=key) from None
-    except ArithmeticError as exc:
-        raise ConfigError(f"{key}: evaluating {text!r} raises {type(exc).__name__}: {exc}",
-                          key=key) from None
-    if np.iscomplexobj(values):
-        raise ConfigError(f"{key}: {text!r} takes complex values", key=key)
-    return expr, np.broadcast_to(values, shape).copy()
-
-
-def _sample_spatial(grid, expr, extra=None):
-    env = dict(zip(_spatial_vars(grid.dimension), grid.meshes()))
-    if extra:
-        env.update(extra)
-    # resolve_config has checked the interior samples; a non-finite value on
-    # the boundary is zeroed by the caller
-    with np.errstate(all="ignore"):
-        vals = np.asarray(expr(**env), dtype=float)
-    return np.broadcast_to(vals, grid.shape).copy()
-
-
 def build_problem(config: RunConfig) -> Problem:
     """Check the config, then build the kernel, weight field and invariants."""
-    config, grid, m, p, mu2, u0_fn, u1_fn, f0_fn = resolve_config(config)
+    config, grid, m, p, mu2, u0_vals, u1_vals, f0_vals, f0_fn = resolve_config(config)
     report = validate_exponent_pair(
         m, p, config.dimension, config.log_holder_bound, config.log_holder_delta
     )
@@ -353,7 +113,7 @@ def build_problem(config: RunConfig) -> Problem:
     else:
         # No admissible weight exists; keep the energy well defined with a
         # positive surrogate (zero when damping is disabled entirely).
-        xi = WeightField(grid, m.values * kernel.mu1 / (4.0 * kernel.width))
+        xi = GridFunction(grid, m.values * kernel.mu1 / (4.0 * kernel.width))
     xi_ok = check_xi_condition(kernel, xi, m)
     if xi_ok:
         c0 = dissipation_constant(kernel, xi, m)
@@ -366,9 +126,7 @@ def build_problem(config: RunConfig) -> Problem:
     if report.chain_ok:
         alpha = config.alpha if config.alpha is not None else 0.5 * alpha_window(m, p)
 
-    rho_nodes = np.linspace(0.0, 1.0, config.n_rho)
-    d_rho = 1.0 / (config.n_rho - 1)
-
+    rho_nodes, d_rho, _ = rho_quadrature(config.n_rho)
     cfl = config.dt / (kernel.nodes * d_rho)
 
     return Problem(
@@ -385,8 +143,9 @@ def build_problem(config: RunConfig) -> Problem:
         c0_max_margin=c0_max_margin,
         alpha=alpha,
         rho_nodes=rho_nodes,
-        u0_fn=u0_fn,
-        u1_fn=u1_fn,
+        u0_vals=u0_vals,
+        u1_vals=u1_vals,
+        f0_vals=f0_vals,
         f0_fn=f0_fn,
         tail_exp=_tail_exponent(m.odd),
         tail_coeff=kernel.weights * kernel.mu2,
@@ -420,8 +179,8 @@ def init_state(problem: Problem, shared: bool = False) -> SimState:
     grid = problem.grid
     scale = cfg.scale
 
-    u_vals = scale * _sample_spatial(grid, problem.u0_fn)
-    v_vals = scale * _sample_spatial(grid, problem.u1_fn)
+    u_vals = scale * problem.u0_vals
+    v_vals = scale * problem.u1_vals
     u_vals[grid.boundary] = 0.0
     v_vals[grid.boundary] = 0.0
 
@@ -432,14 +191,21 @@ def init_state(problem: Problem, shared: bool = False) -> SimState:
     shape = (problem.kernel.nodes.size, problem.rho_nodes.size) + grid.shape
     z = _shared_empty(shape) if shared else np.empty(shape)
     z[:, 0] = v_vals  # rho = 0
-    for j, rho in enumerate(problem.rho_nodes[1:], start=1):
-        for k, tau in enumerate(problem.kernel.nodes):
-            np.multiply(scale, problem.f0_fn(**env, s=-rho * tau), out=z[k, j])
+    with np.errstate(all="ignore"):  # a non-finite value is refused below
+        for j, rho in enumerate(problem.rho_nodes[1:], start=1):
+            for k, tau in enumerate(problem.kernel.nodes):
+                np.multiply(scale, problem.f0_fn(**env, s=-rho * tau), out=z[k, j])
     z[..., grid.boundary] = 0.0
+    # resolve_config sees f0 only at s = 0; the fill is where the rest of
+    # the history is sampled, so its rule is checked here, once over it
+    history = z[:, 1:]
+    if not np.isfinite(history).all():
+        k, j = np.argwhere(~np.isfinite(history))[0][:2]
+        s = -problem.rho_nodes[j + 1] * problem.kernel.nodes[k]
+        raise ConfigError(f"f0: {cfg.f0!r} is not finite on the grid at s = {s:.6g}",
+                          key="f0")
 
-    f0_at_zero = scale * _sample_spatial(grid, problem.f0_fn, {"s": _S0})
-    f0_at_zero[grid.boundary] = 0.0
-    gap = float(np.max(np.abs(f0_at_zero - v_vals)))
+    gap = float(np.max(np.abs(scale * problem.f0_vals - v_vals)[~grid.boundary]))
     if gap > 1e-8:
         log.warning(
             "history f0(x, 0) differs from u1(x) by %.3e; proceeding anyway", gap
@@ -853,7 +619,6 @@ class Trajectory:
     termination: str
     blowup_time: float
     eps: float
-    problem: Problem
 
     @property
     def energies(self):
@@ -952,5 +717,4 @@ def _integrate(state, problem):
         termination=termination,
         blowup_time=blowup_time,
         eps=eps,
-        problem=problem,
     )

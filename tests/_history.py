@@ -11,8 +11,19 @@ import math
 import numpy as np
 
 from delaywave.errors import ConditionError
-from delaywave.solver import _sample_spatial, step
+from delaywave.solver import step
 from delaywave.spaces import GridFunction
+
+
+def sample_spatial(grid, expr, extra=None):
+    """A compiled closed form of x (and y) sampled on the grid, with any
+    ``extra`` variables such as f0's s; non-finite values are kept."""
+    env = dict(zip(("x", "y"), grid.meshes()))
+    if extra:
+        env.update(extra)
+    with np.errstate(all="ignore"):
+        vals = np.asarray(expr(**env), dtype=float)
+    return np.broadcast_to(vals, grid.shape).copy()
 
 
 class VelocityHistory:
@@ -31,7 +42,7 @@ class VelocityHistory:
         self._count = 0
         for i in range(self.depth - 1, 0, -1):
             s = state.t - i * cfg.dt
-            vals = cfg.scale * _sample_spatial(grid, problem.f0_fn, {"s": s})
+            vals = cfg.scale * sample_spatial(grid, problem.f0_fn, {"s": s})
             vals[grid.boundary] = 0.0
             self.push(s, vals)
         self.record(state)

@@ -350,8 +350,7 @@ def test_certified_constants_equal_the_benchmark_reference(monkeypatch, name):
     # or the scoring fails here, not only in the benchmark's rtol check
     import json
 
-    from delaywave.config import parse_config
-    from delaywave.solver import resolve_config
+    from delaywave.config import parse_config, resolve_config
 
     monkeypatch.setattr(analysis, "_ratio_memo", {})
     reference = json.loads((BENCH / "reference" / f"{name}.json").read_text())

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from delaywave import analysis, cli
-from delaywave.config import load_preset, parse_config, serialize_config
+from delaywave.config import _apply_axis, load_preset, parse_config, serialize_config
 from delaywave.errors import ConfigError, NumericalError
-from delaywave.scenario import CSV_COLUMNS, _apply_axis, run_scenario, sweep, trajectory_csv
+from delaywave.scenario import CSV_COLUMNS, run_scenario, sweep, trajectory_csv
 
 GOLDEN_HEADER = ("t,E,H,I,J,F,L,phi,kinetic,elastic,delay_energy,"
                  "source_potential,damping_modular,delay_modular,sup_u")
@@ -292,6 +292,27 @@ def test_cli_seed_flag_changes_certified_constants(tmp_path, capsys):
     assert s1["energy"] == s2["energy"]
 
 
+@pytest.mark.parametrize("edit,key", [
+    # f0 is finite at s = 0 but divides by zero at s = -1 = -tau2
+    (("u1 = 0\n", "u1 = 0\nf0 = sin(pi*x)/(1 + 1/s)\n"), "f0"),
+    # nan at the wall x = 0, about 10*pi at the nodes the run keeps
+    (("u0 = 0\n", "u0 = 10*sin(pi*x)/x\n"), "threshold"),
+], ids=["history", "interior-threshold"])
+def test_data_errors_exit_2_before_any_step(tmp_path, capsys, monkeypatch, edit, key):
+    from delaywave import solver
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+    monkeypatch.setattr(solver, "step", no_step)
+    doc = tmp_path / "data.cfg"
+    doc.write_text(ZERO_DATA.replace(*edit) + "threshold = 5\n")
+    code = cli.main(["--config", str(doc), "--out", str(tmp_path / "o")])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error["type"] == "config" and error["key"] == key
+    if key == "f0":
+        assert error["message"].endswith("at s = -1")
+
 
 @pytest.mark.parametrize("route", ["document", "flag", "sweep"])
 def test_negative_seed_is_a_config_error_before_any_step(tmp_path, capsys, monkeypatch,
@@ -410,6 +431,18 @@ def test_sweep_invalid_key_is_config_error():
     cfg = parse_config(load_preset("blowup"))
     with pytest.raises(ConfigError, match="scalar config key"):
         sweep(cfg, "wavelength", [1.0])
+
+
+def test_sweep_takes_every_scalar_key():
+    # the sweep's keys come from the document's key table: the log-Hoelder
+    # keys are scalar keys like any other, a boolean is not
+    cfg = parse_config(load_preset("blowup"))
+    rows, table = sweep(cfg, "log_holder_delta", [0.3, 0.5])
+    assert [row["error"] for row in rows] == [None, None]
+    assert [row["summary"]["config"]["log_holder_delta"] for row in rows] == [0.3, 0.5]
+    assert table.splitlines()[0].startswith("log_holder_delta,")
+    with pytest.raises(ConfigError, match="scalar config key"):
+        sweep(cfg, "disable_source", [1.0])
 
 
 def test_sweep_records_failures_and_continues():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from delaywave.config import (
@@ -5,6 +10,7 @@ from delaywave.config import (
     config_hash,
     load_preset,
     parse_config,
+    resolve_config,
     serialize_config,
 )
 from delaywave.errors import ConfigError
@@ -136,6 +142,28 @@ def test_threshold_below_initial_sup_rejected():
         parse_config(bad)
 
 
+def test_threshold_reads_interior_nodes_only():
+    # u0 = 0.1/x is inf at the wall x = 0, which the run zeroes; its sup-norm
+    # over the nodes the run keeps is 0.1/h, far below the threshold
+    resolved = resolve_config(parse_config(MINIMAL.replace("u0 = 0.1*sin(pi*x)", "u0 = 0.1/x")))
+    assert resolved.config.threshold == 1e6
+    # 10*sin(pi*x)/x is nan at x = 0 and about 10*pi inside
+    bad = MINIMAL.replace("u0 = 0.1*sin(pi*x)", "u0 = 10*sin(pi*x)/x") + "threshold = 5\n"
+    with pytest.raises(ConfigError, match="initial sup-norm 31.") as err:
+        parse_config(bad)
+    assert err.value.key == "threshold"
+
+
+def test_config_imports_no_solver():
+    # the config and its rules stand without the integrator
+    code = "import sys, delaywave.config; sys.exit('delaywave.solver' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_tau_ordering_rejected():
     bad = MINIMAL.replace("tau2 = 1.0", "tau2 = 0.25")
     with pytest.raises(ConfigError, match="tau1"):
@@ -258,7 +286,7 @@ def test_unknown_preset_rejected():
 def test_generated_configs_round_trip():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    from delaywave.solver import RunConfig, auto_dt
+    from delaywave.config import RunConfig, auto_dt
 
     def floats(lo, hi):
         return st.floats(lo, hi, allow_nan=False, allow_infinity=False)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from delaywave.delay import (
-    WeightField,
     build_kernel,
     check_mass_condition,
     check_xi_condition,
@@ -11,7 +10,7 @@ from delaywave.delay import (
     xi_default,
 )
 from delaywave.errors import ConditionError
-from delaywave.spaces import ExponentField, make_grid
+from delaywave.spaces import ExponentField, GridFunction, make_grid
 
 
 def test_kernel_constant_density_mass():
@@ -106,7 +105,7 @@ def test_xi_condition_default_always_holds():
 def test_xi_condition_boundary_case_fails():
     g, m = _grid_and_m()
     k = build_kernel(lambda t: np.full_like(t, 0.5), 1.0, 2.0, 11, mu1=1.0)
-    doubled = WeightField(g, 2.0 * xi_default(k, m).values)
+    doubled = GridFunction(g, 2.0 * xi_default(k, m).values)
     assert not check_xi_condition(k, doubled, m)  # equality, not strict
 
 
@@ -116,7 +115,7 @@ def test_xi_condition_matches_brute_force():
     k = build_kernel(lambda t: np.full_like(t, 0.3), 1.0, 2.0, 9, mu1=1.0)
     m = ExponentField(g, rng.uniform(2.0, 4.0, g.shape))
     for _ in range(50):
-        xi = WeightField(g, rng.uniform(0.0, 3.0, g.shape))
+        xi = GridFunction(g, rng.uniform(0.0, 3.0, g.shape))
         brute = all(k.mass + (k.tau2 - k.tau1) * x / mm < k.mu1
                     for x, mm in zip(xi.values, m.values))
         assert check_xi_condition(k, xi, m) == brute
@@ -135,7 +134,7 @@ def test_dissipation_constant_hand_values():
     assert dissipation_constant(k0, xi0, m) == pytest.approx(1.0)
 
     # explicit unit weight: f = 2 - (0 + 1*0.5) = 1.5, xi/m = 0.5
-    xi1 = WeightField(g, np.ones(g.shape))
+    xi1 = GridFunction(g, np.ones(g.shape))
     assert dissipation_margins(k0, xi1, m) == (pytest.approx(1.5), pytest.approx(0.5))
     assert dissipation_constant(k0, xi1, m) == pytest.approx(0.5)
 
@@ -154,6 +153,6 @@ def test_dissipation_constant_positive_whenever_admissible():
 def test_dissipation_constant_requires_condition():
     g, m = _grid_and_m()
     k = build_kernel(lambda t: np.full_like(t, 0.5), 1.0, 2.0, 11, mu1=1.0)
-    bad = WeightField(g, 10.0 * np.ones(g.shape))
+    bad = GridFunction(g, 10.0 * np.ones(g.shape))
     with pytest.raises(ConditionError):
         dissipation_constant(k, bad, m)

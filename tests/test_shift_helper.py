@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from delaywave import parallel, solver
-from delaywave.config import load_preset, parse_config
+from delaywave.config import RunConfig, load_preset, parse_config
 from delaywave.scenario import trajectory_csv
-from delaywave.solver import RunConfig
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 

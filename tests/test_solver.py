@@ -7,23 +7,21 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from _history import VelocityHistory, advance
+from _history import VelocityHistory, advance, sample_spatial
 
 from delaywave import solver
+from delaywave.config import RunConfig, auto_dt, resolve_config
 from delaywave.delay import build_kernel
 from delaywave.errors import ConditionError, ConfigError, NumericalError
+from delaywave.expressions import compile_expression
 from delaywave.scenario import run_scenario
 from delaywave.solver import (
-    RunConfig,
     SimState,
-    _sample_spatial,
-    auto_dt,
     build_problem,
     damping_force,
     delay_force,
     init_state,
     laplacian,
-    resolve_config,
     run,
     source_force,
     step,
@@ -90,8 +88,9 @@ def test_init_warns_on_inconsistent_history(caplog):
 def _per_node_history(problem):
     """The memory field z as first filled: f0 sampled on a fresh mesh at each
     (rho, tau) node, scaled, and its boundary zeroed node by node."""
-    grid, scale = problem.grid, problem.config.scale
-    v_vals = scale * _sample_spatial(grid, problem.u1_fn)
+    cfg, grid, scale = problem.config, problem.grid, problem.config.scale
+    u1 = compile_expression(cfg.u1, ("x", "y")[:grid.dimension])
+    v_vals = scale * sample_spatial(grid, u1)
     v_vals[grid.boundary] = 0.0
     z = np.zeros((problem.kernel.nodes.size, problem.rho_nodes.size) + grid.shape)
     for j, rho in enumerate(problem.rho_nodes):
@@ -99,7 +98,7 @@ def _per_node_history(problem):
             if rho == 0.0:
                 z[k, j] = v_vals
                 continue
-            vals = scale * _sample_spatial(grid, problem.f0_fn, {"s": -rho * tau})
+            vals = scale * sample_spatial(grid, problem.f0_fn, {"s": -rho * tau})
             vals[grid.boundary] = 0.0
             z[k, j] = vals
     return z
@@ -772,20 +771,31 @@ def test_alpha_rule_applies_under_the_exponent_chain():
 
 
 def test_build_problem_compiles_each_expression_once(monkeypatch):
-    import delaywave.solver as solver
+    import delaywave.config as config
 
     compiled = []
-    real = solver.compile_expression
+    evaluated = {}  # text -> the s of each evaluation (None without s)
+    real = config.compile_expression
 
     def counting(text, variables=()):
         compiled.append(text)
-        return real(text, variables)
+        expr = real(text, variables)
 
-    monkeypatch.setattr(solver, "compile_expression", counting)
+        def evaluate(**env):
+            evaluated.setdefault(text, []).append(env.get("s"))
+            return expr(**env)
+        return evaluate
+
+    monkeypatch.setattr(config, "compile_expression", counting)
     cfg = _config(m="2 + 0.1*x", p="3 + 0.1*x", mu2="0.1*tau", u0="0.1*sin(pi*x)",
                   u1="0.2*sin(pi*x)", f0="0.2*sin(pi*x)*cos(s)")
-    build_problem(cfg)
+    init_state(build_problem(cfg))
     assert sorted(compiled) == sorted([cfg.m, cfg.p, cfg.mu2, cfg.u0, cfg.u1, cfg.f0])
+    # set-up samples u0 and u1 once, and f0 once at s = 0 and once per
+    # history node
+    assert evaluated[cfg.u0] == evaluated[cfg.u1] == [None]
+    history = (cfg.n_rho - 1) * cfg.n_tau
+    assert len(evaluated[cfg.f0]) == 1 + history and evaluated[cfg.f0].count(0.0) == 1
 
 
 @pytest.mark.parametrize("key,value,message", [

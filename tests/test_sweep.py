@@ -9,8 +9,8 @@ import pytest
 
 from delaywave import parallel, scenario, solver
 from delaywave.analysis import embedding_constant_for_gate
-from delaywave.config import load_preset, parse_config
-from delaywave.scenario import _apply_axis, run_scenario, sweep
+from delaywave.config import _apply_axis, load_preset, parse_config
+from delaywave.scenario import run_scenario, sweep
 from delaywave.spaces import make_grid
 
 fork_only = pytest.mark.skipif(

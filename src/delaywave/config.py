@@ -177,11 +177,12 @@ def resolve_config(cfg: RunConfig) -> Resolved:
     config it is given. A violation raises ConfigError naming the key. Each
     closed form is compiled and sampled once here (f0 at s = 0), so one that
     cannot be parsed or evaluated is a ConfigError too, and so is initial
-    data (u0, u1, f0 at s = 0) that is not finite at an interior node. The
-    threshold must exceed the sup-norm of scale * u0 over the interior
-    nodes, the nodes a run keeps. The grid, the samples and the compiled f0
-    are returned, so ``build_problem`` and ``init_state`` compile and sample
-    none of them again.
+    data (u0, u1, f0 at s = 0) that is not finite at an interior node, and
+    so is scale * u0 or scale * u1 that overflows there. The threshold must
+    exceed the sup-norm of scale * u0 over the interior nodes, the nodes a
+    run keeps. The grid, the samples and the compiled f0 are returned, so
+    ``build_problem`` and ``init_state`` compile and sample none of them
+    again.
     """
     if cfg.dimension not in (1, 2):
         raise ConfigError(f"dimension must be 1 or 2, got {cfg.dimension}", key="dimension")
@@ -268,7 +269,14 @@ def resolve_config(cfg: RunConfig) -> Resolved:
         if bad.size:
             raise ConfigError(f"{key}: {text!r} takes the value {float(bad[0])} on the grid",
                               key=key)
-    sup0 = float(np.max(np.abs(cfg.scale * u0_vals[interior])))
+    # the run starts from scale * u0 and scale * u1, which can overflow
+    with np.errstate(over="ignore"):
+        scaled = {"u0": cfg.scale * u0_vals[interior], "u1": cfg.scale * u1_vals[interior]}
+    for key, values in scaled.items():
+        if not np.isfinite(values).all():
+            raise ConfigError(f"{key}: scale * {getattr(cfg, key)!r} is not finite on the grid "
+                              f"with scale = {cfg.scale:g}", key=key)
+    sup0 = float(np.max(np.abs(scaled["u0"])))
     if cfg.threshold <= sup0:
         raise ConfigError(
             f"threshold {cfg.threshold} must exceed the initial sup-norm {sup0}",

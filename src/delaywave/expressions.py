@@ -4,6 +4,9 @@ Supported: + - * / ^ (power, right associative), unary minus and plus,
 parentheses, sin cos exp abs, constants pi and e, and caller-defined
 variables. Python's parser reads the text (^ as **), one walk keeps only
 those nodes, and nothing reaches ``eval``. Evaluation is numpy-vectorized.
+An ``Expression`` knows the variables its tree reads (``names``), so a
+caller can tell that a value does not depend on one, such as the history
+f0 that does not read s.
 """
 
 from __future__ import annotations
@@ -76,6 +79,12 @@ def _evaluate(node, env):
     raise ExpressionError(f"unhandled node {op!r}")
 
 
+def _names(node):
+    if node[0] == "var":
+        return {node[1]}
+    return set().union(*(_names(child) for child in node[1:] if type(child) is tuple))
+
+
 @dataclass(frozen=True)
 class Expression:
     """Compiled expression; call with keyword arguments for its variables."""
@@ -83,6 +92,11 @@ class Expression:
     source: str
     variables: tuple
     _ast: tuple
+
+    @property
+    def names(self) -> frozenset:
+        """The variables the tree reads; constants are not names, and τ reads tau."""
+        return frozenset(_names(self._ast))
 
     def __call__(self, **env):
         missing = set(self.variables) - set(env)

@@ -1,7 +1,9 @@
 """Explicit time integration of the delayed nonlinear wave system.
 
 The numerics only: ``build_problem`` builds on what ``config.resolve_config``
-checked and sampled, and ``init_state`` evaluates only the history f0 again.
+checked and sampled. ``init_state`` evaluates the history f0 again once per
+(rho, tau) node only when f0 reads s; otherwise every node holds the
+validator's sample f0(x, 0).
 
 State layout: ``SimState`` holds t, u and v on the spatial grid and the
 memory field z(x, rho, tau) = u_t(x, t - rho tau), one C-contiguous array
@@ -184,26 +186,36 @@ def init_state(problem: Problem, shared: bool = False) -> SimState:
     u_vals[grid.boundary] = 0.0
     v_vals[grid.boundary] = 0.0
 
-    # One spatial environment for every history node. s stays a numpy
-    # scalar per node: the array power differs from the scalar one in the
-    # last bit, so evaluating f0 over a stacked s would change bytes.
-    env = dict(zip(_spatial_vars(grid.dimension), grid.meshes()))
     shape = (problem.kernel.nodes.size, problem.rho_nodes.size) + grid.shape
     z = _shared_empty(shape) if shared else np.empty(shape)
     z[:, 0] = v_vals  # rho = 0
-    with np.errstate(all="ignore"):  # a non-finite value is refused below
-        for j, rho in enumerate(problem.rho_nodes[1:], start=1):
+
+    def check_lane(lane, k):
+        # resolve_config sees f0 only at s = 0; the fill is where the rest of
+        # the history is sampled, so its rule is checked here, lane by lane:
+        # the first bad node in lane-major (k, j) order is named
+        lane[..., grid.boundary] = 0.0
+        if not np.isfinite(lane).all():
+            j = 1 + np.argwhere(~np.isfinite(lane))[0][0]
+            s = -problem.rho_nodes[j] * problem.kernel.nodes[k]
+            raise ConfigError(f"f0: {cfg.f0!r} is not finite on the grid at s = {s:.6g}",
+                              key="f0")
+
+    with np.errstate(all="ignore"):  # a non-finite value is refused as it is written
+        if "s" in problem.f0_fn.names:
+            # One spatial environment for every history node. s stays a numpy
+            # scalar per node: the array power differs from the scalar one in
+            # the last bit, so evaluating f0 over a stacked s would change bytes.
+            env = dict(zip(_spatial_vars(grid.dimension), grid.meshes()))
             for k, tau in enumerate(problem.kernel.nodes):
-                np.multiply(scale, problem.f0_fn(**env, s=-rho * tau), out=z[k, j])
-    z[..., grid.boundary] = 0.0
-    # resolve_config sees f0 only at s = 0; the fill is where the rest of
-    # the history is sampled, so its rule is checked here, once over it
-    history = z[:, 1:]
-    if not np.isfinite(history).all():
-        k, j = np.argwhere(~np.isfinite(history))[0][:2]
-        s = -problem.rho_nodes[j + 1] * problem.kernel.nodes[k]
-        raise ConfigError(f"f0: {cfg.f0!r} is not finite on the grid at s = {s:.6g}",
-                          key="f0")
+                for j, rho in enumerate(problem.rho_nodes[1:], start=1):
+                    np.multiply(scale, problem.f0_fn(**env, s=-rho * tau), out=z[k, j])
+                check_lane(z[k, 1:], k)
+        else:
+            # f0 is the same at every node: resolve_config's sample at s = 0
+            row = np.multiply(scale, problem.f0_vals)
+            check_lane(row[None], 0)
+            z[:, 1:] = row
 
     gap = float(np.max(np.abs(scale * problem.f0_vals - v_vals)[~grid.boundary]))
     if gap > 1e-8:

@@ -4,6 +4,8 @@ The integrator keeps no past velocities besides z itself. A test that wants
 to cross-validate z builds a ``VelocityHistory`` next to the state and calls
 ``record`` after every ``step``; the recorder keeps a ring buffer of
 velocity snapshots spanning the largest delay and interpolates it linearly.
+``per_node_history`` is the memory field's first fill made node by node, the
+oracle ``init_state``'s fill is checked against byte for byte.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import numpy as np
 
 from delaywave.errors import ConditionError
+from delaywave.expressions import compile_expression
 from delaywave.solver import step
 from delaywave.spaces import GridFunction
 
@@ -24,6 +27,24 @@ def sample_spatial(grid, expr, extra=None):
     with np.errstate(all="ignore"):
         vals = np.asarray(expr(**env), dtype=float)
     return np.broadcast_to(vals, grid.shape).copy()
+
+
+def per_node_history(problem):
+    """The memory field z as first filled, node by node: scale * u1 at rho = 0,
+    and at every other (rho, tau) node f0 sampled on the mesh with a numpy
+    scalar s = -rho * tau and scaled; then the boundary of the whole field is
+    zeroed. Non-finite values are kept."""
+    cfg, grid, scale = problem.config, problem.grid, problem.config.scale
+    shape = (problem.kernel.nodes.size, problem.rho_nodes.size) + grid.shape
+    z = np.empty(shape)
+    u1 = compile_expression(cfg.u1, ("x", "y")[:grid.dimension])
+    with np.errstate(all="ignore"):
+        z[:, 0] = scale * sample_spatial(grid, u1)
+        for j, rho in enumerate(problem.rho_nodes[1:], start=1):
+            for k, tau in enumerate(problem.kernel.nodes):
+                z[k, j] = scale * sample_spatial(grid, problem.f0_fn, {"s": -rho * tau})
+    z[..., grid.boundary] = 0.0
+    return z
 
 
 class VelocityHistory:

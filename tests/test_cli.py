@@ -292,13 +292,20 @@ def test_cli_seed_flag_changes_certified_constants(tmp_path, capsys):
     assert s1["energy"] == s2["energy"]
 
 
-@pytest.mark.parametrize("edit,key", [
+@pytest.mark.parametrize("edit,key,message", [
     # f0 is finite at s = 0 but divides by zero at s = -1 = -tau2
-    (("u1 = 0\n", "u1 = 0\nf0 = sin(pi*x)/(1 + 1/s)\n"), "f0"),
+    (("u1 = 0\n", "u1 = 0\nf0 = sin(pi*x)/(1 + 1/s)\n"), "f0", r"at s = -1$"),
     # nan at the wall x = 0, about 10*pi at the nodes the run keeps
-    (("u0 = 0\n", "u0 = 10*sin(pi*x)/x\n"), "threshold"),
-], ids=["history", "interior-threshold"])
-def test_data_errors_exit_2_before_any_step(tmp_path, capsys, monkeypatch, edit, key):
+    (("u0 = 0\n", "u0 = 10*sin(pi*x)/x\n"), "threshold", r"initial sup-norm 31\.39"),
+    # finite samples that overflow once scaled; the history names its first
+    # node, rho_1 tau_1 = 0.5/31
+    (("u0 = 0\n", "u0 = 1e300*sin(pi*x)\nscale = 1e10\n"), "u0", r"with scale = 1e\+10"),
+    (("u1 = 0\n", "u1 = 1e300*sin(pi*x)\nscale = 1e10\n"), "u1", r"with scale = 1e\+10"),
+    (("u1 = 0\n", "u1 = 0\nf0 = 1e300*sin(pi*x)\nscale = 1e10\n"), "f0",
+     r"is not finite on the grid at s = -0\.016129$"),
+], ids=["history", "interior-threshold", "scaled-u0", "scaled-u1", "scaled-f0"])
+def test_data_errors_exit_2_before_any_step(tmp_path, capsys, monkeypatch, edit, key,
+                                            message):
     from delaywave import solver
 
     def no_step(*args):
@@ -310,8 +317,7 @@ def test_data_errors_exit_2_before_any_step(tmp_path, capsys, monkeypatch, edit,
     error = json.loads(capsys.readouterr().out)["error"]
     assert code == 2
     assert error["type"] == "config" and error["key"] == key
-    if key == "f0":
-        assert error["message"].endswith("at s = -1")
+    assert re.search(message, error["message"])
 
 
 @pytest.mark.parametrize("route", ["document", "flag", "sweep"])

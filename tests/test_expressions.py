@@ -38,6 +38,19 @@ def test_tau_alias():
     assert compile_expression("exp(-tau)", ("tau",))(tau=1.0) == pytest.approx(np.exp(-1.0))
 
 
+@pytest.mark.parametrize("text,names", [
+    ("0", set()),
+    ("0.7*sin(pi*x)", {"x"}),
+    ("x*s + tau", {"x", "s", "tau"}),
+    ("e*pi", set()),  # constants are not names
+    ("τ", {"tau"}),
+    ("sin(s)^2", {"s"}),
+])
+def test_names_are_the_variables_the_tree_reads(text, names):
+    # allowed but unread variables are not names, so f0 = 0 does not read s
+    assert compile_expression(text, ("x", "s", "tau")).names == names
+
+
 def test_unknown_name_lists_allowed_variables():
     with pytest.raises(ExpressionError, match="allowed variables"):
         compile_expression("sin(pi*y)", ("x",))

@@ -3,14 +3,16 @@ import logging
 import os
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _history import VelocityHistory, advance, sample_spatial
+from _history import VelocityHistory, advance, per_node_history, sample_spatial
 
 from delaywave import solver
-from delaywave.config import RunConfig, auto_dt, resolve_config
+from delaywave.config import PRESET_NAMES, RunConfig, auto_dt, load_preset, parse_config, \
+    resolve_config
 from delaywave.delay import build_kernel
 from delaywave.errors import ConditionError, ConfigError, NumericalError
 from delaywave.expressions import compile_expression
@@ -85,25 +87,6 @@ def test_init_warns_on_inconsistent_history(caplog):
     assert any("f0(x, 0)" in rec.message for rec in caplog.records)
 
 
-def _per_node_history(problem):
-    """The memory field z as first filled: f0 sampled on a fresh mesh at each
-    (rho, tau) node, scaled, and its boundary zeroed node by node."""
-    cfg, grid, scale = problem.config, problem.grid, problem.config.scale
-    u1 = compile_expression(cfg.u1, ("x", "y")[:grid.dimension])
-    v_vals = scale * sample_spatial(grid, u1)
-    v_vals[grid.boundary] = 0.0
-    z = np.zeros((problem.kernel.nodes.size, problem.rho_nodes.size) + grid.shape)
-    for j, rho in enumerate(problem.rho_nodes):
-        for k, tau in enumerate(problem.kernel.nodes):
-            if rho == 0.0:
-                z[k, j] = v_vals
-                continue
-            vals = scale * sample_spatial(grid, problem.f0_fn, {"s": -rho * tau})
-            vals[grid.boundary] = 0.0
-            z[k, j] = vals
-    return z
-
-
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_history_prefill_matches_per_node_oracle(dimension):
     # f0 raises s to a power: numpy's array power and its scalar power differ
@@ -114,7 +97,46 @@ def test_history_prefill_matches_per_node_oracle(dimension):
         over.update(dimension=2, lengths=(1.0, 0.8), nodes=(17, 13),
                     f0=f0.replace("x*(1-x)", "x*(1-x)*y^1.5"))
     prob = build_problem(_config(**over))
-    assert np.array_equal(init_state(prob).z, _per_node_history(prob))
+    assert np.array_equal(init_state(prob).z, per_node_history(prob))
+
+
+@pytest.mark.parametrize("f0,s", [
+    # nan for s in (-0.3, -0.2): lane tau_1 = 0.5 first meets it at
+    # rho = 13/31, before lane tau = 0.9 at rho = 7/31 (s = -0.203226)
+    ("((s + 0.2)*(s + 0.3))^0.5*sin(pi*x)", "-0.209677"),
+    # f0 does not read s, and overflows at every node once scaled
+    ("1e300*sin(pi*x)", "-0.016129"),
+], ids=["reads-s", "no-s"])
+@pytest.mark.parametrize("shared", [False, True], ids=["private", "shared"])
+def test_history_error_names_the_first_bad_node_in_lane_major_order(f0, s, shared):
+    prob = build_problem(_config(f0=f0, scale=1e10))
+    with pytest.raises(ConfigError) as err:
+        init_state(prob, shared=shared)
+    assert err.value.key == "f0"
+    assert err.value.message == f"f0: {f0!r} is not finite on the grid at s = {s}"
+    bad = np.argwhere(~np.isfinite(per_node_history(prob)[:, 1:]))[0]
+    assert f"{-prob.rho_nodes[bad[1] + 1] * prob.kernel.nodes[bad[0]]:.6g}" == s
+
+
+_BOX_2D = Path(__file__).resolve().parents[1] / "bench" / "box-2d.cfg"
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["private", "shared"])
+@pytest.mark.parametrize("source", list(PRESET_NAMES) + ["box-2d", "f0-reads-s"])
+def test_history_fill_is_bytewise_the_per_node_fill(source, shared):
+    # an f0 that does not read s fills every node from one sample; the bytes
+    # must be those of evaluating f0 at each node, in either kind of memory
+    if source == "box-2d":
+        cfg = parse_config(_BOX_2D.read_text())
+    elif source == "f0-reads-s":
+        cfg = replace(parse_config(load_preset("blowup")), f0="0.7*sin(pi*x)*exp(s)")
+    else:
+        cfg = parse_config(load_preset(source))
+    prob = build_problem(cfg)
+    assert ("s" in prob.f0_fn.names) == (source == "f0-reads-s")
+    z = init_state(prob, shared=shared).z
+    oracle = per_node_history(prob)
+    assert z.shape == oracle.shape and z.tobytes() == oracle.tobytes()
 
 
 # --- spatial operators ----------------------------------------------------------
@@ -738,7 +760,6 @@ def test_run_allocates_no_velocity_history():
 def test_run_overflow_raises_numerical_error():
     # with the threshold out of reach the blow-up preset overflows to inf
     from dataclasses import replace
-    from delaywave.config import load_preset, parse_config
 
     cfg = replace(parse_config(load_preset("blowup")), threshold=1e300)
     with pytest.raises(NumericalError, match="numerical overflow") as err:
@@ -784,18 +805,23 @@ def test_build_problem_compiles_each_expression_once(monkeypatch):
         def evaluate(**env):
             evaluated.setdefault(text, []).append(env.get("s"))
             return expr(**env)
+        evaluate.names = expr.names  # init_state reads whether f0 reads s
         return evaluate
 
     monkeypatch.setattr(config, "compile_expression", counting)
-    cfg = _config(m="2 + 0.1*x", p="3 + 0.1*x", mu2="0.1*tau", u0="0.1*sin(pi*x)",
-                  u1="0.2*sin(pi*x)", f0="0.2*sin(pi*x)*cos(s)")
-    init_state(build_problem(cfg))
-    assert sorted(compiled) == sorted([cfg.m, cfg.p, cfg.mu2, cfg.u0, cfg.u1, cfg.f0])
-    # set-up samples u0 and u1 once, and f0 once at s = 0 and once per
-    # history node
-    assert evaluated[cfg.u0] == evaluated[cfg.u1] == [None]
-    history = (cfg.n_rho - 1) * cfg.n_tau
-    assert len(evaluated[cfg.f0]) == 1 + history and evaluated[cfg.f0].count(0.0) == 1
+    base = _config(m="2 + 0.1*x", p="3 + 0.1*x", mu2="0.1*tau", u0="0.1*sin(pi*x)",
+                   u1="0.2*sin(pi*x)")
+    # set-up samples u0 and u1 once, and f0 once at s = 0; an f0 that reads
+    # s is evaluated again once per history node, one that does not never
+    for f0, history in (("0.2*sin(pi*x)*cos(s)", (base.n_rho - 1) * base.n_tau),
+                        ("0.3*sin(pi*x)", 0)):
+        compiled.clear()
+        evaluated.clear()
+        cfg = replace(base, f0=f0)
+        init_state(build_problem(cfg))
+        assert sorted(compiled) == sorted([cfg.m, cfg.p, cfg.mu2, cfg.u0, cfg.u1, cfg.f0])
+        assert evaluated[cfg.u0] == evaluated[cfg.u1] == [None]
+        assert len(evaluated[cfg.f0]) == 1 + history and evaluated[cfg.f0].count(0.0) == 1
 
 
 @pytest.mark.parametrize("key,value,message", [

@@ -170,15 +170,24 @@ def _field(key, text, variables, env, shape):
     return expr, np.broadcast_to(values, shape).copy()
 
 
+def _require_finite(key, text, values):
+    """ConfigError naming the key and the first non-finite sample, if any."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ConfigError(f"{key}: {text!r} takes the value {float(values[~finite][0])} "
+                          "on the grid", key=key)
+
+
 def resolve_config(cfg: RunConfig) -> Resolved:
     """Check every config rule; fill dt and sample_dt when unset.
 
     ``parse_config`` runs it on each document and ``build_problem`` on each
     config it is given. A violation raises ConfigError naming the key. Each
     closed form is compiled and sampled once here (f0 at s = 0), so one that
-    cannot be parsed or evaluated is a ConfigError too, and so is initial
-    data (u0, u1, f0 at s = 0) that is not finite at an interior node, and
-    so is scale * u0 or scale * u1 that overflows there. The threshold must
+    cannot be parsed or evaluated is a ConfigError too, and so is an
+    exponent m or p that is not finite at a node, initial data (u0, u1, f0
+    at s = 0) that is not finite at an interior node, and scale * u0 or
+    scale * u1 that overflows there. The threshold must
     exceed the sup-norm of scale * u0 over the interior nodes, the nodes a
     run keeps. The grid, the samples and the compiled f0 are returned, so
     ``build_problem`` and ``init_state`` compile and sample none of them
@@ -230,16 +239,19 @@ def resolve_config(cfg: RunConfig) -> Resolved:
                               key=node_keys[axis])
     grid = make_grid(cfg.lengths, cfg.nodes)
 
-    # "not >=" also rejects NaN samples.
+    # an exponent must be finite at every node, boundary included: the
+    # exponent fields and the log-Hoelder check read them all
     svars = _spatial_vars(cfg.dimension)
     env = dict(zip(svars, grid.meshes()))
     _, m_vals = _field("m", cfg.m, svars, env, grid.shape)
+    _require_finite("m", cfg.m, m_vals)
     if not m_vals.min() >= 2.0:
         raise ConfigError(
             f"damping exponent m(x) must satisfy m(x) >= 2 everywhere; "
             f"sampled minimum is {float(m_vals.min())}", key="m",
         )
     _, p_vals = _field("p", cfg.p, svars, env, grid.shape)
+    _require_finite("p", cfg.p, p_vals)
     if not p_vals.min() >= 1.0:
         raise ConfigError(
             f"source exponent p(x) must satisfy p(x) >= 1 everywhere; "
@@ -265,10 +277,7 @@ def resolve_config(cfg: RunConfig) -> Resolved:
     interior = ~grid.boundary
     for key, text, values in (("u0", cfg.u0, u0_vals), ("u1", cfg.u1, u1_vals),
                               ("f0", cfg.f0, f0_vals)):
-        bad = values[interior & ~np.isfinite(values)]
-        if bad.size:
-            raise ConfigError(f"{key}: {text!r} takes the value {float(bad[0])} on the grid",
-                              key=key)
+        _require_finite(key, text, values[interior])
     # the run starts from scale * u0 and scale * u1, which can overflow
     with np.errstate(over="ignore"):
         scaled = {"u0": cfg.scale * u0_vals[interior], "u1": cfg.scale * u1_vals[interior]}

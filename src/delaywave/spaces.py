@@ -309,37 +309,133 @@ def check_sandwich(u: GridFunction, p: ExponentField, tol=1e-9) -> bool:
     return (min(a, b) - slack) <= rho <= (max(a, b) + slack)
 
 
-def log_holder_modulus(q: ExponentField, delta=0.5) -> float:
-    """max over node pairs with 0 < |x-y| < delta of |q(x)-q(y)|*|log|x-y||.
+_SLACK = 1.0 + 2.0**-40
 
-    delta must lie in (0, 1) so the logarithm has one sign on the admissible
-    pairs. A constant field scores exactly 0. See ``log_holder_moduli``.
+
+def _reachable_offsets(x, y, delta):
+    """The lattice offsets the log-Hoelder sweep visits, and their d_min.
+
+    Returns ``d_min`` of shape (n_di, n_dj), the shortest pair distance
+    sqrt(gx_min**2 + gy_min**2) of each offset (di, dj) from its two smallest
+    axis gaps, and the mask ``reach`` of the offsets with a pair closer than
+    delta: di > 0, or di == 0 and dj > 0, cut where the lexicographic loop
+    over di and then dj first meets a gap or a d_min of at least delta.
     """
-    return log_holder_moduli((q,), delta)[0]
+    nx, ny = x.size, y.size
+    gx_min = []
+    for di in range(nx):
+        gap = (x[di:] - x[:nx - di]).min()
+        if gap >= delta:
+            break
+        gx_min.append(gap)
+    gx_min = np.array(gx_min)
+    gy_min = np.array([(y[dj:] - y[:ny - dj]).min() for dj in range(ny)])
+    d_min = np.sqrt((gx_min * gx_min)[:, None] + gy_min * gy_min)
+    reach = np.logical_and.accumulate(d_min < delta, axis=1)
+    n_dj = int(reach.sum(axis=1).max())
+    reach[0, 0] = False
+    return d_min[:, :n_dj], reach[:, :n_dj]
+
+
+def _step_maxima(w, count):
+    """out[d, j] = max over i of |w[i + d, j] - w[i, j]|, for d < count."""
+    n = w.shape[0]
+    return np.array([np.abs(w[d:] - w[:n - d]).max(axis=0) for d in range(count)])
+
+
+def _running_maxima(diffs, n, count):
+    """lo[a, b] = max(diffs[a, :n - b]) and hi[a, b] = max(diffs[a, b:]), b < count."""
+    prefix = np.maximum.accumulate(diffs, axis=1)
+    suffix = np.maximum.accumulate(diffs[:, ::-1], axis=1)[:, ::-1]
+    b = np.arange(count)
+    return prefix[:, n - 1 - b], suffix[:, b]
+
+
+def _offset_bounds(v, d_min):
+    """Upper bounds on the log-Hoelder score of one field's pairs per offset.
+
+    ``v`` is the field on an (nx, ny) lattice and ``d_min`` the offsets'
+    shortest distances from ``_reachable_offsets``. Returns ``(plus, minus)``
+    of d_min's shape: plus[di, dj] bounds the scores of the pairs
+    (i, j) -> (i + di, j + dj), minus[di, dj] those of the mirror
+    (i, j + dj) -> (i + di, j).
+
+    R[di, j] is the largest |q(i + di, j) - q(i, j)| of row j and C[dj, i]
+    the largest |q(i, j + dj) - q(i, j)| of column i. Through the corner
+    (i, j + dj) the pair (i, j) -> (i + di, j + dj) takes a column step at
+    i <= nx - 1 - di and a row step at j + dj >= dj, and through the corner
+    (i + di, j) the other two; so |dq| <= min(Xhi + Ylo, Xlo + Yhi), where
+    Xlo, Xhi are the maxima of R[di] over the rows up to ny - 1 - dj and
+    from dj, and Ylo, Yhi those of C[dj] over the columns up to nx - 1 - di
+    and from di. The mirror's corners give min(Xlo + Ylo, Xhi + Yhi). No
+    |dq| exceeds max q - min q. The bound times |log d_min| times the sweep's
+    slack bounds every score; the slack once more covers the rounding of the
+    triangle inequality. A nan bound, which only a non-finite value gives,
+    counts as inf.
+    """
+    nx, ny = v.shape
+    n_di, n_dj = d_min.shape
+    # both reduce over a leading axis, which numpy does fastest
+    x_lo, x_hi = _running_maxima(_step_maxima(v, n_di), ny, n_dj)
+    cols = _step_maxima(np.ascontiguousarray(v.T), n_dj)
+    y_lo, y_hi = (a.T for a in _running_maxima(cols, nx, n_di))
+    cap = v.max() - v.min()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weight = -np.log(d_min) * _SLACK * _SLACK
+        plus = np.minimum(np.minimum(x_hi + y_lo, x_lo + y_hi), cap) * weight
+        minus = np.minimum(np.minimum(x_lo + y_lo, x_hi + y_hi), cap) * weight
+    return np.nan_to_num(plus, nan=np.inf), np.nan_to_num(minus, nan=np.inf)
+
+
+def _offset_score(v, x, y, di, dj, mirror, d_min, delta, worst):
+    """The largest score of one field at one offset (or its mirror), or
+    ``worst`` when max|dq| * |log d_min| shows that none reaches it (ties are
+    scored)."""
+    nx, ny = v.shape
+    near, far = v[:nx - di], v[di:]
+    dq = np.abs(far[:, :ny - dj] - near[:, dj:] if mirror else far[:, dj:] - near[:, :ny - dj])
+    log_max = -math.log(d_min) * _SLACK if d_min > 0.0 else math.inf
+    if dq.max() * log_max < worst:
+        return worst
+    gx, gy = x[di:] - x[:nx - di], y[dj:] - y[:ny - dj]
+    dist = np.sqrt((gx * gx)[:, None] + gy * gy)
+    mask = (dist > 0.0) & (dist < delta)
+    weight = np.abs(np.log(np.where(mask, dist, 1.0)))
+    return max(worst, float(np.where(mask, dq * weight, 0.0).max()))
 
 
 def log_holder_moduli(fields, delta=0.5) -> tuple:
-    """``log_holder_modulus`` of each field on one grid, from one offset sweep.
+    """max over node pairs with 0 < |x-y| < delta of |q(x)-q(y)|*|log|x-y||,
+    for each field on one grid.
 
-    The sweep runs over lattice offsets (di, dj) instead of all node pairs and
-    returns each field's all-pairs maximum bit for bit:
+    delta must lie in (0, 1) so the logarithm has one sign on the admissible
+    pairs. A constant field scores exactly 0. The sweep runs over lattice
+    offsets (di, dj) instead of all node pairs and returns each field's
+    all-pairs maximum bit for bit:
 
     - Each pair's distance is sqrt(dx*dx + dy*dy) from its own coordinate
       differences, as in the all-pairs form: at a fixed offset the differences
-      of non-dyadic coordinates vary in the last bit from pair to pair. An
-      offset's distances, mask and |log d| weights serve every field.
+      of non-dyadic coordinates vary in the last bit from pair to pair.
     - The score is symmetric: swapping a pair negates dx, dy and q(x)-q(y)
       exactly. So only offsets with di > 0, or di == 0 and dj > 0, are
-      visited; the mirrored half repeats their scores.
+      visited, each with its mirror (di, -dj); the other half repeats them.
     - Rounded +, * and sqrt are monotone, so an offset's shortest distance
       d_min is that of its two smallest axis gaps. The gaps grow with the
-      offset, so the loops stop once d_min reaches delta.
-    - Pruning: |log d| decreases on (0, 1) and rounded multiplication is
-      monotone, so no score of an offset exceeds max|dq| * |log d_min|; the
-      factor 1 + 2**-40 absorbs any ulp by which math.log and numpy's
-      vectorised log differ. A field skips the offset when that bound is
-      below its running maximum (ties are scored). A maximum is exact, so the
-      skipped scores could not have changed it.
+      offset; offsets from the first whose d_min reaches delta are dropped.
+    - |log d| decreases on (0, 1) and rounded multiplication is monotone, so
+      no score of an offset exceeds max|dq| * |log d_min|; the factor
+      1 + 2**-40 absorbs any ulp by which math.log and numpy's vectorised
+      log differ. ``_offset_bounds`` bounds max|dq| of every offset at once
+      from per-row and per-column differences, without scoring it.
+    - Each field visits the offsets and mirrors in descending bound and stops
+      at the first bound below its running maximum (ties are scored). Inside
+      an offset it skips the scoring when max|dq| * |log d_min| is below the
+      running maximum. A maximum is exact, so no skipped score could have
+      changed it.
+    - Fields are scored independently: they share only the offsets and
+      their d_min, and each builds the distances and |log d| weights of the
+      offsets it scores, so an offset two rough fields both score is
+      weighted twice.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -350,37 +446,20 @@ def log_holder_moduli(fields, delta=0.5) -> tuple:
     grid = _require_same_grid(*fields)
     x = grid.coords[0]
     y = grid.coords[1] if grid.dimension == 2 else np.zeros(1)
-    nx, ny = x.size, y.size
-    vals = {i: fields[i].values.reshape(nx, ny) for i in live}
-    for di in range(nx):
-        gx = x[di:] - x[:nx - di]
-        gx_min = gx.min()
-        if gx_min >= delta:
-            break
-        for dj in range(1 if di == 0 else 0, ny):
-            gy = y[dj:] - y[:ny - dj]
-            gy_min = gy.min()
-            d_min = np.sqrt(gx_min * gx_min + gy_min * gy_min)
-            if d_min >= delta:
+    d_min, reach = _reachable_offsets(x, y, delta)
+    di, dj = np.nonzero(reach)
+    mirrored = (di > 0) & (dj > 0)
+    n_plus = di.size  # candidates from n_plus on are mirrors
+    di, dj = np.concatenate([di, di[mirrored]]), np.concatenate([dj, dj[mirrored]])
+    for i in live:
+        v = fields[i].values.reshape(x.size, y.size)
+        plus, minus = _offset_bounds(v, d_min)
+        bound = np.concatenate([plus[reach], minus[reach][mirrored]])
+        for k in np.argsort(-bound, kind="stable").tolist():
+            if bound[k] < worst[i]:
                 break
-            log_max = -math.log(d_min) * (1.0 + 2.0**-40) if d_min > 0.0 else math.inf
-            weight = None
-            for i in live:
-                near, far = vals[i][:nx - di], vals[i][di:]
-                # (di, dj), and (di, -dj) with the same distances
-                dqs = [far[:, dj:] - near[:, :ny - dj]]
-                if di > 0 and dj > 0:
-                    dqs.append(far[:, :ny - dj] - near[:, dj:])
-                for dq in dqs:
-                    dq = np.abs(dq)
-                    if dq.max() * log_max < worst[i]:
-                        continue
-                    if weight is None:
-                        dist = np.sqrt((gx * gx)[:, None] + gy * gy)
-                        mask = (dist > 0.0) & (dist < delta)
-                        weight = np.abs(np.log(np.where(mask, dist, 1.0)))
-                    score = np.where(mask, dq * weight, 0.0)
-                    worst[i] = max(worst[i], float(score.max()))
+            a, b = int(di[k]), int(dj[k])
+            worst[i] = _offset_score(v, x, y, a, b, k >= n_plus, d_min[a, b], delta, worst[i])
     return tuple(worst)
 
 

@@ -320,6 +320,36 @@ def test_data_errors_exit_2_before_any_step(tmp_path, capsys, monkeypatch, edit,
     assert re.search(message, error["message"])
 
 
+@pytest.mark.parametrize("source,key,value,line", [
+    ("decay_exponential", "m", "2 + 1/(x - 0.5)^2", 8),
+    ("box-2d", "p", "3.2 + 0.3*x + 1/(x - 0.5)^2", 11),
+])
+def test_non_finite_exponent_exits_2_before_any_step(tmp_path, capsys, monkeypatch, source,
+                                                     key, value, line):
+    # both are inf at the node x = 0.5; the run must stop at the validator,
+    # without a warning from the delay weight or the log-Hoelder check
+    import warnings
+
+    from delaywave import solver
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+    monkeypatch.setattr(solver, "step", no_step)
+    if source == "box-2d":
+        text = (Path(__file__).resolve().parents[1] / "bench" / "box-2d.cfg").read_text()
+    else:
+        text = load_preset(source)
+    doc = tmp_path / "exponent.cfg"
+    doc.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["--config", str(doc), "--out", str(tmp_path / "o")])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert (error["type"], error["key"], error["line"]) == ("config", key, line)
+    assert error["message"] == f"{key}: {value!r} takes the value inf on the grid (line {line})"
+
+
 @pytest.mark.parametrize("route", ["document", "flag", "sweep"])
 def test_negative_seed_is_a_config_error_before_any_step(tmp_path, capsys, monkeypatch,
                                                           route):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -249,6 +250,32 @@ def test_range_error_names_key_and_line(key, value, message):
         parse_config(bad)
     assert (caught.value.key, caught.value.line) == (key, index + 1)
     assert str(caught.value) == f"{caught.value.message} (line {index + 1})"
+
+
+@pytest.mark.parametrize("key,value,bad", [
+    ("m", "2 + 1/(x - 0.5)^2", "inf"),
+    ("m", "2 + (x - 0.5)/(x - 0.5)", "nan"),
+    ("p", "3 + 1/(x - 0.5)^2", "inf"),
+    ("p", "3 - 1/x", "-inf"),  # at the wall: exponents are checked at every node
+])
+def test_non_finite_exponent_names_key_and_line(key, value, bad):
+    # "m >= 2" holds for inf, so finiteness is a rule of its own
+    lines = MINIMAL.splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+    doc = "\n".join(lines[:index] + [f"{key} = {value}"] + lines[index + 1:])
+    with pytest.raises(ConfigError) as caught:
+        parse_config(doc)
+    assert (caught.value.key, caught.value.line) == (key, index + 1)
+    assert caught.value.message == f"{key}: {value!r} takes the value {bad} on the grid"
+
+
+def test_non_finite_exponent_is_refused_in_code_built_configs():
+    # resolve_config holds the rule, so build_problem refuses such a config
+    cfg = parse_config(DOC_2D)
+    for key, value in (("m", "2 + 0.1*x*y + 1/(y - 1)"), ("p", "3.5 + 1/(x - 0.5)")):
+        with pytest.raises(ConfigError, match="takes the value inf on the grid") as caught:
+            build_problem(replace(cfg, **{key: value}))
+        assert caught.value.key == key
 
 
 def test_range_error_of_a_default_key_has_no_line():

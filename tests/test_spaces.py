@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from delaywave import spaces
+from delaywave.config import parse_config, resolve_config
 from delaywave.errors import ConditionError, GridMismatchError
 from delaywave.solver import laplacian
 from delaywave.spaces import (
@@ -13,7 +16,6 @@ from delaywave.spaces import (
     gradient_energy,
     l2_norm,
     log_holder_moduli,
-    log_holder_modulus,
     luxemburg_norm,
     make_grid,
     modular,
@@ -92,7 +94,7 @@ def test_validate_mismatched_grids_error():
 def test_log_holder_delta_range():
     g = make_grid(1.0, 11)
     with pytest.raises(ValueError):
-        log_holder_modulus(ExponentField.constant(g, 2.0), delta=1.5)
+        log_holder_moduli((ExponentField.constant(g, 2.0),), delta=1.5)
 
 
 def _all_pairs_log_modulus(q, delta, chunk=512):
@@ -121,6 +123,16 @@ def _smooth_exponent(*xs):
     return out
 
 
+def _random_smooth(g, rng):
+    """Random linear, bilinear and quadratic terms in x (and y) plus uniform
+    noise whose amplitude may be 0, shifted to a minimum of 1.5."""
+    x, y = (g.meshes() + (0.0,))[:2]
+    a = rng.uniform(-1.0, 1.0, 5)
+    values = a[0] * x + a[1] * y + a[2] * x * y + a[3] * x * x + a[4] * y * y
+    values = values + rng.choice([0.0, 1e-6, 1e-2]) * rng.uniform(size=g.shape)
+    return values - values.min() + 1.5
+
+
 @pytest.mark.parametrize("lengths,counts", [
     (1.0, 201),
     (0.37, 53),        # spacing is not a power of two
@@ -136,32 +148,43 @@ def test_log_modulus_equals_all_pairs_bitwise(lengths, counts, delta):
         ExponentField.sample(g, _smooth_exponent),
     )
     for q in fields:
-        assert log_holder_modulus(q, delta) == _all_pairs_log_modulus(q, delta)
+        assert log_holder_moduli((q,), delta)[0] == _all_pairs_log_modulus(q, delta)
 
 
 @pytest.mark.parametrize("lengths,counts", [(1.0, 101), ((1.3, 0.7), (21, 17))])
 def test_log_modulus_of_constant_field_is_zero(lengths, counts):
     q = ExponentField.constant(make_grid(lengths, counts), 2.7)
-    assert log_holder_modulus(q, 0.5) == 0.0
+    assert log_holder_moduli((q,), 0.5)[0] == 0.0
 
 
 def test_log_modulus_property_equals_all_pairs():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-
-    @hypothesis.settings(max_examples=40, deadline=None)
-    @hypothesis.given(
+    draws = dict(
         lengths=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=2),
         counts=st.lists(st.integers(3, 24), min_size=2, max_size=2),
         delta=st.floats(0.01, 0.99),
         seed=st.integers(0, 2**32 - 1),
     )
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(**draws)
     def check(lengths, counts, delta, seed):
         g = make_grid(tuple(lengths), tuple(counts[:len(lengths)]))
         q = ExponentField(g, np.random.default_rng(seed).uniform(1.0, 4.0, g.shape))
-        assert log_holder_modulus(q, delta) == _all_pairs_log_modulus(q, delta)
+        assert log_holder_moduli((q,), delta)[0] == _all_pairs_log_modulus(q, delta)
+
+    # random bilinear and quadratic terms plus noise that may vanish: the
+    # bounds are tightest here, so the sweep prunes the most
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(**draws)
+    def check_smooth(lengths, counts, delta, seed):
+        g = make_grid(tuple(lengths), tuple(counts[:len(lengths)]))
+        q = ExponentField(g, _random_smooth(g, np.random.default_rng(seed)))
+        assert log_holder_moduli((q,), delta)[0] == _all_pairs_log_modulus(q, delta)
 
     check()
+    check_smooth()
 
 
 def _pruning_fields(g):
@@ -195,6 +218,89 @@ def test_log_moduli_shared_pass_equals_all_pairs(lengths, counts, delta):
         for i, j in ((a, a + 1), (a + 1, a)):
             assert log_holder_moduli((fields[i], fields[j]), delta) == (expected[i], expected[j])
     assert log_holder_moduli(fields, delta) == tuple(expected)
+
+
+def _bilinear_fields(g):
+    """1 + 2.5 X Y with X = x or Lx - x and Y = y or Ly - y: in each of the
+    four orientations one corner path bounds |dq| exactly. The values span
+    more than a factor of 2, so their differences round, and on the
+    (1.3, 0.7) box a rounded |dq| exceeds its rounded path sum times
+    |log d_min|: only the slack keeps the bound above it."""
+    meshes = g.meshes()
+    sides = [(m, length - m) for m, length in zip(meshes, g.lengths)] + [(1.0, 1.0)]
+    return [ExponentField(g, np.broadcast_to(1.0 + 2.5 * a * b, g.shape))
+            for a in sides[0] for b in sides[1]]
+
+
+def _offsets(g, delta):
+    x = g.coords[0]
+    y = g.coords[1] if g.dimension == 2 else np.zeros(1)
+    d_min, reach = spaces._reachable_offsets(x, y, delta)
+    return x, y, d_min, reach
+
+
+def _pair_scores(q, x, y, di, dj, mirror, delta):
+    """The score of every pair at offset (di, dj), or at its mirror (di, -dj),
+    from each pair's own coordinates, as the all-pairs reference scores it."""
+    v = q.values.reshape(x.size, y.size)
+    i = np.arange(x.size - di)[:, None]
+    j = np.arange(y.size - dj)[None, :]
+    a, b = ((i, j + dj), (i + di, j)) if mirror else ((i, j), (i + di, j + dj))
+    dx, dy = x[b[0]] - x[a[0]], y[b[1]] - y[a[1]]
+    dist = np.sqrt(dx * dx + dy * dy)
+    mask = (dist > 0.0) & (dist < delta)
+    return np.where(mask, np.abs(v[b] - v[a]) * np.abs(np.log(np.where(mask, dist, 1.0))), 0.0)
+
+
+@pytest.mark.parametrize("lengths,counts", [
+    (1.0, 201),
+    (0.37, 53),
+    ((1.3, 0.7), (41, 57)),
+])
+def test_offset_bounds_cover_every_pair_score(lengths, counts):
+    # the sweep stops at the first bound below its running maximum, so a
+    # bound below any score of its offset could lose the maximum
+    g = make_grid(lengths, counts)
+    delta = 0.9
+    x, y, d_min, reach = _offsets(g, delta)
+    rng = np.random.default_rng(11)
+    fields = (_pruning_fields(g)[:-1] + _bilinear_fields(g)
+              + [ExponentField(g, _random_smooth(g, rng)) for _ in range(3)])
+    for q in fields:
+        bounds = spaces._offset_bounds(q.values.reshape(x.size, y.size), d_min)
+        for di, dj in zip(*np.nonzero(reach)):
+            for mirror, bound in zip((False, True), bounds):
+                assert _pair_scores(q, x, y, di, dj, mirror, delta).max() <= bound[di, dj]
+
+
+def test_offset_bounds_are_exact_on_bilinear_spike_and_step_fields():
+    # one corner path is exact on a bilinear field and the range cap on a
+    # spike; the larger of an offset's two bounds is then its largest score
+    g = make_grid((1.3, 0.7), (41, 57))
+    delta = 0.9
+    x, y, d_min, reach = _offsets(g, delta)
+    for q in _bilinear_fields(g) + _pruning_fields(g)[:2]:
+        bounds = spaces._offset_bounds(q.values.reshape(x.size, y.size), d_min)
+        for di, dj in zip(*np.nonzero(reach)):
+            best = max(_pair_scores(q, x, y, di, dj, mirror, delta).max()
+                       for mirror in (False, True))
+            assert max(b[di, dj] for b in bounds) == pytest.approx(best, rel=1e-9, abs=0.0)
+
+
+_BOX_2D = Path(__file__).resolve().parents[1] / "bench" / "box-2d.cfg"
+
+
+def test_box_2d_exponents_score_few_offsets(monkeypatch):
+    # box-2d's m and p are bilinear and linear: the bounds are exact, so the
+    # sweep scores the offset that holds each maximum and little else
+    resolved = resolve_config(parse_config(_BOX_2D.read_text()))
+    scored = []
+    score = spaces._offset_score
+    monkeypatch.setattr(spaces, "_offset_score",
+                        lambda *args: scored.append(args[3:6]) or score(*args))
+    moduli = log_holder_moduli((resolved.m, resolved.p), 0.5)
+    assert moduli == (0.13714676168622394, 0.11034329096381945)
+    assert 2 <= len(scored) <= 4
 
 
 # --- modular -------------------------------------------------------------------

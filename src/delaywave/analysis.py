@@ -112,12 +112,12 @@ def _lifespan_head(phi0, e0, c, p1, p2, upper, rel_tol) -> float:
     return _adaptive_integral(integrand, 0.0, np.log(upper) - s0, rel_tol)
 
 
-def blowup_lower_bound(phi0, e0, c, p1, p2, rel_tol=1e-6) -> float:
+def blowup_lower_bound(phi0, e0, c, p1, p2) -> float:
     """Life-span lower bound for negative-energy blow-up data.
 
-    Head on [phi0, Y] by _lifespan_head, plus the analytic tail bound
-    Y^{2-p2} / (c (p2 - 2)), with Y chosen so the tail is below 1e-8 of the
-    head.
+    Head on [phi0, Y] by _lifespan_head to 1e-9 relative, plus the analytic
+    tail bound Y^{2-p2} / (c (p2 - 2)), with Y chosen so the tail is below
+    1e-8 of the head.
     """
     if p2 < p1:
         raise ConditionError("need p2 >= p1")
@@ -135,7 +135,7 @@ def blowup_lower_bound(phi0, e0, c, p1, p2, rel_tol=1e-6) -> float:
         raise ConditionError("denominator vanishes on the integration range")
 
     def head(upper):
-        return _lifespan_head(phi0, e0, c, p1, p2, upper, min(rel_tol, 1e-9))
+        return _lifespan_head(phi0, e0, c, p1, p2, upper, 1e-9)
 
     def tail(upper):
         return upper ** (2.0 - p2) / (c * (p2 - 2.0))
@@ -460,8 +460,8 @@ def _linear_fit(x, y):
     return float(slope), r2
 
 
-def fit_decay(trajectory, m2, window_frac=0.5) -> DecayFit:
-    """Fit the sampled energy tail.
+def fit_decay(trajectory, m2) -> DecayFit:
+    """Fit the sampled energy tail: the samples of the last half of the run.
 
     m2 == 2: slope of log E versus t (exponential rate). m2 > 2: slope of
     log E versus log(1+t), plus the boundedness diagnostic
@@ -470,8 +470,7 @@ def fit_decay(trajectory, m2, window_frac=0.5) -> DecayFit:
     """
     times = np.asarray(trajectory.times)
     energies = trajectory.energies
-    t_lo = times[-1] * (1.0 - window_frac)
-    sel = times >= t_lo
+    sel = times >= times[-1] * 0.5
     note = ""
     usable = sel & (energies > ENERGY_FLOOR)
     if usable.sum() < sel.sum():
@@ -524,20 +523,15 @@ class RegimeVerdict:
 
     classification: str  # "blow-up" | "global-decay" | "inconclusive"
     t_measured: float
-    t_low: float
     lower_bound_consistent: bool
     fit: DecayFit
-    flags: dict
 
 
-def classify(trajectory, gate: GateReport, t_low=None, flags=None,
-             decay_factor=0.01, m2=None) -> RegimeVerdict:
+def classify(trajectory, t_low=None, decay_factor=0.01, m2=None) -> RegimeVerdict:
     """Total classification: blow-up on threshold crossing, global-decay on a
     finished run whose final energy dropped below decay_factor * E(0), else
     inconclusive. A negative-energy run that merely reaches the horizon is
     inconclusive, never decay (the relative test is vacuous for E(0) < 0)."""
-    flags = dict(flags or {})
-    flags["gate_passed"] = gate.passed if gate is not None else None
     e = trajectory.energies
     fit = None
     t_measured = None
@@ -558,4 +552,4 @@ def classify(trajectory, gate: GateReport, t_low=None, flags=None,
     consistent = None
     if t_measured is not None and t_low is not None:
         consistent = bool(t_measured >= t_low)
-    return RegimeVerdict(label, t_measured, t_low, consistent, fit, flags)
+    return RegimeVerdict(label, t_measured, consistent, fit)

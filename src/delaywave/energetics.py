@@ -22,9 +22,10 @@ import numpy as np
 from . import parallel
 from .delay import DelayKernel, rho_quadrature
 from .errors import ConditionError
-from .spaces import ExponentField, GridFunction, _abs_power, _power_into, gradient_energy
+from .spaces import ExponentField, GridFunction, _abs_power, _power_into, gradient_energy, \
+    modular
 
-TOL_RATE_STEPS = 50.0  # default dissipation slack is this many dt
+TOL_RATE_STEPS = 50.0  # dissipation_check's slack is this many dt
 # Values per point chunk of _delay_integrals: 1 MiB of float64, so a chunk of
 # |z|^m stays in one core's 2 MiB L2 across its seven reductions.
 _CHUNK_VALUES = 1 << 17
@@ -134,7 +135,7 @@ def energy_report(state, m, p, kernel, xi, alpha=None, eps=0.0) -> EnergyReport:
 
     delay_energy, weighted_delay, delay_bulk, delay_modular = _delay_integrals(
         state.z, kernel, xi, m, w)
-    damping_modular = float(np.sum(w * _abs_power(v, m)))
+    damping_modular = modular(state.v, m)
 
     potential_energy = elastic + delay_energy - source_potential
     total_energy = kinetic + potential_energy
@@ -165,30 +166,29 @@ class DissipationVerdict:
 
     rate: float
     bound: float
-    tol: float
     applicable: bool
     ok: bool
 
 
 def dissipation_check(before: EnergyReport, after: EnergyReport, c0: float,
-                      dt: float, tol_rate=None) -> DissipationVerdict:
+                      dt: float) -> DissipationVerdict:
     """Check dE/dt <= -c0 (damping modular + delay modular) + slack.
 
     The modulars are midpoint-averaged between the two reports; the slack
-    (default 50 dt) absorbs the finite-difference estimate of the slope.
+    TOL_RATE_STEPS * dt absorbs the finite-difference estimate of the slope.
     With damping disabled (c0 = 0) the bound is vacuous and the verdict only
     requires |dE/dt| <= slack, flagged not-applicable.
     """
     if after.t <= before.t:
         raise ConditionError("reports must be ordered in time")
-    tol = TOL_RATE_STEPS * dt if tol_rate is None else tol_rate
+    tol = TOL_RATE_STEPS * dt
     rate = (after.total_energy - before.total_energy) / (after.t - before.t)
     damping = 0.5 * (before.damping_modular + after.damping_modular)
     tail = 0.5 * (before.delay_modular + after.delay_modular)
     applicable = c0 > 0.0
     bound = -c0 * (damping + tail) if applicable else 0.0
     ok = rate <= bound + tol if applicable else abs(rate) <= tol
-    return DissipationVerdict(rate, bound, tol, applicable, bool(ok))
+    return DissipationVerdict(rate, bound, applicable, bool(ok))
 
 
 def alpha_window(m: ExponentField, p: ExponentField) -> float:

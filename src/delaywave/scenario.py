@@ -33,7 +33,6 @@ from .analysis import (
     global_existence_gate,
 )
 from .config import RunConfig, _apply_axis, config_hash
-from .delay import dissipation_margins
 from .energetics import decay_inequality_constants
 from .errors import ConditionError
 from .solver import TERMINATED_BLOWUP, build_problem, run
@@ -148,15 +147,14 @@ def analyse(problem, trajectory, out_dir=None) -> ScenarioResult:
                                                seed=problem.config.seed)
         t_low = blowup_lower_bound(report0.source_potential, e0, c_bound, p1, p2)
 
-    verdict = classify(trajectory, gate, t_low=t_low, flags=flags,
-                       decay_factor=problem.config.decay_factor, m2=problem.m.high)
+    verdict = classify(trajectory, t_low=t_low, decay_factor=problem.config.decay_factor,
+                       m2=problem.m.high)
 
     chi_hat = None
     if verdict.classification == "blow-up":
         chi_hat = fit_blowup_growth(trajectory, problem.alpha)
 
     alpha1, alpha2 = decay_inequality_constants(problem.kernel, problem.xi, problem.m)
-    margins = dissipation_margins(problem.kernel, problem.xi, problem.m)
     energies = trajectory.energies
 
     summary = {
@@ -179,9 +177,9 @@ def analyse(problem, trajectory, out_dir=None) -> ScenarioResult:
         "chi_hat": chi_hat,
         "constants": {
             "C0": problem.c0,
-            "C0_max_margin": problem.c0_max_margin,
-            "margin_f": margins[0],
-            "margin_xi_over_m": margins[1],
+            "C0_max_margin": max(problem.margins) if problem.xi_ok else 0.0,
+            "margin_f": problem.margins[0],
+            "margin_xi_over_m": problem.margins[1],
             "alpha": problem.alpha,
             "eps": trajectory.eps,
             "alpha1": alpha1,

@@ -88,7 +88,7 @@ class Problem:
     mass_ok: bool
     xi_ok: bool
     c0: float
-    c0_max_margin: float
+    margins: tuple  # dissipation_margins: (margin_f, margin_xi_over_m)
     alpha: float
     rho_nodes: np.ndarray
     u0_vals: np.ndarray  # resolve_config's samples of u0, u1 and f0 at s = 0
@@ -117,12 +117,7 @@ def build_problem(config: RunConfig) -> Problem:
         # positive surrogate (zero when damping is disabled entirely).
         xi = GridFunction(grid, m.values * kernel.mu1 / (4.0 * kernel.width))
     xi_ok = check_xi_condition(kernel, xi, m)
-    if xi_ok:
-        c0 = dissipation_constant(kernel, xi, m)
-        c0_max_margin = max(dissipation_margins(kernel, xi, m))
-    else:
-        c0 = 0.0
-        c0_max_margin = 0.0
+    c0 = dissipation_constant(kernel, xi, m) if xi_ok else 0.0
 
     alpha = None
     if report.chain_ok:
@@ -142,7 +137,7 @@ def build_problem(config: RunConfig) -> Problem:
         mass_ok=mass_ok,
         xi_ok=xi_ok,
         c0=c0,
-        c0_max_margin=c0_max_margin,
+        margins=dissipation_margins(kernel, xi, m),
         alpha=alpha,
         rho_nodes=rho_nodes,
         u0_vals=u0_vals,
@@ -536,12 +531,6 @@ def _serve(plan, lanes, go, done, mask):
         os._exit(code)
 
 
-def _tail_terms(plan):
-    """Delay terms of the whole tail of plan.z into plan.terms."""
-    problem = plan.problem
-    _delay_terms(plan.tail, problem.tail_coeff, problem.tail_exp, plan.terms)
-
-
 def _upwind_shift(plan):
     """In-place first-order upwind update of the memory field along rho,
     leaving the delay terms of the shifted tail in plan.terms.
@@ -599,7 +588,7 @@ def step(state: SimState, problem: Problem) -> SimState:
 
     g0 = state.accel
     if g0 is None:
-        _tail_terms(plan)
+        _delay_terms(plan.tail, problem.tail_coeff, problem.tail_exp, plan.terms)
         g0 = _conservative(*_local_forces(u0, plan), plan)
     if helper is not None:
         helper.go()

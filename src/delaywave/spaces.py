@@ -158,7 +158,7 @@ class ExponentField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.grid.shape:
             raise GridMismatchError("exponent samples do not match the grid")
-        if np.any(self.values < 1.0):
+        if not np.all(self.values >= 1.0):
             raise ConditionError("exponent field must satisfy q(x) >= 1 everywhere")
         self.low = float(self.values.min())
         self.high = float(self.values.max())
@@ -299,13 +299,14 @@ def luxemburg_norm(u: GridFunction, p: ExponentField, tol=1e-12, max_iter=200) -
     )
 
 
-def check_sandwich(u: GridFunction, p: ExponentField, tol=1e-9) -> bool:
-    """min(lam^p_low, lam^p_high) <= modular(u) <= max(...), lam the norm."""
+def check_sandwich(u: GridFunction, p: ExponentField) -> bool:
+    """min(lam^p_low, lam^p_high) <= modular(u) <= max(...), lam the norm,
+    to 1e-9 relative."""
     rho = modular(u, p)
     lam = luxemburg_norm(u, p)
     a = lam**p.low
     b = lam**p.high
-    slack = tol * max(1.0, rho)
+    slack = 1e-9 * max(1.0, rho)
     return (min(a, b) - slack) <= rho <= (max(a, b) + slack)
 
 
@@ -468,12 +469,8 @@ class ExponentValidation:
     """Outcome of the admissibility checks for a damping/source exponent pair."""
 
     chain_ok: bool
-    critical_cap: float
-    damping_bounds: tuple
-    source_bounds: tuple
     log_modulus_damping: float
     log_modulus_source: float
-    log_bound: float
     log_ok: bool
 
     @property
@@ -510,12 +507,8 @@ def validate_exponent_pair(
     log_ok = mod_m <= log_bound and mod_p <= log_bound
     return ExponentValidation(
         chain_ok=bool(chain_ok),
-        critical_cap=float(cap),
-        damping_bounds=(m.low, m.high),
-        source_bounds=(p.low, p.high),
         log_modulus_damping=mod_m,
         log_modulus_source=mod_p,
-        log_bound=float(log_bound),
         log_ok=bool(log_ok),
     )
 

@@ -50,6 +50,15 @@ def test_lower_bound_brute_force_oracle():
     assert got == pytest.approx(oracle, rel=1e-5)
 
 
+def test_lower_bound_of_the_blowup_preset_is_pinned(blowup_result):
+    # the blowup preset's phi0 (source potential at t = 0), E(0),
+    # c_embed_bound at seed 2024, p1 and p2; the head is integrated to 1e-9
+    pinned = 0.011713628103598394
+    assert blowup_lower_bound(121.5, -26.61163679563101, 0.0014318314633613065,
+                              4.0, 4.0) == pinned
+    assert blowup_result.summary["T_low"] == pinned
+
+
 def test_lower_bound_monotonicity():
     rng = np.random.default_rng(3)
     for _ in range(25):
@@ -585,30 +594,27 @@ def _traj(termination, energies, blowup_time=None):
 
 
 def test_classify_is_total():
-    gate = SimpleNamespace(passed=False)
-    blow = classify(_traj("blowup-threshold", [1.0, 2.0], 0.5), gate)
-    hold = classify(_traj("reached-t-end", [1.0, 0.5]), gate)
+    blow = classify(_traj("blowup-threshold", [1.0, 2.0], 0.5))
+    hold = classify(_traj("reached-t-end", [1.0, 0.5]))
     # run raises NumericalError on overflow, so no trajectory ends that way;
     # any termination other than the two known ones is still inconclusive
-    over = classify(_traj("stopped-early", [1.0, 2.0]), gate)
+    over = classify(_traj("stopped-early", [1.0, 2.0]))
     assert blow.classification == "blow-up" and blow.t_measured == 0.5
     assert hold.classification == "inconclusive"
     assert over.classification == "inconclusive"
-    decay = classify(_traj("reached-t-end", [1.0, 0.005]), gate)
+    decay = classify(_traj("reached-t-end", [1.0, 0.005]))
     assert decay.classification == "global-decay"
 
 
 def test_classify_zero_data_is_global_decay():
-    gate = SimpleNamespace(passed=False)
-    verdict = classify(_traj("reached-t-end", [0.0, 0.0, 0.0]), gate)
+    verdict = classify(_traj("reached-t-end", [0.0, 0.0, 0.0]))
     assert verdict.classification == "global-decay"
 
 
 def test_classify_negative_energy_finisher_is_inconclusive():
     # for E(0) < 0 the relative decay test is vacuous; a run that only ran
     # out of horizon before crossing the threshold proves nothing
-    gate = SimpleNamespace(passed=False)
-    verdict = classify(_traj("reached-t-end", [-1.0, -5.0]), gate)
+    verdict = classify(_traj("reached-t-end", [-1.0, -5.0]))
     assert verdict.classification == "inconclusive"
 
 
@@ -625,10 +631,9 @@ def test_classify_negative_energy_short_run_end_to_end():
 
 
 def test_classify_lower_bound_consistency_flag():
-    gate = SimpleNamespace(passed=False)
-    v = classify(_traj("blowup-threshold", [1.0, 2.0], 0.5), gate, t_low=0.1)
+    v = classify(_traj("blowup-threshold", [1.0, 2.0], 0.5), t_low=0.1)
     assert v.lower_bound_consistent is True
-    v2 = classify(_traj("blowup-threshold", [1.0, 2.0], 0.05), gate, t_low=0.1)
+    v2 = classify(_traj("blowup-threshold", [1.0, 2.0], 0.05), t_low=0.1)
     assert v2.lower_bound_consistent is False
 
 

@@ -52,6 +52,14 @@ def test_exponent_field_bounds_cached():
         ExponentField.constant(g, 0.5)
 
 
+def test_exponent_field_refuses_a_nan_sample():
+    g = make_grid(1.0, 11)
+    values = np.full(g.shape, 3.0)
+    values[4] = np.nan
+    with pytest.raises(ConditionError):
+        ExponentField(g, values)
+
+
 # --- exponent pair validation -------------------------------------------------
 
 def test_validate_constant_pair_passes():

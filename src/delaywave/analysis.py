@@ -358,18 +358,12 @@ def _certified_ratio(kind, grid: Grid, p1, p2, n_samples, seed, **exponents) -> 
     counts fix the nodes, weights and boundary; kind, p1 and p2 fix the
     exponents, and the seed fixes the family. One lock covers lookup and
     computation, so concurrent sweep points compute each key once.
-    seed=None draws fresh entropy per call and is never memoized.
     """
-    def compute():
-        return _max_split_ratio(grid, n_samples=n_samples,
-                                rng=np.random.default_rng(seed), **exponents)
-
-    if seed is None:
-        return compute()
     key = (kind, grid.lengths, grid.counts, float(p1), float(p2), n_samples, seed)
     with _ratio_lock:
         if key not in _ratio_memo:
-            _ratio_memo[key] = compute()
+            _ratio_memo[key] = _max_split_ratio(
+                grid, n_samples=n_samples, rng=np.random.default_rng(seed), **exponents)
         return _ratio_memo[key]
 
 

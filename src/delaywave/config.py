@@ -305,6 +305,8 @@ def resolve_config(cfg: RunConfig) -> Resolved:
     sample_dt = cfg.sample_dt
     if sample_dt is None:
         sample_dt = max(cfg.t_end / 400.0, dt)
+    elif sample_dt <= 0.0:
+        raise ConfigError("sample_dt must be positive", key="sample_dt")
 
     m = ExponentField(grid, m_vals)
     p = ExponentField(grid, p_vals)

@@ -1,15 +1,17 @@
 """Distributed-delay kernel: quadrature over the delay window and the
 admissibility conditions tying the delayed damping to the instantaneous one.
 
-The kernel holds the window [tau1, tau2], trapezoid nodes/weights on it,
-nonnegative density samples mu2(tau), the instantaneous coefficient mu1 and
-the kernel mass M = integral mu2. Stability of the energy requires M < mu1
-(mass condition) and, node-wise in x,
+The kernel holds the window [tau1, tau2], nonnegative density samples
+mu2(tau), one per trapezoid node on it, the instantaneous coefficient mu1
+and the kernel mass M = integral mu2. Stability of the energy requires
+M < mu1 (mass condition) and, node-wise in x,
 
     M + (tau2 - tau1) * xi(x) / m(x) < mu1
 
 for the positive weight field xi entering the energy. The canonical choice
 xi = m * (mu1 - M) / (2 (tau2 - tau1)) satisfies it with margin (mu1 - M)/2.
+The dissipation constant C0 of the decay estimate is the smaller of the two
+``dissipation_margins``; ``solver.build_problem`` takes it.
 ``rho_quadrature`` is the memory field's one quadrature over rho in [0, 1].
 """
 
@@ -45,36 +47,27 @@ def rho_quadrature(n_rho):
     return np.linspace(0.0, 1.0, n_rho), d_rho, trapezoid_weights(n_rho, d_rho)
 
 
-def build_kernel(mu2, tau1, tau2, n_tau=16, mu1=1.0) -> DelayKernel:
-    """Sample the delay density on trapezoid nodes and compute its mass.
+def build_kernel(mu2, tau1, tau2, mu1) -> DelayKernel:
+    """The kernel of density samples ``mu2`` on len(mu2) trapezoid nodes
+    spanning [tau1, tau2], and its mass.
 
-    ``mu2`` is either a callable of tau or an array of n_tau samples.
+    A run passes ``resolve_config``'s samples on linspace(tau1, tau2, n_tau).
     """
     tau1 = float(tau1)
     tau2 = float(tau2)
     if not 0.0 < tau1 < tau2:
         raise ConditionError(f"need 0 < tau1 < tau2, got [{tau1}, {tau2}]")
-    n_tau = int(n_tau)
+    samples = np.asarray(mu2, dtype=float)
+    n_tau = len(samples)
     if n_tau < 2:
         raise ConditionError("need at least 2 delay quadrature nodes")
-    if mu1 < 0.0:
+    if not mu1 >= 0.0:
         raise ConditionError("mu1 must be nonnegative")
+    if not np.all(samples >= 0.0):
+        raise ConditionError("delay density mu2 must be nonnegative")
 
     nodes = np.linspace(tau1, tau2, n_tau)
     weights = trapezoid_weights(n_tau, (tau2 - tau1) / (n_tau - 1))
-
-    if callable(mu2):
-        samples = np.asarray(mu2(nodes), dtype=float)
-        samples = np.broadcast_to(samples, nodes.shape).copy()
-    else:
-        samples = np.asarray(mu2, dtype=float)
-        if samples.shape != nodes.shape:
-            raise ConditionError(
-                f"tabulated mu2 must provide {n_tau} samples, got {samples.shape}"
-            )
-    if np.any(samples < 0.0):
-        raise ConditionError("delay density mu2 must be nonnegative")
-
     mass = float(weights @ samples)
     return DelayKernel(tau1, tau2, nodes, weights, samples, float(mu1), mass)
 
@@ -111,20 +104,3 @@ def dissipation_margins(kernel: DelayKernel, xi: GridFunction, m: ExponentField)
     ratio = xi.values / m.values
     f = kernel.mu1 - (kernel.mass + kernel.width * ratio)
     return float(f.min()), float(ratio.min())
-
-
-def dissipation_constant(kernel: DelayKernel, xi: GridFunction, m: ExponentField) -> float:
-    """Constant C0 > 0 such that the energy decays at least at rate
-    C0 * (damping modular + boundary delay modular).
-
-    Uses min of the two margins: the decay inequality needs a constant no
-    larger than both coefficients; the max variant is exposed via
-    ``dissipation_margins`` for logging.
-    """
-    if not check_xi_condition(kernel, xi, m):
-        raise ConditionError("weight field violates the delay admissibility condition")
-    lo_f, lo_ratio = dissipation_margins(kernel, xi, m)
-    c0 = min(lo_f, lo_ratio)
-    if c0 <= 0.0:
-        raise ConditionError("dissipation constant is not positive")
-    return c0

@@ -63,9 +63,9 @@ import numpy as np
 from . import parallel
 from .config import RunConfig, _spatial_vars, resolve_config
 from .delay import DelayKernel, build_kernel, check_mass_condition, check_xi_condition, \
-    dissipation_constant, dissipation_margins, rho_quadrature, xi_default
+    dissipation_margins, rho_quadrature, xi_default
 from .energetics import alpha_window, blowup_indicator, energy_report
-from .errors import ConfigError, NumericalError
+from .errors import ConditionError, ConfigError, NumericalError
 from .spaces import ExponentField, Grid, GridFunction, validate_exponent_pair
 
 log = logging.getLogger(__name__)
@@ -104,10 +104,8 @@ class Problem:
 def build_problem(config: RunConfig) -> Problem:
     """Check the config, then build the kernel, weight field and invariants."""
     config, grid, m, p, mu2, u0_vals, u1_vals, f0_vals, f0_fn = resolve_config(config)
-    report = validate_exponent_pair(
-        m, p, config.dimension, config.log_holder_bound, config.log_holder_delta
-    )
-    kernel = build_kernel(mu2, config.tau1, config.tau2, config.n_tau, config.mu1)
+    report = validate_exponent_pair(m, p, config.log_holder_bound, config.log_holder_delta)
+    kernel = build_kernel(mu2, config.tau1, config.tau2, config.mu1)
 
     mass_ok = check_mass_condition(kernel)
     if mass_ok:
@@ -117,7 +115,13 @@ def build_problem(config: RunConfig) -> Problem:
         # positive surrogate (zero when damping is disabled entirely).
         xi = GridFunction(grid, m.values * kernel.mu1 / (4.0 * kernel.width))
     xi_ok = check_xi_condition(kernel, xi, m)
-    c0 = dissipation_constant(kernel, xi, m) if xi_ok else 0.0
+    margins = dissipation_margins(kernel, xi, m)
+    # C0 bounds the decay rate, so it is the smaller margin. The xi check
+    # rounds width*xi/m and the margins width*(xi/m): at the edge they can
+    # disagree.
+    c0 = min(margins) if xi_ok else 0.0
+    if xi_ok and c0 <= 0.0:
+        raise ConditionError("dissipation constant is not positive")
 
     alpha = None
     if report.chain_ok:
@@ -137,7 +141,7 @@ def build_problem(config: RunConfig) -> Problem:
         mass_ok=mass_ok,
         xi_ok=xi_ok,
         c0=c0,
-        margins=dissipation_margins(kernel, xi, m),
+        margins=margins,
         alpha=alpha,
         rho_nodes=rho_nodes,
         u0_vals=u0_vals,

@@ -423,13 +423,6 @@ def test_embedding_memo_misses_on_every_input(embedding, split_ratio_calls):
     assert len(split_ratio_calls) == 1 + len(changes)
 
 
-def test_embedding_memo_is_bypassed_without_seed(split_ratio_calls):
-    grid = make_grid(1.0, 31)
-    embedding_constant_for_gate(grid, 3.0, 4.0, n_samples=100, seed=None)
-    embedding_constant_for_gate(grid, 3.0, 4.0, n_samples=100, seed=None)
-    assert len(split_ratio_calls) == 2
-
-
 def test_embedding_memo_computes_once_under_thread_contention(split_ratio_calls):
     import sys
     import threading

@@ -235,6 +235,8 @@ def test_grid_errors_name_their_key(key, value):
     ("log_holder_delta", "1.5", r"log_holder_delta must lie in \(0, 1\)"),
     ("decay_factor", "0", "decay_factor must be positive"),
     ("dt", "0.1", "CFL"),
+    ("sample_dt", "0", "sample_dt must be positive"),
+    ("sample_dt", "-1", "sample_dt must be positive"),
     ("m", "1.5", r"m\(x\) >= 2"),
     ("seed", "-1", "seed must be nonnegative"),
     ("length_y", "0", "domain length must be positive"),

@@ -3,7 +3,7 @@ import pytest
 from types import SimpleNamespace
 
 from delaywave import energetics, parallel
-from delaywave.delay import build_kernel, xi_default
+from delaywave.delay import xi_default
 from delaywave.energetics import (
     alpha_window,
     decay_inequality_constants,
@@ -13,12 +13,14 @@ from delaywave.energetics import (
 from delaywave.errors import ConditionError
 from delaywave.spaces import ExponentField, GridFunction, make_grid, trapezoid_weights
 
+from _density import density_kernel
+
 
 def _setup(n=101, m_const=2.0, p_const=3.0, mu1=1.0, level=0.5):
     g = make_grid(1.0, n)
     m = ExponentField.constant(g, m_const)
     p = ExponentField.constant(g, p_const)
-    k = build_kernel(lambda t: np.full_like(t, level), 1.0, 2.0, 11, mu1=mu1)
+    k = density_kernel(lambda t: np.full_like(t, level), 1.0, 2.0, 11, mu1=mu1)
     xi = xi_default(k, m)
     return g, m, p, k, xi
 
@@ -246,7 +248,7 @@ def _random_report_inputs(grid, m_expr, n_rho=7, n_tau=5, seed=3):
     y = meshes[1] if len(meshes) > 1 else 0.5
     m = ExponentField(grid, m_expr(x, y) + 0.0 * x)
     p = ExponentField.constant(grid, 3.5)
-    k = build_kernel(lambda t: 0.5 + 0.0 * t, 1.0, 2.0, n_tau, mu1=1.0)
+    k = density_kernel(lambda t: 0.5 + 0.0 * t, 1.0, 2.0, n_tau, mu1=1.0)
     xi = xi_default(k, m)
     rng = np.random.default_rng(seed)
     # a large u, so the deficit is positive and the indicator is formed

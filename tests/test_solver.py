@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _density import density_kernel
 from _history import VelocityHistory, advance, per_node_history, sample_spatial
 
 from delaywave import solver
 from delaywave.config import PRESET_NAMES, RunConfig, auto_dt, load_preset, parse_config, \
     resolve_config
-from delaywave.delay import build_kernel
 from delaywave.errors import ConditionError, ConfigError, NumericalError
 from delaywave.expressions import compile_expression
 from delaywave.scenario import run_scenario
@@ -139,6 +139,34 @@ def test_history_fill_is_bytewise_the_per_node_fill(source, shared):
     assert z.shape == oracle.shape and z.tobytes() == oracle.tobytes()
 
 
+# C0 and the two dissipation margins of every preset and of box-2d, equal by
+# ==: C0 enters the decay bound, and CI compares summary.json with the
+# benchmark's reference for its three workloads only
+_C0 = {
+    "blowup": (0.22499999999999998, (0.22499999999999998, 0.45)),
+    "conservation": (0.0, (0.0, 0.0)),
+    "decay_exponential": (0.22499999999999998, (0.22499999999999998, 0.45)),
+    "decay_polynomial": (0.9749999999999999, (0.9749999999999999, 1.9499999999999997)),
+    "instability_explore": (0.0, (-0.15000000000000002, 0.1)),
+    "box-2d": (0.44999999999999996, (0.44999999999999996, 0.8999999999999999)),
+}
+
+
+@pytest.mark.parametrize("source", list(PRESET_NAMES) + ["box-2d"])
+def test_dissipation_constant_is_pinned(source):
+    cfg = parse_config(_BOX_2D.read_text() if source == "box-2d" else load_preset(source))
+    prob = build_problem(cfg)
+    assert (prob.c0, prob.margins) == _C0[source]
+
+
+def test_build_problem_refuses_a_nonpositive_c0_under_the_xi_condition(monkeypatch):
+    # check_xi_condition rounds width*xi/m and the margins width*(xi/m), so
+    # at the edge the check can pass while a margin is not positive
+    monkeypatch.setattr(solver, "dissipation_margins", lambda kernel, xi, m: (0.0, 0.5))
+    with pytest.raises(ConditionError, match="dissipation constant is not positive"):
+        build_problem(_config())
+
+
 # --- spatial operators ----------------------------------------------------------
 
 def test_laplacian_zero():
@@ -221,7 +249,7 @@ def test_damping_force_alternative_form():
 def test_delay_force_zero_and_mass_factor():
     g = make_grid(1.0, 21)
     m = ExponentField.constant(g, 2.0)
-    k = build_kernel(lambda t: np.full_like(t, 0.4), 1.0, 2.0, 11, mu1=1.0)
+    k = density_kernel(lambda t: np.full_like(t, 0.4), 1.0, 2.0, 11, mu1=1.0)
     zero = delay_force(np.zeros(g.shape + (11,)), k, m)
     assert not np.any(zero)
     # tau-independent tail with m = 2 integrates to mass * z
@@ -234,7 +262,7 @@ def test_delay_force_closed_form():
     # density e^{-tau}, tail z = tau, m = 2: integral tau e^{-tau} over [1, 2]
     g = make_grid(1.0, 5)
     m = ExponentField.constant(g, 2.0)
-    k = build_kernel(lambda t: np.exp(-t), 1.0, 2.0, 101, mu1=1.0)
+    k = density_kernel(lambda t: np.exp(-t), 1.0, 2.0, 101, mu1=1.0)
     z_tail = np.broadcast_to(k.nodes, (5, 101)).copy()
     exact = 2.0 * np.exp(-1.0) - 3.0 * np.exp(-2.0)
     assert np.allclose(delay_force(z_tail, k, m), exact, atol=1e-5)
@@ -306,7 +334,7 @@ def test_exponent_resolution_matches_the_old_rederivation(grid_shape, q):
     if q == "one":  # only the source exponent p may be 1
         return
     assert np.array_equal(damping_force(w, field, 0.7), 0.7 * _old_odd_power(w, odd))
-    kernel = build_kernel(lambda t: 0.5 + 0.2 * t, 1.0, 2.0, 5, mu1=1.0)
+    kernel = density_kernel(lambda t: 0.5 + 0.2 * t, 1.0, 2.0, 5, mu1=1.0)
     tail = memory_tail(rng.standard_normal((5, 3) + grid_shape))
     tail_odd = odd[..., None] if isinstance(odd, np.ndarray) else odd
     terms = _old_odd_power(tail, tail_odd) * (kernel.weights * kernel.mu2)

@@ -36,6 +36,10 @@ def test_grid_rejects_tiny_axes():
         make_grid(1.0, 2)
     with pytest.raises(ValueError):
         make_grid(-1.0, 11)
+    # NaN compares false with 0, and the weight-sum check compares NaN
+    for lengths, counts in ((np.nan, 11), (np.inf, 11), ((1.0, np.nan), (11, 11))):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_grid(lengths, counts)
 
 
 def test_grid_function_shape_checked():
@@ -46,7 +50,7 @@ def test_grid_function_shape_checked():
 
 def test_exponent_field_bounds_cached():
     g = make_grid(1.0, 11)
-    f = ExponentField.sample(g, lambda x: 2.0 + x)
+    f = ExponentField(g, 2.0 + g.coords[0])
     assert f.low == 2.0 and f.high == 3.0
     with pytest.raises(ConditionError):
         ExponentField.constant(g, 0.5)
@@ -65,8 +69,8 @@ def test_exponent_field_refuses_a_nan_sample():
 def test_validate_constant_pair_passes():
     g = make_grid(1.0, 51)
     rep = validate_exponent_pair(ExponentField.constant(g, 2.0),
-                                 ExponentField.constant(g, 3.0), 1)
-    assert rep.chain_ok and rep.log_ok and rep.ok
+                                 ExponentField.constant(g, 3.0))
+    assert rep.chain_ok and rep.log_ok
     assert rep.log_modulus_damping == 0.0
     assert rep.log_modulus_source == 0.0
 
@@ -75,18 +79,18 @@ def test_validate_rejects_equal_bounds():
     # the chain requires m_high strictly below p_low
     g = make_grid(1.0, 51)
     rep = validate_exponent_pair(ExponentField.constant(g, 2.0),
-                                 ExponentField.constant(g, 2.0), 1)
-    assert not rep.chain_ok and not rep.ok
+                                 ExponentField.constant(g, 2.0))
+    assert not rep.chain_ok
 
 
 def test_validate_linear_fields_log_modulus():
     # q(x) linear with slope 0.4: pair modulus max_d 0.4 d |log d| over d < 1/2,
     # attained near d = 1/e (brute-force oracle over all node pairs)
     g = make_grid(1.0, 201)
-    m = ExponentField.sample(g, lambda x: 2.0 + 0.4 * x)
-    p = ExponentField.sample(g, lambda x: 3.5 + 0.4 * x)
-    rep = validate_exponent_pair(m, p, 1, log_bound=1.0, log_delta=0.5)
-    assert rep.ok
+    m = ExponentField(g, 2.0 + 0.4 * g.coords[0])
+    p = ExponentField(g, 3.5 + 0.4 * g.coords[0])
+    rep = validate_exponent_pair(m, p, log_bound=1.0, log_delta=0.5)
+    assert rep.chain_ok and rep.log_ok
     assert rep.log_modulus_damping < 1.0
     assert rep.log_modulus_damping == pytest.approx(0.4 / np.e, rel=1e-3)
 
@@ -96,7 +100,7 @@ def test_validate_mismatched_grids_error():
     g2 = make_grid(1.0, 13)
     with pytest.raises(GridMismatchError):
         validate_exponent_pair(ExponentField.constant(g1, 2.0),
-                               ExponentField.constant(g2, 3.0), 1)
+                               ExponentField.constant(g2, 3.0))
 
 
 def test_log_holder_delta_range():
@@ -153,7 +157,7 @@ def test_log_modulus_equals_all_pairs_bitwise(lengths, counts, delta):
     g = make_grid(lengths, counts)
     fields = (
         ExponentField(g, np.random.default_rng(3).uniform(1.0, 5.0, g.shape)),
-        ExponentField.sample(g, _smooth_exponent),
+        ExponentField(g, _smooth_exponent(*g.meshes())),
     )
     for q in fields:
         assert log_holder_moduli((q,), delta)[0] == _all_pairs_log_modulus(q, delta)

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from delaywave import parallel, scenario, solver
+from delaywave import analysis, parallel, scenario, solver
 from delaywave.analysis import embedding_constant_for_gate
 from delaywave.config import _apply_axis, load_preset, parse_config
 from delaywave.scenario import run_scenario, sweep
@@ -124,8 +124,9 @@ def test_sweep_records_an_error_that_does_not_unpickle(pools, monkeypatch):
 def test_sweep_after_the_shared_pool_has_threads(pools, monkeypatch):
     # a 2-D certification leaves the shared thread pool's workers alive;
     # the sweep's workers are forked next to them and must still finish
-    grid = make_grid((1.0, 1.0), (33, 33))  # 5 chunks of samples; no memo without a seed
-    embedding_constant_for_gate(grid, 3.0, 4.0, n_samples=1000, seed=None)
+    monkeypatch.setattr(analysis, "_ratio_memo", {})  # so the family is drawn
+    grid = make_grid((1.0, 1.0), (33, 33))  # 5 chunks of samples
+    embedding_constant_for_gate(grid, 3.0, 4.0, n_samples=1000, seed=7)
     assert any(t.name.startswith("delaywave") for t in threading.enumerate())
     rows, _ = _sweep_within(120, _short_blowup(), "scale", [6.0, 7.0])
     assert pools == [2]

@@ -37,6 +37,7 @@ log = logging.getLogger(__name__)
 ENERGY_FLOOR = 1e-290  # below this the log-fit window is cut off
 
 _N_MODES = 6  # sine modes per axis in the certification family
+_BATCH = 500  # samples per batch of the family, whose draws' sizes depend on it
 # grid values per certification chunk: 1 MB per float64 temporary, so a 65x65
 # batch of 500 splits into 17 chunks of 31 samples while a 1-D batch stays whole
 _CHUNK_VALUES = 1 << 17
@@ -273,7 +274,7 @@ def _ratio_bounds(grid, modes, draws, rows, num_low, num_high, den_low, den_high
 
 
 def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
-                     n_samples, rng, batch=500):
+                     n_samples, rng):
     """max over the family of
 
         num_scale * (int_{|u|>=1} |u|^num_high + int_{|u|<1} |u|^num_low)
@@ -330,7 +331,7 @@ def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
     best = 0.0
     done = 0
     while done < n_samples:
-        b = min(batch, n_samples - done)
+        b = min(_BATCH, n_samples - done)
         draws = _family_draws(grid, b, rng, modes)
         bound = np.concatenate(parallel.map(
             chunk_bound, repeat(draws), parallel.chunks(b, w.size, _CHUNK_VALUES)))
@@ -419,12 +420,13 @@ def global_existence_gate(report0, p1, p2, c_gate) -> GateReport:
 
     beta = c_gate [ (2 p1/(p1-2) E0)^{(p2-2)/2} + (2 p1/(p1-2) E0)^{(p1-2)/2} ]
     must stay below (p1-2)/(2 p1), together with a positive initial Nehari
-    functional. Negative initial energy fails the gate by construction.
+    functional. Negative initial energy, or p1 <= 2, where the threshold is
+    not positive, fails the gate by construction: beta is inf.
     """
     threshold = (p1 - 2.0) / (2.0 * p1)
     e0 = report0.total_energy
     i0 = report0.nehari
-    if e0 < 0.0:
+    if e0 < 0.0 or p1 <= 2.0:
         beta = np.inf
     else:
         base = 2.0 * p1 / (p1 - 2.0) * e0

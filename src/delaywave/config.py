@@ -21,11 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .delay import rho_quadrature
+from .delay import rho_quadrature, tau_quadrature
 from .energetics import alpha_window
 from .errors import ConfigError, ExpressionError
 from .expressions import compile_expression
-from .spaces import ExponentField, Grid, make_grid
+from .spaces import ExponentField, Grid, exponent_chain, make_grid
 
 # f0's s = 0 as the history fill's s = -rho*tau is typed: a numpy scalar,
 # where 1/s is inf and a negative s to a fractional power is nan
@@ -258,7 +258,7 @@ def resolve_config(cfg: RunConfig) -> Resolved:
             f"sampled minimum is {float(p_vals.min())}", key="p",
         )
 
-    tau = np.linspace(cfg.tau1, cfg.tau2, cfg.n_tau)
+    tau, _ = tau_quadrature(cfg.tau1, cfg.tau2, cfg.n_tau)
     if cfg.mu2_table is None:
         _, mu2 = _field("mu2", cfg.mu2, ("tau",), {"tau": tau}, tau.shape)
         if not mu2.min() >= 0.0:
@@ -310,9 +310,8 @@ def resolve_config(cfg: RunConfig) -> Resolved:
 
     m = ExponentField(grid, m_vals)
     p = ExponentField(grid, p_vals)
-    # alpha is used only under the exponent chain m_high < p_low, p_high < inf
-    # (validate_exponent_pair's chain_ok once m >= 2 in 1-D and 2-D).
-    if cfg.alpha is not None and m.high < p.low and p.high < math.inf:
+    # alpha is used only under the exponent chain
+    if cfg.alpha is not None and exponent_chain(m, p):
         window = alpha_window(m, p)
         if not 0.0 < cfg.alpha <= window:
             raise ConfigError(

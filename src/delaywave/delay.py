@@ -6,13 +6,16 @@ mu2(tau), one per trapezoid node on it, the instantaneous coefficient mu1
 and the kernel mass M = integral mu2. Stability of the energy requires
 M < mu1 (mass condition) and, node-wise in x,
 
-    M + (tau2 - tau1) * xi(x) / m(x) < mu1
+    M + (tau2 - tau1) * xi(x) / m(x) < mu1,  xi(x) > 0     (weight condition)
 
-for the positive weight field xi entering the energy. The canonical choice
-xi = m * (mu1 - M) / (2 (tau2 - tau1)) satisfies it with margin (mu1 - M)/2.
-The dissipation constant C0 of the decay estimate is the smaller of the two
-``dissipation_margins``; ``solver.build_problem`` takes it.
-``rho_quadrature`` is the memory field's one quadrature over rho in [0, 1].
+for the weight field xi entering the energy. ``xi_default`` gives the weight
+a run uses: under the mass condition the canonical choice
+xi = m * (mu1 - M) / (2 (tau2 - tau1)), which satisfies the weight condition
+with margin (mu1 - M)/2. The weight condition holds exactly when both
+``dissipation_margins`` are positive, and the dissipation constant C0 of the
+decay estimate is the smaller of them; ``solver.build_problem`` takes both
+from there. ``tau_quadrature`` and ``rho_quadrature`` are the one quadrature
+over the delay window and over rho in [0, 1].
 """
 
 from __future__ import annotations
@@ -47,12 +50,16 @@ def rho_quadrature(n_rho):
     return np.linspace(0.0, 1.0, n_rho), d_rho, trapezoid_weights(n_rho, d_rho)
 
 
-def build_kernel(mu2, tau1, tau2, mu1) -> DelayKernel:
-    """The kernel of density samples ``mu2`` on len(mu2) trapezoid nodes
-    spanning [tau1, tau2], and its mass.
+def tau_quadrature(tau1, tau2, n_tau):
+    """The n_tau delay nodes spanning [tau1, tau2] and their
+    composite-trapezoid weights."""
+    nodes, h = np.linspace(tau1, tau2, n_tau, retstep=True)
+    return nodes, trapezoid_weights(n_tau, h)
 
-    A run passes ``resolve_config``'s samples on linspace(tau1, tau2, n_tau).
-    """
+
+def build_kernel(mu2, tau1, tau2, mu1) -> DelayKernel:
+    """The kernel of density samples ``mu2`` on the len(mu2) nodes of
+    ``tau_quadrature``, and its mass; a run passes ``resolve_config``'s."""
     tau1 = float(tau1)
     tau2 = float(tau2)
     if not 0.0 < tau1 < tau2:
@@ -66,8 +73,7 @@ def build_kernel(mu2, tau1, tau2, mu1) -> DelayKernel:
     if not np.all(samples >= 0.0):
         raise ConditionError("delay density mu2 must be nonnegative")
 
-    nodes = np.linspace(tau1, tau2, n_tau)
-    weights = trapezoid_weights(n_tau, (tau2 - tau1) / (n_tau - 1))
+    nodes, weights = tau_quadrature(tau1, tau2, n_tau)
     mass = float(weights @ samples)
     return DelayKernel(tau1, tau2, nodes, weights, samples, float(mu1), mass)
 
@@ -78,29 +84,26 @@ def check_mass_condition(kernel: DelayKernel) -> bool:
 
 
 def xi_default(kernel: DelayKernel, m: ExponentField) -> GridFunction:
-    """Canonical weight xi = m * (mu1 - mass) / (2 * width); requires mass < mu1."""
-    if not check_mass_condition(kernel):
-        raise ConditionError(
-            "mass condition fails (mass >= mu1); default weight would not be positive"
-        )
-    vals = m.values * (kernel.mu1 - kernel.mass) / (2.0 * kernel.width)
+    """The weight of a run: xi = m * (mu1 - mass) / (2 * width) under the
+    mass condition. Without it no admissible weight exists, so the energy is
+    kept well defined with the positive surrogate m * mu1 / (4 * width)
+    (zero when damping is disabled entirely)."""
+    if check_mass_condition(kernel):
+        vals = m.values * (kernel.mu1 - kernel.mass) / (2.0 * kernel.width)
+    else:
+        vals = m.values * kernel.mu1 / (4.0 * kernel.width)
     return GridFunction(m.grid, vals)
 
 
-def check_xi_condition(kernel: DelayKernel, xi: GridFunction, m: ExponentField) -> bool:
-    """Node-wise strict inequality mass + width * xi/m < mu1."""
-    if xi.grid.counts != m.grid.counts:
-        raise GridMismatchError("weight and exponent fields live on different grids")
-    lhs = kernel.mass + kernel.width * xi.values / m.values
-    return bool(np.all(lhs < kernel.mu1))
-
-
 def dissipation_margins(kernel: DelayKernel, xi: GridFunction, m: ExponentField):
-    """The two node-wise infima controlling the energy decay rate.
+    """The two node-wise infima of the weight condition, which holds exactly
+    when both are positive; the smaller bounds the energy decay rate.
 
     Returns (inf_x f(x), inf_x xi(x)/m(x)) with
     f(x) = mu1 - (mass + width * xi(x)/m(x)).
     """
+    if xi.grid.counts != m.grid.counts:
+        raise GridMismatchError("weight and exponent fields live on different grids")
     ratio = xi.values / m.values
     f = kernel.mu1 - (kernel.mass + kernel.width * ratio)
     return float(f.min()), float(ratio.min())

@@ -26,16 +26,17 @@ The acceleration is
 
 with homogeneous Dirichlet walls; boundary nodes never move. ``step`` calls
 the public force routines ``laplacian``, ``damping_force`` and
-``source_force`` on grid arrays; ``delay_force`` is the two halves that the
+``source_force`` on grid arrays; the delay force is two halves that the
 shift and step run apart, ``_delay_terms`` and ``_delay``. Every per-step
 choice is resolved once, so a step runs only the ufunc calls that do
 arithmetic:
 - each ``ExponentField`` resolves its odd power once (m = 2 is the identity
-  and copies nothing); ``build_problem`` resolves the tail exponent, the CFL
-  numbers and the tail coefficients;
-- the state's ``_Plan``, built by ``run`` or on the first step, holds dt/2,
-  the source switch, the upwind shift's lane blocks of z with their
-  scratch, and one reused C-ordered (*grid, n_tau) buffer of delay terms.
+  and copies nothing);
+- the state's ``_Plan``, built by ``run`` or on the first step, holds every
+  per-step invariant: dt/2, the source switch, the CFL number and tail
+  coefficient of each lane, the tail exponent, the upwind shift's lane
+  blocks of z with their scratch, and one reused C-ordered (*grid, n_tau)
+  buffer of delay terms.
   The shift forms each block's terms from the strided tail ``z[:, -1]``
   straight into it, so step only sums them.
 ``run`` forks a ``_Helper`` process, where a second CPU is free, that
@@ -62,10 +63,10 @@ import numpy as np
 
 from . import parallel
 from .config import RunConfig, _spatial_vars, resolve_config
-from .delay import DelayKernel, build_kernel, check_mass_condition, check_xi_condition, \
-    dissipation_margins, rho_quadrature, xi_default
+from .delay import DelayKernel, build_kernel, check_mass_condition, dissipation_margins, \
+    rho_quadrature, xi_default
 from .energetics import alpha_window, blowup_indicator, energy_report
-from .errors import ConditionError, ConfigError, NumericalError
+from .errors import ConfigError, NumericalError
 from .spaces import ExponentField, Grid, GridFunction, validate_exponent_pair
 
 log = logging.getLogger(__name__)
@@ -95,40 +96,23 @@ class Problem:
     u1_vals: np.ndarray
     f0_vals: np.ndarray
     f0_fn: object  # the compiled f0(x, s) of the history fill
-    # Per-step invariants of the integrator.
-    tail_exp: object  # m.odd broadcast against a (*grid, n_tau) tail
-    tail_coeff: np.ndarray  # tau-quadrature weight times mu2, per lane
-    cfl: np.ndarray  # dt / (tau d_rho), shaped (n_tau, 1, ...) to broadcast over z
 
 
 def build_problem(config: RunConfig) -> Problem:
-    """Check the config, then build the kernel, weight field and invariants."""
+    """Check the config, then build the kernel, weight field and conditions."""
     config, grid, m, p, mu2, u0_vals, u1_vals, f0_vals, f0_fn = resolve_config(config)
     report = validate_exponent_pair(m, p, config.log_holder_bound, config.log_holder_delta)
     kernel = build_kernel(mu2, config.tau1, config.tau2, config.mu1)
 
-    mass_ok = check_mass_condition(kernel)
-    if mass_ok:
-        xi = xi_default(kernel, m)
-    else:
-        # No admissible weight exists; keep the energy well defined with a
-        # positive surrogate (zero when damping is disabled entirely).
-        xi = GridFunction(grid, m.values * kernel.mu1 / (4.0 * kernel.width))
-    xi_ok = check_xi_condition(kernel, xi, m)
+    xi = xi_default(kernel, m)
     margins = dissipation_margins(kernel, xi, m)
-    # C0 bounds the decay rate, so it is the smaller margin. The xi check
-    # rounds width*xi/m and the margins width*(xi/m): at the edge they can
-    # disagree.
-    c0 = min(margins) if xi_ok else 0.0
-    if xi_ok and c0 <= 0.0:
-        raise ConditionError("dissipation constant is not positive")
+    # the weight condition is both margins positive; C0 bounds the decay
+    # rate, so it is the smaller margin
+    xi_ok = min(margins) > 0.0
 
     alpha = None
     if report.chain_ok:
         alpha = config.alpha if config.alpha is not None else 0.5 * alpha_window(m, p)
-
-    rho_nodes, d_rho, _ = rho_quadrature(config.n_rho)
-    cfl = config.dt / (kernel.nodes * d_rho)
 
     return Problem(
         config=config,
@@ -138,19 +122,16 @@ def build_problem(config: RunConfig) -> Problem:
         kernel=kernel,
         xi=xi,
         exponent_report=report,
-        mass_ok=mass_ok,
+        mass_ok=check_mass_condition(kernel),
         xi_ok=xi_ok,
-        c0=c0,
+        c0=min(margins) if xi_ok else 0.0,
         margins=margins,
         alpha=alpha,
-        rho_nodes=rho_nodes,
+        rho_nodes=rho_quadrature(config.n_rho)[0],
         u0_vals=u0_vals,
         u1_vals=u1_vals,
         f0_vals=f0_vals,
         f0_fn=f0_fn,
-        tail_exp=_tail_exponent(m.odd),
-        tail_coeff=kernel.weights * kernel.mu2,
-        cfl=cfl.reshape((-1, 1) + (1,) * grid.dimension),
     )
 
 
@@ -282,15 +263,6 @@ def damping_force(v, m: ExponentField, mu1: float):
     return mu1 * _odd_power(v, m.odd)
 
 
-def delay_force(z_tail, kernel: DelayKernel, m: ExponentField):
-    """Delay-window quadrature of mu2(tau) z|z|^{m(x)-2} at the rho = 1 tail.
-
-    ``z_tail`` is the rho = 1 row ``state.z[:, -1]`` moved to (*grid, n_tau).
-    """
-    return _delay(_delay_terms(z_tail, kernel.weights * kernel.mu2,
-                               _tail_exponent(m.odd), np.empty(z_tail.shape)))
-
-
 def source_force(u, p: ExponentField):
     """Focusing source u |u|^{p(x)-2} of grid values u, always a new array."""
     return u.copy() if p.odd is None else _odd_power(u, p.odd)
@@ -327,6 +299,12 @@ class _Plan:
         self.grid = problem.grid
         self.dt = cfg.dt
         self.half_dt = 0.5 * cfg.dt
+        kernel = problem.kernel
+        # dt / (tau d_rho), shaped (n_tau, 1, ...) to broadcast over z
+        self.cfl = (cfg.dt / (kernel.nodes * rho_quadrature(cfg.n_rho)[1])).reshape(
+            (-1, 1) + (1,) * self.grid.dimension)
+        self.tail_coeff = kernel.weights * kernel.mu2  # tau-quadrature weight times mu2
+        self.tail_exp = _tail_exponent(problem.m.odd)  # against a (*grid, n_tau) tail
         self.source = not cfg.disable_source
         self.frozen = cfg.freeze_velocity
         self.inflow = z[:, 0]
@@ -343,14 +321,14 @@ def _lane_blocks(plan, lanes):
     range), cut into blocks of plan.block lanes: the rows and scratch of
     each block's upwind update, then those of its delay terms (None in a
     frozen-velocity run)."""
-    z, problem = plan.z, plan.problem
+    z = plan.z
     blocks = []
     for lo in range(lanes.start, lanes.stop, plan.block):
         k = slice(lo, min(lo + plan.block, lanes.stop))
-        rows = (z[k, 1:], z[k, :-1], problem.cfl[k], plan.scratch[:k.stop - lo])
+        rows = (z[k, 1:], z[k, :-1], plan.cfl[k], plan.scratch[:k.stop - lo])
         terms = None
         if plan.terms is not None:
-            terms = (plan.tail[..., k], problem.tail_coeff[k], problem.tail_exp,
+            terms = (plan.tail[..., k], plan.tail_coeff[k], plan.tail_exp,
                      plan.terms[..., k])
         blocks.append((rows, terms))
     return blocks
@@ -592,7 +570,7 @@ def step(state: SimState, problem: Problem) -> SimState:
 
     g0 = state.accel
     if g0 is None:
-        _delay_terms(plan.tail, problem.tail_coeff, problem.tail_exp, plan.terms)
+        _delay_terms(plan.tail, plan.tail_coeff, plan.tail_exp, plan.terms)
         g0 = _conservative(*_local_forces(u0, plan), plan)
     if helper is not None:
         helper.go()

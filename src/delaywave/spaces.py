@@ -469,21 +469,25 @@ class ExponentValidation:
     log_ok: bool
 
 
+def exponent_chain(m: ExponentField, p: ExponentField) -> bool:
+    """The exponent chain 2 <= m_low <= m_high < p_low <= p_high < inf. The
+    paper adds p_high <= 2(n-1)/(n-2) in dimension n >= 3; a grid is 1-D or
+    2-D, where every finite p_high is admissible."""
+    return bool(2.0 <= m.low and m.high < p.low and np.isfinite(p.high))
+
+
 def validate_exponent_pair(m: ExponentField, p: ExponentField, log_bound=10.0,
                            log_delta=0.5) -> ExponentValidation:
     """Check the exponent chain and log-Hoelder continuity of both fields.
 
-    Chain: 2 <= m_low <= m_high < p_low <= p_high < inf. The paper adds
-    p_high <= 2(n-1)/(n-2) in dimension n >= 3; a grid is 1-D or 2-D, where
-    every finite p_high is admissible. The log-Hoelder moduli are measured
-    on the node samples and compared against ``log_bound``.
+    The log-Hoelder moduli are measured on the node samples and compared
+    against ``log_bound``.
     """
     _require_same_grid(m, p)
-    chain_ok = 2.0 <= m.low and m.high < p.low and np.isfinite(p.high)
     mod_m, mod_p = log_holder_moduli((m, p), log_delta)
     log_ok = mod_m <= log_bound and mod_p <= log_bound
     return ExponentValidation(
-        chain_ok=bool(chain_ok),
+        chain_ok=exponent_chain(m, p),
         log_modulus_damping=mod_m,
         log_modulus_source=mod_p,
         log_ok=bool(log_ok),

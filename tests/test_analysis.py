@@ -520,6 +520,15 @@ def test_gate_negative_energy_fails():
     assert not gate.passed and gate.beta == np.inf
 
 
+@pytest.mark.parametrize("p1", [2.0, 1.5])
+def test_gate_fails_by_construction_when_p1_is_at_most_2(p1):
+    # the threshold (p1-2)/(2 p1) is not positive, and 2 p1/(p1-2) E0 is not
+    # defined (p1 = 2) or negative (p1 < 2, a complex power)
+    gate = global_existence_gate(_report0(0.01, 0.5), p1, 3.0, 0.05)
+    assert not gate.passed and gate.beta == np.inf
+    assert gate.threshold == (p1 - 2.0) / (2.0 * p1)
+
+
 def test_gate_grid_stability(decay_result):
     # the certified constant is driven by grid-independent random draws, so
     # the gate quantities agree across refinement well inside 2%

@@ -181,6 +181,22 @@ t_end = 0.05
     assert code == 0
 
 
+@pytest.mark.parametrize("p", ["2", "1.5"])
+def test_cli_gate_fails_when_p_is_at_most_2(tmp_path, capsys, p):
+    # conservation sets override_conditions, so the run goes on past the
+    # failed exponent chain; the gate must then fail, not crash
+    doc = re.sub(r"(?m)^p = .*$", f"p = {p}", load_preset("conservation"))
+    path = tmp_path / "p.cfg"
+    path.write_text(doc)
+    out = tmp_path / "out"
+    code = cli.main(["--config", str(path), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["gate"]["passed"] is False
+    assert (out / "trajectory.csv").exists()
+
+
 def test_cli_numerical_error_exit_3(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NumericalError("synthetic failure")

@@ -4,11 +4,10 @@ import pytest
 from delaywave.delay import (
     build_kernel,
     check_mass_condition,
-    check_xi_condition,
     dissipation_margins,
     xi_default,
 )
-from delaywave.errors import ConditionError
+from delaywave.errors import ConditionError, GridMismatchError
 from delaywave.spaces import ExponentField, GridFunction, make_grid
 
 from _density import density_kernel
@@ -70,6 +69,11 @@ def _grid_and_m(expr=lambda x: np.full_like(x, 2.0), n=41):
     return g, ExponentField(g, expr(g.coords[0]))
 
 
+def _xi_condition(k, xi, m):
+    """The weight condition: both dissipation margins positive."""
+    return min(dissipation_margins(k, xi, m)) > 0.0
+
+
 def test_xi_default_substitutions():
     g, m = _grid_and_m()
     k = density_kernel(lambda t: np.full_like(t, 0.5), 1.0, 2.0, 11, mu1=1.0)
@@ -89,11 +93,17 @@ def test_xi_default_spatially_varying():
     assert np.allclose(xi.values, (2.0 + g.coords[0]) / 4.0)
 
 
-def test_xi_default_requires_mass_condition():
+def test_xi_default_surrogate_without_mass_condition():
+    # mass 1.5 >= mu1 = 1: no admissible weight, so the surrogate m*mu1/(4*width)
     _, m = _grid_and_m()
     k = density_kernel(lambda t: t, 1.0, 2.0, 2, mu1=1.0)
-    with pytest.raises(ConditionError):
-        xi_default(k, m)
+    xi = xi_default(k, m)
+    assert np.array_equal(xi.values, m.values * 1.0 / 4.0)
+    assert not _xi_condition(k, xi, m)
+    # damping disabled entirely: a zero weight, which fails the condition
+    k0 = density_kernel(np.zeros_like, 1.0, 2.0, 11, mu1=0.0)
+    assert not np.any(xi_default(k0, m).values)
+    assert dissipation_margins(k0, xi_default(k0, m), m) == (0.0, 0.0)
 
 
 def test_xi_condition_default_always_holds():
@@ -106,14 +116,14 @@ def test_xi_condition_default_always_holds():
         k = density_kernel(lambda t: np.full_like(t, level), tau1, tau2, 9, mu1=mu1)
         g = make_grid(1.0, 17)
         m = ExponentField(g, rng.uniform(2.0, 4.0, g.shape))
-        assert check_xi_condition(k, xi_default(k, m), m)
+        assert _xi_condition(k, xi_default(k, m), m)
 
 
 def test_xi_condition_boundary_case_fails():
     g, m = _grid_and_m()
     k = density_kernel(lambda t: np.full_like(t, 0.5), 1.0, 2.0, 11, mu1=1.0)
     doubled = GridFunction(g, 2.0 * xi_default(k, m).values)
-    assert not check_xi_condition(k, doubled, m)  # equality, not strict
+    assert not _xi_condition(k, doubled, m)  # equality, not strict
 
 
 def test_xi_condition_matches_brute_force():
@@ -123,9 +133,9 @@ def test_xi_condition_matches_brute_force():
     m = ExponentField(g, rng.uniform(2.0, 4.0, g.shape))
     for _ in range(50):
         xi = GridFunction(g, rng.uniform(0.0, 3.0, g.shape))
-        brute = all(k.mass + (k.tau2 - k.tau1) * x / mm < k.mu1
+        brute = all(k.mass + (k.tau2 - k.tau1) * x / mm < k.mu1 and x > 0.0
                     for x, mm in zip(xi.values, m.values))
-        assert check_xi_condition(k, xi, m) == brute
+        assert _xi_condition(k, xi, m) == brute
 
 
 def test_dissipation_constant_hand_values():
@@ -161,5 +171,12 @@ def test_dissipation_constant_requires_condition():
     g, m = _grid_and_m()
     k = density_kernel(lambda t: np.full_like(t, 0.5), 1.0, 2.0, 11, mu1=1.0)
     bad = GridFunction(g, 10.0 * np.ones(g.shape))
-    assert not check_xi_condition(k, bad, m)
+    assert not _xi_condition(k, bad, m)
     assert min(dissipation_margins(k, bad, m)) < 0.0
+
+
+def test_dissipation_margins_refuse_fields_on_different_grids():
+    g, m = _grid_and_m()
+    k = density_kernel(lambda t: np.full_like(t, 0.5), 1.0, 2.0, 11, mu1=1.0)
+    with pytest.raises(GridMismatchError):
+        dissipation_margins(k, GridFunction(make_grid(1.0, 21), np.ones(21)), m)

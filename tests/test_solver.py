@@ -16,12 +16,11 @@ from delaywave.config import PRESET_NAMES, RunConfig, auto_dt, load_preset, pars
     resolve_config
 from delaywave.errors import ConditionError, ConfigError, NumericalError
 from delaywave.expressions import compile_expression
-from delaywave.scenario import run_scenario
+from delaywave.scenario import run_scenario, simulate
 from delaywave.solver import (
     SimState,
     build_problem,
     damping_force,
-    delay_force,
     init_state,
     laplacian,
     run,
@@ -39,6 +38,14 @@ def memory_tail(z):
     as a C-contiguous (*grid, n_tau) copy: a sum over its last axis keeps
     numpy's pairwise order, which a sum over tau in place would not."""
     return np.ascontiguousarray(z[:, -1].transpose(_TAIL_AXES[z.ndim]))
+
+
+def delay_force(z_tail, kernel, m):
+    """The delay force of a (*grid, n_tau) tail as a run forms it: ``_delay``
+    of ``_delay_terms``."""
+    return solver._delay(solver._delay_terms(
+        z_tail, kernel.weights * kernel.mu2, solver._tail_exponent(m.odd),
+        np.empty(z_tail.shape)))
 
 
 def _config(**over):
@@ -140,15 +147,18 @@ def test_history_fill_is_bytewise_the_per_node_fill(source, shared):
 
 
 # C0 and the two dissipation margins of every preset and of box-2d, equal by
-# ==: C0 enters the decay bound, and CI compares summary.json with the
-# benchmark's reference for its three workloads only
+# ==, with the mass and weight conditions: C0 enters the decay bound, and CI
+# compares summary.json with the benchmark's reference for its three
+# workloads only
 _C0 = {
-    "blowup": (0.22499999999999998, (0.22499999999999998, 0.45)),
-    "conservation": (0.0, (0.0, 0.0)),
-    "decay_exponential": (0.22499999999999998, (0.22499999999999998, 0.45)),
-    "decay_polynomial": (0.9749999999999999, (0.9749999999999999, 1.9499999999999997)),
-    "instability_explore": (0.0, (-0.15000000000000002, 0.1)),
-    "box-2d": (0.44999999999999996, (0.44999999999999996, 0.8999999999999999)),
+    "blowup": (0.22499999999999998, (0.22499999999999998, 0.45), (True, True)),
+    "conservation": (0.0, (0.0, 0.0), (False, False)),
+    "decay_exponential": (0.22499999999999998, (0.22499999999999998, 0.45), (True, True)),
+    "decay_polynomial": (0.9749999999999999, (0.9749999999999999, 1.9499999999999997),
+                         (True, True)),
+    "instability_explore": (0.0, (-0.15000000000000002, 0.1), (False, False)),
+    "box-2d": (0.44999999999999996, (0.44999999999999996, 0.8999999999999999),
+               (True, True)),
 }
 
 
@@ -156,15 +166,23 @@ _C0 = {
 def test_dissipation_constant_is_pinned(source):
     cfg = parse_config(_BOX_2D.read_text() if source == "box-2d" else load_preset(source))
     prob = build_problem(cfg)
-    assert (prob.c0, prob.margins) == _C0[source]
+    assert (prob.c0, prob.margins, (prob.mass_ok, prob.xi_ok)) == _C0[source]
 
 
-def test_build_problem_refuses_a_nonpositive_c0_under_the_xi_condition(monkeypatch):
-    # check_xi_condition rounds width*xi/m and the margins width*(xi/m), so
-    # at the edge the check can pass while a margin is not positive
+def test_a_zero_margin_fails_the_xi_condition(monkeypatch):
+    # the weight condition is both margins positive: a zero margin fails it,
+    # and C0 is then 0, never a nonpositive constant under a passed check
     monkeypatch.setattr(solver, "dissipation_margins", lambda kernel, xi, m: (0.0, 0.5))
-    with pytest.raises(ConditionError, match="dissipation constant is not positive"):
-        build_problem(_config())
+    prob = build_problem(_config())
+    assert (prob.xi_ok, prob.c0) == (False, 0.0)
+    with pytest.raises(ConditionError, match="xi_condition"):
+        simulate(_config())
+
+
+def test_density_of_tau_samples_the_kernel_nodes():
+    # resolve_config samples mu2 on the kernel's own tau nodes
+    kernel = build_problem(_config(mu2="tau", n_tau=7)).kernel
+    assert kernel.mu2.tobytes() == kernel.nodes.tobytes()
 
 
 # --- spatial operators ----------------------------------------------------------
@@ -541,10 +559,11 @@ def test_upwind_shift_equals_one_pass(monkeypatch, grid_shape, one_lane, parts):
     cfl = rng.uniform(0.05, 1.0, 5).reshape((-1, 1) + (1,) * len(grid_shape))
     if one_lane:
         monkeypatch.setattr(solver, "_BLOCK_BYTES", 0)
-    prob = replace(_shift_problem(grid_shape), cfl=cfl)
+    prob = _shift_problem(grid_shape)
     for cut in _cuts(5, parts):
         z = z0.copy()
         plan = solver._Plan(prob, z0.copy())
+        plan.cfl = cfl
         assert plan.scratch.shape == ((1 if one_lane else 5),) + z[0, 1:].shape
         for _ in range(3):
             for lanes in cut:
@@ -572,12 +591,12 @@ def test_pool_lanes_form_the_whole_tail_delay_terms(grid_shape, m):
         for _ in range(2):
             helper.go()
             solver._upwind_shift(plan)
-            _upwind_oracle(z, prob.cfl)
+            _upwind_oracle(z, plan.cfl)
             assert np.array_equal(plan.z, z)
             expected = delay_force(memory_tail(z), prob.kernel, prob.m)
             assert np.array_equal(solver._delay(plan.terms), expected)
             whole = np.empty_like(plan.terms)
-            solver._delay_terms(memory_tail(z), prob.tail_coeff, prob.tail_exp, whole)
+            solver._delay_terms(memory_tail(z), plan.tail_coeff, plan.tail_exp, whole)
             assert np.array_equal(plan.terms, whole)
     assert len(plan.own) == 1 and plan.helper is None  # every lane back with the caller
 

@@ -38,9 +38,6 @@ ENERGY_FLOOR = 1e-290  # below this the log-fit window is cut off
 
 _N_MODES = 6  # sine modes per axis in the certification family
 _BATCH = 500  # samples per batch of the family, whose draws' sizes depend on it
-# grid values per certification chunk: 1 MB per float64 temporary, so a 65x65
-# batch of 500 splits into 17 chunks of 31 samples while a 1-D batch stays whole
-_CHUNK_VALUES = 1 << 17
 # relative inflation of the screen's ratio bound: its samples and energies
 # round differently from the exact ones, by about 1e-13 relative
 _SCREEN_MARGIN = 1e-6
@@ -295,9 +292,9 @@ def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
     and max is exact, so the result is bitwise the maximum over every sample.
     On the 2-D presets about 3% of the samples are scored, in 1-D about 10%.
 
-    Screen and scoring run in chunks of about _CHUNK_VALUES grid values, on
-    the shared pool (``parallel``) when there are several. The exact score
-    is bitwise the one-batch, one-thread one:
+    Screen and scoring run in ``parallel.chunks`` of samples (a 65x65 batch
+    of 500 is 17 chunks of 31), on the shared pool when there are several.
+    The exact score is bitwise the one-batch, one-thread one:
     - the batch's draws are made in the calling thread, in a fixed order and
       size, before the batch is split;
     - synthesis and scoring are per sample, so any rows give the same bits
@@ -305,8 +302,7 @@ def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
     - the one BLAS product that enters a score (1-D smooth part) is taken on
       the whole batch, since OpenBLAS rounds a row slice differently;
     - max is exact, so chunk maxima fold to the batch's in any order.
-    A batch of at most _CHUNK_VALUES values (any 1-D preset) is one chunk
-    and runs inline.
+    A batch of one block (any 1-D preset) is one chunk and runs inline.
     """
     modes = _axis_modes(grid)
     w = grid.weights
@@ -334,14 +330,14 @@ def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
         b = min(_BATCH, n_samples - done)
         draws = _family_draws(grid, b, rng, modes)
         bound = np.concatenate(parallel.map(
-            chunk_bound, repeat(draws), parallel.chunks(b, w.size, _CHUNK_VALUES)))
+            chunk_bound, repeat(draws), parallel.chunks(b, w.size)))
         # the top bound's exact ratio sets the bar the other samples must reach
         top = int(np.argmax(bound))
         best = max(best, float(chunk_max(draws, slice(top, top + 1))))
         rows = np.flatnonzero(bound >= best)
         rows = rows[rows != top]
         maxima = parallel.map(chunk_max, repeat(draws),
-                              [rows[c] for c in parallel.chunks(rows.size, w.size, _CHUNK_VALUES)])
+                              [rows[c] for c in parallel.chunks(rows.size, w.size)])
         # -inf (no valid sample) leaves best unchanged
         best = max(best, float(np.max(maxima, initial=-np.inf)))
         done += b
@@ -358,7 +354,7 @@ def _certified_ratio(kind, grid: Grid, p1, p2, n_samples, seed, **exponents) -> 
     The ratio is pure in the key: make_grid builds every Grid, so lengths and
     counts fix the nodes, weights and boundary; kind, p1 and p2 fix the
     exponents, and the seed fixes the family. One lock covers lookup and
-    computation, so concurrent sweep points compute each key once.
+    computation, for callers that certify from several threads.
     """
     key = (kind, grid.lengths, grid.counts, float(p1), float(p2), n_samples, seed)
     with _ratio_lock:
@@ -368,13 +364,14 @@ def _certified_ratio(kind, grid: Grid, p1, p2, n_samples, seed, **exponents) -> 
         return _ratio_memo[key]
 
 
-def embedding_constant_for_bound(grid: Grid, p1, p2, n_samples=10000, seed=2024,
+def embedding_constant_for_bound(grid: Grid, p1, p2, seed, n_samples=10000,
                                  safety=2.0) -> float:
     """Certified c with (1/2) int |u|^{2p(x)-2} <= c (ge^{p2-1} + ge^{p1-1}).
 
     Empirical maximization of the split ratio over >= n_samples random
-    Dirichlet functions, times the safety factor. Valid for every exponent
-    field with bounds [p1, p2] because the integrand is split at |u| = 1.
+    Dirichlet functions drawn from ``seed``, times the safety factor. Valid
+    for every exponent field with bounds [p1, p2] because the integrand is
+    split at |u| = 1.
     The ratio is memoized; the safety factor is applied after the lookup.
     """
     ratio = _certified_ratio(
@@ -388,7 +385,7 @@ def embedding_constant_for_bound(grid: Grid, p1, p2, n_samples=10000, seed=2024,
     return safety * ratio
 
 
-def embedding_constant_for_gate(grid: Grid, p1, p2, n_samples=10000, seed=2024,
+def embedding_constant_for_gate(grid: Grid, p1, p2, seed, n_samples=10000,
                                 safety=2.0) -> float:
     """Certified c with int |u|^{p(x)} <= c (ge^{p2/2} + ge^{p1/2}).
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionError, GridMismatchError
-from .spaces import ExponentField, GridFunction, trapezoid_weights
+from .errors import ConditionError
+from .spaces import ExponentField, GridFunction, _require_same_grid, trapezoid_weights
 
 
 @dataclass(eq=False)
@@ -102,8 +102,7 @@ def dissipation_margins(kernel: DelayKernel, xi: GridFunction, m: ExponentField)
     Returns (inf_x f(x), inf_x xi(x)/m(x)) with
     f(x) = mu1 - (mass + width * xi(x)/m(x)).
     """
-    if xi.grid.counts != m.grid.counts:
-        raise GridMismatchError("weight and exponent fields live on different grids")
+    _require_same_grid(xi, m)
     ratio = xi.values / m.values
     f = kernel.mu1 - (kernel.mass + kernel.width * ratio)
     return float(f.min()), float(ratio.min())

@@ -26,9 +26,6 @@ from .spaces import ExponentField, GridFunction, _abs_power, _power_into, gradie
     modular
 
 TOL_RATE_STEPS = 50.0  # dissipation_check's slack is this many dt
-# Values per point chunk of _delay_integrals: 1 MiB of float64, so a chunk of
-# |z|^m stays in one core's 2 MiB L2 across its seven reductions.
-_CHUNK_VALUES = 1 << 17
 # OpenBLAS's gemv scores rows in groups of 4: a row chunk rounds like the
 # whole product when it starts at a multiple of 4 and holds at least 4 rows.
 _GEMV_ROWS = 4
@@ -63,12 +60,12 @@ def _delay_integrals(z, kernel, xi, m, grid_weights):
     bulk_modular   = iiint (mu2 + xi) |z|^m
     delay_modular  = iint |z(rho = 1)|^m
 
-    One fused pass in chunks of about _CHUNK_VALUES values of grid points on
-    the shared pool: each chunk is gathered into one C-ordered buffer,
-    powered, contracted, divided by m in place and contracted again while it
-    is in L2. Every element gets the operations of one whole-array pass and
-    the chunks follow _GEMV_ROWS, so the bits are that pass's. A field of one
-    chunk (any 1-D preset) runs inline.
+    One fused pass in ``parallel.chunks`` of grid points on the shared pool:
+    each chunk is gathered into one C-ordered buffer, powered, contracted,
+    divided by m in place and contracted again while it is in L2. Every
+    element gets the operations of one whole-array pass and the chunks
+    follow _GEMV_ROWS, so the bits are that pass's. A field of one chunk
+    (any 1-D preset) runs inline.
     """
     n_tau, n_rho = z.shape[:2]
     points = grid_weights.size
@@ -98,8 +95,7 @@ def _delay_integrals(z, kernel, xi, m, grid_weights):
         for k in (2, 3, 4, 5):
             sums[k, rows] = np.dot(flat, weights[k])
 
-    parallel.map(contract, parallel.chunks(points, n_rho * n_tau, _CHUNK_VALUES,
-                                           multiple=_GEMV_ROWS))
+    parallel.map(contract, parallel.chunks(points, n_rho * n_tau, multiple=_GEMV_ROWS))
     bulk_mu, bulk_one, e_mu, e_one, f_mu, f_one, tail = sums.reshape((7,) + grid_weights.shape)
     energy = float(np.sum(grid_weights * (e_mu + xi.values * e_one)))
     weighted = float(np.sum(grid_weights * (f_mu + xi.values * f_one)))

@@ -6,22 +6,13 @@ use (``workers``) and is created on first use; importing this module starts
 no thread. A call made from inside a pool task runs inline, so a task never
 waits on the pool it occupies.
 
-The pool runs the energy chunks and certification. Callers cut their work
-with ``chunks``, each at its own size:
-- ``analysis._CHUNK_VALUES`` (2**17 values): certification screens each
-  batch in chunks, then scores the samples the screen keeps in chunks of
-  the same size; both hold several float64 temporaries per chunk, so the
-  size bounds peak memory. The screen's bound may round differently per
-  chunk, which its margin covers; the scores are per sample and bitwise;
-- ``energetics._CHUNK_VALUES`` (2**17 values, 1 MiB): a chunk of grid points
-  stays in one core's 2 MiB L2 through its power, division and seven
-  reductions. Chunks are aligned to 4 points, the row group of OpenBLAS's
-  gemv, so each chunk's products are bitwise those of the whole product.
-Each size is such that every 1-D preset is one piece and runs inline.
-
-The upwind shift of the memory field does not use the pool: the GIL keeps
-threads from splitting it, so ``solver.run`` forks one helper process for
-half its lanes where ``spare_cpu`` allows.
+Kernels that walk large arrays cut their work with ``chunks`` into blocks of
+about ``BLOCK_VALUES`` values. The pool runs the energy sample's and
+certification's blocks; every 1-D preset is one block in each and runs
+inline. The upwind shift of the memory field cuts its lanes the same way but
+does not use the pool: the GIL keeps threads from splitting it, so
+``solver.run`` forks one helper process for half its lanes where
+``spare_cpu`` allows.
 """
 
 from __future__ import annotations
@@ -29,6 +20,10 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+
+# float64 values per block, 1 MiB: one block and a kernel's scratch stay in one
+# core's 2 MiB L2, and a kernel's peak memory is a few temporaries of one block
+BLOCK_VALUES = 1 << 17
 
 _lock = threading.Lock()
 _pool = None
@@ -100,12 +95,13 @@ def map(fn, *iterables) -> list:
     return list(_executor().map(fn, *zip(*calls)))
 
 
-def chunks(n: int, item_values: int, chunk_values: int, multiple: int = 1) -> list:
-    """range(n) cut into slices of about chunk_values values at item_values
-    values per item, each starting at a multiple of ``multiple`` items; a
-    last slice of fewer items than that is merged into the one before."""
-    step = max(multiple, chunk_values // item_values // multiple * multiple)
-    cut = [slice(lo, lo + step) for lo in range(0, n, step)]
+def chunks(n: int, item_values: int, multiple: int = 1) -> list:
+    """range(n) cut into slices of about BLOCK_VALUES values at item_values
+    values per item, each starting at a multiple of ``multiple`` items and
+    none stopping past n; a last slice of fewer items than ``multiple`` is
+    merged into the one before."""
+    step = max(multiple, BLOCK_VALUES // item_values // multiple * multiple)
+    cut = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
     if len(cut) > 1 and n - cut[-1].start < multiple:
         cut[-2:] = [slice(cut[-2].start, n)]
     return cut

@@ -268,13 +268,6 @@ def source_force(u, p: ExponentField):
     return u.copy() if p.odd is None else _odd_power(u, p.odd)
 
 
-# Each side of the shift walks its tau lanes in blocks of at most this many
-# bytes of z[:, 1:], and never less than one lane: a 1-D preset's lanes are
-# one block per side, a 65 x 65 lane one block on its own, so a block's three
-# passes stay in one core's 2 MiB L2.
-_BLOCK_BYTES = 1 << 20
-
-
 def _shared_empty(shape):
     """An uninitialised float64 array in anonymous MAP_SHARED memory: a process
     forked after it is made reads and writes the same pages as its maker."""
@@ -310,22 +303,23 @@ class _Plan:
         self.inflow = z[:, 0]
         self.tail = np.moveaxis(z[:, -1], 0, -1)  # (*grid, n_tau), strided
         self.terms = None if self.frozen else _shared_empty(self.tail.shape)
-        self.block = max(1, min(z.shape[0], _BLOCK_BYTES // z[0, 1:].nbytes))
-        self.scratch = np.empty((self.block,) + z[0, 1:].shape)
+        # the first block of lanes is the largest
+        first = parallel.chunks(z.shape[0], z[0, 1:].size)[0]
+        self.scratch = np.empty((first.stop,) + z[0, 1:].shape)
         self.helper = None
         self.own = _lane_blocks(self, range(z.shape[0]))
 
 
 def _lane_blocks(plan, lanes):
     """The operands of ``_shift_blocks`` for the tau lanes in ``lanes`` (a
-    range), cut into blocks of plan.block lanes: the rows and scratch of
-    each block's upwind update, then those of its delay terms (None in a
-    frozen-velocity run)."""
+    range), cut by ``parallel.chunks``: the rows and scratch of each block's
+    upwind update, then those of its delay terms (None in a frozen-velocity
+    run)."""
     z = plan.z
     blocks = []
-    for lo in range(lanes.start, lanes.stop, plan.block):
-        k = slice(lo, min(lo + plan.block, lanes.stop))
-        rows = (z[k, 1:], z[k, :-1], plan.cfl[k], plan.scratch[:k.stop - lo])
+    for c in parallel.chunks(len(lanes), z[0, 1:].size):
+        k = slice(lanes.start + c.start, lanes.start + c.stop)
+        rows = (z[k, 1:], z[k, :-1], plan.cfl[k], plan.scratch[:c.stop - c.start])
         terms = None
         if plan.terms is not None:
             terms = (plan.tail[..., k], plan.tail_coeff[k], plan.tail_exp,

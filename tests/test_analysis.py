@@ -249,7 +249,7 @@ def test_forced_chunk_split_equals_one_batch_oracle(monkeypatch, lengths, counts
     # step 7 leaves a one-sample remainder chunk. A BLAS product taken per
     # chunk rounds differently from the whole batch and fails here.
     grid = make_grid(lengths, counts)
-    monkeypatch.setattr(analysis, "_CHUNK_VALUES", step * grid.weights.size)
+    monkeypatch.setattr(parallel, "BLOCK_VALUES", step * grid.weights.size)
     for exponents in (_GATE, _BOUND):
         got = _max_split_ratio(grid, n_samples=1008,
                                rng=np.random.default_rng(3), **exponents)
@@ -264,7 +264,7 @@ def test_remainder_chunk_holds_the_maximum(monkeypatch, lengths, counts, seed):
     # 8 samples at 7 per chunk: the seed puts the maximum in the one-sample
     # remainder chunk, so a chunk left unscored changes the result
     grid = make_grid(lengths, counts)
-    monkeypatch.setattr(analysis, "_CHUNK_VALUES", 7 * grid.weights.size)
+    monkeypatch.setattr(parallel, "BLOCK_VALUES", 7 * grid.weights.size)
     fam = _family_oracle(grid, 8, np.random.default_rng(seed))
     for exponents in (_GATE, _BOUND):
         ratio = _ratio_oracle(grid, fam, **exponents)

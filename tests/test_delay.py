@@ -180,3 +180,7 @@ def test_dissipation_margins_refuse_fields_on_different_grids():
     k = density_kernel(lambda t: np.full_like(t, 0.5), 1.0, 2.0, 11, mu1=1.0)
     with pytest.raises(GridMismatchError):
         dissipation_margins(k, GridFunction(make_grid(1.0, 21), np.ones(21)), m)
+    # the same node count on another length is another grid too
+    _, m = _grid_and_m(n=11)
+    with pytest.raises(GridMismatchError):
+        dissipation_margins(k, GridFunction(make_grid(2.0, 11), np.ones(11)), m)

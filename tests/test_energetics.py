@@ -292,7 +292,7 @@ def test_delay_powers_equal_one_pass(monkeypatch, m_name, workers):
         for points in (None, 8, 10):
             with monkeypatch.context() as patch:
                 if points is not None:
-                    patch.setattr(energetics, "_CHUNK_VALUES", points * item)
+                    patch.setattr(parallel, "BLOCK_VALUES", points * item)
                 got = energy_report(state, m, p, k, xi, alpha=0.05, eps=0.5)
             assert got == want, (nodes, points)
 
@@ -307,11 +307,11 @@ def test_short_last_chunk_is_merged_and_exact(monkeypatch, nodes):
     want = _oracle_report(monkeypatch, state, m, p, k, xi)
     monkeypatch.setattr(parallel, "workers", lambda: 2)
     monkeypatch.setattr(parallel, "_pool", None)
-    monkeypatch.setattr(energetics, "_CHUNK_VALUES", 8 * 7 * 5)
+    monkeypatch.setattr(parallel, "BLOCK_VALUES", 8 * 7 * 5)
     assert energy_report(state, m, p, k, xi, alpha=0.05, eps=0.5) == want
 
 
-def test_aligned_gemv_chunks_equal_the_whole_product():
+def test_aligned_gemv_chunks_equal_the_whole_product(monkeypatch):
     # The fused pass rests on this property of the BLAS: a row-major gemv
     # whose row chunks start at multiples of 4 and hold at least 4 rows
     # rounds every row as the whole product does. If this fails, the BLAS
@@ -323,6 +323,7 @@ def test_aligned_gemv_chunks_equal_the_whole_product():
         w = rng.random((n_rho, n_tau))
         whole = np.tensordot(a, w, axes=([-2, -1], [0, 1]))
         for points in (4, 8, 12, 256):
-            cut = parallel.chunks(rows, w.size, points * w.size, multiple=energetics._GEMV_ROWS)
+            monkeypatch.setattr(parallel, "BLOCK_VALUES", points * w.size)
+            cut = parallel.chunks(rows, w.size, multiple=energetics._GEMV_ROWS)
             got = np.concatenate([np.dot(a[c].reshape(-1, w.size), w.ravel()) for c in cut])
             assert np.array_equal(got, whole), (rows, n_rho, n_tau, points)

@@ -11,7 +11,7 @@ import pytest
 from _density import density_kernel
 from _history import VelocityHistory, advance, per_node_history, sample_spatial
 
-from delaywave import solver
+from delaywave import parallel, solver
 from delaywave.config import PRESET_NAMES, RunConfig, auto_dt, load_preset, parse_config, \
     resolve_config
 from delaywave.errors import ConditionError, ConfigError, NumericalError
@@ -547,7 +547,7 @@ fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3])
-# "inline": the lanes of each range in blocks of at most _BLOCK_BYTES, one
+# "inline": the lanes of each range in blocks of at most BLOCK_VALUES, one
 # block for these fields; "pool": one lane per block, as 2-D lanes are cut
 @pytest.mark.parametrize("one_lane", [False, True], ids=["inline", "pool"])
 @pytest.mark.parametrize("grid_shape", [(41,), (9, 7)], ids=["1d", "2d"])
@@ -558,7 +558,7 @@ def test_upwind_shift_equals_one_pass(monkeypatch, grid_shape, one_lane, parts):
     z0 = rng.standard_normal((5, 17) + grid_shape)
     cfl = rng.uniform(0.05, 1.0, 5).reshape((-1, 1) + (1,) * len(grid_shape))
     if one_lane:
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", 0)
+        monkeypatch.setattr(parallel, "BLOCK_VALUES", 0)
     prob = _shift_problem(grid_shape)
     for cut in _cuts(5, parts):
         z = z0.copy()
@@ -670,7 +670,7 @@ def test_zero_state_stays_exactly_zero_property(monkeypatch):
     # source switch, and whole-side or one-lane shift blocks
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    block_bytes = solver._BLOCK_BYTES
+    block_values = parallel.BLOCK_VALUES
 
     @hypothesis.settings(max_examples=25, deadline=None)
     @hypothesis.given(dimension=st.sampled_from([1, 2]),
@@ -678,7 +678,7 @@ def test_zero_state_stays_exactly_zero_property(monkeypatch):
                       p=st.sampled_from(["2", "3", "3.2 + 0.3*x"]),
                       disable_source=st.booleans(), one_lane=st.booleans())
     def check(dimension, m, p, disable_source, one_lane):
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", 0 if one_lane else block_bytes)
+        monkeypatch.setattr(parallel, "BLOCK_VALUES", 0 if one_lane else block_values)
         over = dict(m=m, p=p, disable_source=disable_source, n_rho=5, n_tau=3,
                     u0="0", u1="0", f0="0")
         if dimension == 1:

@@ -11,7 +11,7 @@ from delaywave.energetics import (
     energy_report,
 )
 from delaywave.errors import ConditionError
-from delaywave.spaces import ExponentField, GridFunction, make_grid, trapezoid_weights
+from delaywave.spaces import ExponentField, GridFunction, make_grid
 
 from _density import density_kernel
 
@@ -200,115 +200,6 @@ def test_dissipation_holds_on_polynomial_run(polynomial_result):
     assert prob.c0 > 0.0
     for a, b in zip(traj.reports[:-1], traj.reports[1:]):
         assert dissipation_check(a, b, prob.c0, prob.config.dt).ok
-
-
-def _abs_power_oracle(w, m_values):
-    """|w|^m over the grid axes leading w, by the path of the whole m field."""
-    lo, hi = m_values.min(), m_values.max()
-    if lo == hi == 2.0:
-        return w * w
-    a = np.abs(w)
-    a **= lo if lo == hi else m_values.reshape(m_values.shape + (1,) * (w.ndim - m_values.ndim))
-    return a
-
-
-def _delay_integrals_oracle(z, kernel, xi, m, grid_weights):
-    """The whole-array delay integrals: two transposed arrays reduced by six
-    tensordots, and the delay modular from a copied rho = 1 tail."""
-    rho_w = trapezoid_weights(z.shape[1], 1.0 / (z.shape[1] - 1))
-    rho_nodes = np.linspace(0.0, 1.0, z.shape[1])
-    tau_w = kernel.weights
-    tw = kernel.nodes * tau_w
-    decay_jk = np.exp(-np.outer(rho_nodes, kernel.nodes))
-    a = _abs_power_oracle(np.moveaxis(z, (0, 1), (-1, -2)), m.values)
-    b = a / m.values[..., None, None]
-
-    def triple(field, jk_weight):
-        return np.tensordot(field, jk_weight, axes=([-2, -1], [0, 1]))
-
-    def grid_sum(field, mu_weight, one_weight):
-        return float(np.sum(grid_weights * (triple(field, mu_weight)
-                                            + xi.values * triple(field, one_weight))))
-
-    w_mu = np.outer(rho_w, tw * kernel.mu2)
-    w_one = np.outer(rho_w, tw)
-    energy = grid_sum(b, w_mu, w_one)
-    weighted = grid_sum(b, w_mu * decay_jk, w_one * decay_jk)
-    bulk = grid_sum(a, np.outer(rho_w, tau_w * kernel.mu2), np.outer(rho_w, tau_w))
-    # memory_tail's C-ordered (*grid, n_tau) copy, so the tau-sum is pairwise
-    tail = np.ascontiguousarray(np.moveaxis(z[:, -1], 0, -1))
-    tail_pow = _abs_power_oracle(tail, m.values)
-    modular = float(np.sum(grid_weights * np.sum(tail_pow * tau_w, axis=-1)))
-    return energy, weighted, bulk, modular
-
-
-def _random_report_inputs(grid, m_expr, n_rho=7, n_tau=5, seed=3):
-    meshes = grid.meshes()
-    x = meshes[0]
-    y = meshes[1] if len(meshes) > 1 else 0.5
-    m = ExponentField(grid, m_expr(x, y) + 0.0 * x)
-    p = ExponentField.constant(grid, 3.5)
-    k = density_kernel(lambda t: 0.5 + 0.0 * t, 1.0, 2.0, n_tau, mu1=1.0)
-    xi = xi_default(k, m)
-    rng = np.random.default_rng(seed)
-    # a large u, so the deficit is positive and the indicator is formed
-    u = GridFunction(grid, 20.0 + 0.1 * rng.standard_normal(grid.shape))
-    v = GridFunction(grid, rng.standard_normal(grid.shape))
-    z = rng.standard_normal((n_tau, n_rho) + grid.shape)
-    return _state(grid, u, v, z, t=0.25), m, p, k, xi
-
-
-def _oracle_report(monkeypatch, state, m, p, k, xi):
-    with monkeypatch.context() as patch:
-        patch.setattr(energetics, "_delay_integrals", _delay_integrals_oracle)
-        return energy_report(state, m, p, k, xi, alpha=0.05, eps=0.5)
-
-
-_M_EXPRS = {
-    "variable": lambda x, y: 2.2 + 0.3 * x * y,
-    "variable-with-flat-rows": lambda x, y: np.maximum(2.0, 1.6 + x + 0.0 * y),
-    "two": lambda x, y: 2.0 + 0.0 * x,
-    "constant": lambda x, y: 2.5 + 0.0 * x,
-}
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("m_name", list(_M_EXPRS))
-def test_delay_powers_equal_one_pass(monkeypatch, m_name, workers):
-    # every EnergyReport field of the fused chunked pass against the
-    # whole-array oracle, on 201, 65x65, 33x21 and 13x9 points
-    monkeypatch.setattr(parallel, "workers", lambda: workers)
-    monkeypatch.setattr(parallel, "_pool", None)  # this test's pool is its own
-    for lengths, nodes in ((1.0, 201), ((1.0, 1.0), (65, 65)), ((1.0, 2.0), (33, 21)),
-                           ((1.0, 2.0), (13, 9))):
-        grid = make_grid(lengths, nodes)
-        state, m, p, k, xi = _random_report_inputs(grid, _M_EXPRS[m_name])
-        want = _oracle_report(monkeypatch, state, m, p, k, xi)
-        assert want.blowup_indicator is not None  # the indicator is compared too
-        item = state.z.size // grid.weights.size
-        # the default size, then 8 points and 10, which must be cut down to
-        # 8: every grid here has 4k + 1 points, so a 1-point last chunk must
-        # be merged
-        for points in (None, 8, 10):
-            with monkeypatch.context() as patch:
-                if points is not None:
-                    patch.setattr(parallel, "BLOCK_VALUES", points * item)
-                got = energy_report(state, m, p, k, xi, alpha=0.05, eps=0.5)
-            assert got == want, (nodes, points)
-
-
-@pytest.mark.parametrize("nodes", [(12, 10), (11, 11), (13, 10), (15, 13)],
-                         ids=["tail-0", "tail-1", "tail-2", "tail-3"])
-def test_short_last_chunk_is_merged_and_exact(monkeypatch, nodes):
-    # 120, 121, 130 and 195 points in chunks of 8: a last chunk of 0 to 3
-    # points, merged into the one before whenever it is not empty
-    grid = make_grid((1.0, 2.0), nodes)
-    state, m, p, k, xi = _random_report_inputs(grid, _M_EXPRS["variable"], seed=11)
-    want = _oracle_report(monkeypatch, state, m, p, k, xi)
-    monkeypatch.setattr(parallel, "workers", lambda: 2)
-    monkeypatch.setattr(parallel, "_pool", None)
-    monkeypatch.setattr(parallel, "BLOCK_VALUES", 8 * 7 * 5)
-    assert energy_report(state, m, p, k, xi, alpha=0.05, eps=0.5) == want
 
 
 def test_aligned_gemv_chunks_equal_the_whole_product(monkeypatch):

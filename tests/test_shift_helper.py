@@ -1,56 +1,23 @@
 """The shift helper: a process that ``solver.run`` forks to shift half the
-memory field's tau lanes at every step. A run with it must give the bits of
-a run without it, and no run may leave it behind, however the run ends."""
+memory field's tau lanes at every step. No run may leave it behind, however
+the run ends. ``test_reference_run.py`` checks that a run gives the same
+bits with it as without it."""
 
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from delaywave import parallel, solver
-from delaywave.config import RunConfig, load_preset, parse_config
-from delaywave.scenario import trajectory_csv
+from delaywave import solver
+from delaywave.config import RunConfig
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 _1D = RunConfig(nodes=(41,), m="2.5", u0="0.2*sin(pi*x)", u1="0.1*sin(2*pi*x)",
                 f0="0.1*sin(2*pi*x)*cos(s)", t_end=0.5, sample_dt=0.05)
-CASES = {
-    "1d": _1D,
-    "2d": RunConfig(dimension=2, lengths=(1.0, 1.0), nodes=(17, 17), m="2.2 + 0.3*x*y",
-                    p="3.2 + 0.3*x", u0="0.5*sin(pi*x)*sin(pi*y)", t_end=0.2,
-                    sample_dt=0.05),
-    "n_tau5": replace(_1D, n_tau=5),  # helper 2 lanes, caller 3
-    "frozen": replace(_1D, freeze_velocity=True),
-    "blowup": replace(parse_config(load_preset("blowup")), threshold=10.0),
-}
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_run_with_the_helper_gives_the_bits_of_one_without(monkeypatch, case):
-    problem = solver.build_problem(CASES[case])
-    started = []
-
-    class Counted(solver._Helper):
-        def __init__(self, plan):
-            super().__init__(plan)
-            started.append(self.pid)
-
-    monkeypatch.setattr(solver, "_Helper", Counted)
-    monkeypatch.setattr(parallel, "workers", lambda: 2)
-    shared = solver.run(problem)
-    assert len(started) == 1
-    monkeypatch.setattr(parallel, "workers", lambda: 1)
-    alone = solver.run(problem)
-    assert len(started) == 1
-    assert shared.reports == alone.reports
-    assert trajectory_csv(shared) == trajectory_csv(alone)
-    expected = solver.TERMINATED_BLOWUP if case == "blowup" else solver.TERMINATED_END
-    assert shared.termination == alone.termination == expected
 
 
 # Runs one CLI run in a fresh interpreter, so that no other child of the

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from _density import density_kernel
-from _history import VelocityHistory, advance, per_node_history, sample_spatial
+from _history import VelocityHistory, advance, per_node_history
+from _reference_run import delay_force, memory_tail
 
 from delaywave import parallel, solver
 from delaywave.config import PRESET_NAMES, RunConfig, auto_dt, load_preset, parse_config, \
     resolve_config
 from delaywave.errors import ConditionError, ConfigError, NumericalError
-from delaywave.expressions import compile_expression
 from delaywave.scenario import run_scenario, simulate
 from delaywave.solver import (
     SimState,
@@ -28,25 +28,6 @@ from delaywave.solver import (
     step,
 )
 from delaywave.spaces import ExponentField, GridFunction, _abs_power, l2_norm, make_grid
-
-# memory_tail's transpose of z[:, -1], keyed by z.ndim (1-D and 2-D grids)
-_TAIL_AXES = {3: (1, 0), 4: (1, 2, 0)}
-
-
-def memory_tail(z):
-    """The rho = 1 tail of a tau-major memory field z (n_tau, n_rho, *grid),
-    as a C-contiguous (*grid, n_tau) copy: a sum over its last axis keeps
-    numpy's pairwise order, which a sum over tau in place would not."""
-    return np.ascontiguousarray(z[:, -1].transpose(_TAIL_AXES[z.ndim]))
-
-
-def delay_force(z_tail, kernel, m):
-    """The delay force of a (*grid, n_tau) tail as a run forms it: ``_delay``
-    of ``_delay_terms``."""
-    return solver._delay(solver._delay_terms(
-        z_tail, kernel.weights * kernel.mu2, solver._tail_exponent(m.odd),
-        np.empty(z_tail.shape)))
-
 
 def _config(**over):
     base = dict(nodes=(101,), m="2", p="3", mu1=0.5, mu2="0.1",
@@ -504,33 +485,6 @@ def test_memory_field_is_tau_major_and_contiguous(dimension):
     assert state.z is z and z.flags.c_contiguous
 
 
-def _upwind_oracle(z, cfl):
-    """One whole-field upwind pass: three ufunc calls over z[:, 1:]."""
-    scratch = np.empty_like(z[:, 1:])
-    np.subtract(z[:, 1:], z[:, :-1], out=scratch)
-    np.multiply(scratch, cfl, out=scratch)
-    np.subtract(z[:, 1:], scratch, out=z[:, 1:])
-
-
-def _shift_problem(grid_shape, m="2", **over):
-    """A problem on grid_shape with 5 tau lanes of 17 rho rows."""
-    if len(grid_shape) == 1:
-        cfg = _config(nodes=grid_shape, m=m, n_rho=17, n_tau=5, **over)
-    else:
-        cfg = RunConfig(dimension=2, lengths=(1.0, 1.0), nodes=grid_shape, m=m,
-                        n_rho=17, n_tau=5, **over)
-    return build_problem(cfg)
-
-
-def _cuts(n, parts):
-    """Every way to cut range(n) into ``parts`` consecutive ranges, empty ones
-    included."""
-    if parts == 1:
-        return [[range(n)]]
-    return [[range(s)] + [range(s + r.start, s + r.stop) for r in rest]
-            for s in range(n + 1) for rest in _cuts(n - s, parts - 1)]
-
-
 @contextlib.contextmanager
 def _helper(state, prob):
     """A forked shift helper on half the lanes of state, as run sets it up;
@@ -541,64 +495,6 @@ def _helper(state, prob):
         yield helper
     finally:
         helper.close()
-
-
-fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-
-
-@pytest.mark.parametrize("parts", [1, 2, 3])
-# "inline": the lanes of each range in blocks of at most BLOCK_VALUES, one
-# block for these fields; "pool": one lane per block, as 2-D lanes are cut
-@pytest.mark.parametrize("one_lane", [False, True], ids=["inline", "pool"])
-@pytest.mark.parametrize("grid_shape", [(41,), (9, 7)], ids=["1d", "2d"])
-def test_upwind_shift_equals_one_pass(monkeypatch, grid_shape, one_lane, parts):
-    # the 5 lanes cut at every split point into 1, 2 or 3 ranges, each
-    # shifted apart as the helper and the caller do
-    rng = np.random.default_rng(7)
-    z0 = rng.standard_normal((5, 17) + grid_shape)
-    cfl = rng.uniform(0.05, 1.0, 5).reshape((-1, 1) + (1,) * len(grid_shape))
-    if one_lane:
-        monkeypatch.setattr(parallel, "BLOCK_VALUES", 0)
-    prob = _shift_problem(grid_shape)
-    for cut in _cuts(5, parts):
-        z = z0.copy()
-        plan = solver._Plan(prob, z0.copy())
-        plan.cfl = cfl
-        assert plan.scratch.shape == ((1 if one_lane else 5),) + z[0, 1:].shape
-        for _ in range(3):
-            for lanes in cut:
-                solver._shift_blocks(solver._lane_blocks(plan, lanes))
-            _upwind_oracle(z, cfl)
-        assert np.array_equal(plan.z, z), cut
-
-
-@fork_only
-@pytest.mark.parametrize("m", ["2", "2.5", "2.2 + 0.3*x*x"], ids=["m2", "const", "var"])
-@pytest.mark.parametrize("grid_shape", [(41,), (9, 7)], ids=["1d", "2d"])
-def test_pool_lanes_form_the_whole_tail_delay_terms(grid_shape, m):
-    # the helper process powers its lanes' tail into columns of plan.terms,
-    # this process the rest; their sum must be bitwise the public delay
-    # force of the whole tail
-    prob = _shift_problem(grid_shape, m)
-    state = init_state(prob, shared=True)
-    rng = np.random.default_rng(11)
-    state.z[...] = rng.standard_normal(state.z.shape) * rng.uniform(0.1, 10.0, grid_shape)
-    z = state.z.copy()
-    with _helper(state, prob) as helper:
-        plan = state.plan
-        assert plan.terms.flags.c_contiguous
-        assert [rows[0].shape[0] for rows, _ in plan.own] == [3]  # lanes 2..4
-        for _ in range(2):
-            helper.go()
-            solver._upwind_shift(plan)
-            _upwind_oracle(z, plan.cfl)
-            assert np.array_equal(plan.z, z)
-            expected = delay_force(memory_tail(z), prob.kernel, prob.m)
-            assert np.array_equal(solver._delay(plan.terms), expected)
-            whole = np.empty_like(plan.terms)
-            solver._delay_terms(memory_tail(z), plan.tail_coeff, plan.tail_exp, whole)
-            assert np.array_equal(plan.terms, whole)
-    assert len(plan.own) == 1 and plan.helper is None  # every lane back with the caller
 
 
 def test_upwind_scratch_is_one_lane_per_worker():
@@ -612,10 +508,10 @@ def test_upwind_scratch_is_one_lane_per_worker():
     assert state.z.nbytes > 16 * 2 ** 20
     assert state.plan.scratch.shape == (1,) + state.z[0, 1:].shape
     assert len(state.plan.own) == 16
-    assert state.plan.terms.shape == (65, 65, 16)
+    assert state.plan.terms.shape == (65, 65, 16) and state.plan.terms.flags.c_contiguous
 
 
-@pytest.mark.parametrize("with_helper", [False, True], ids=["inline", "pool"])
+@pytest.mark.parametrize("with_helper", [False, True], ids=["inline", "helper"])
 def test_frozen_velocity_allocates_no_delay_terms(with_helper):
     if with_helper and not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
@@ -629,7 +525,7 @@ def test_frozen_velocity_allocates_no_delay_terms(with_helper):
 
 
 @pytest.mark.parametrize("edit", ["z-replaced", "z-in-place"])
-@pytest.mark.parametrize("with_helper", [False, True], ids=["inline", "pool"])
+@pytest.mark.parametrize("with_helper", [False, True], ids=["inline", "helper"])
 def test_step_after_a_hand_edit_matches_a_fresh_state(edit, with_helper):
     # a state's plan holds views of its z; after u and z are edited by hand
     # and accel is reset, step must give the bits of a state never stepped
@@ -637,12 +533,17 @@ def test_step_after_a_hand_edit_matches_a_fresh_state(edit, with_helper):
     # its own)
     if with_helper and not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
-    prob = _shift_problem((9, 7), m="2.2 + 0.3*x*y", u0="0.3*sin(pi*x)*sin(pi*y)",
-                          u1="0.2*sin(2*pi*x)*sin(pi*y)", f0="0.2*sin(2*pi*x)*sin(pi*y)")
+    prob = build_problem(RunConfig(dimension=2, lengths=(1.0, 1.0), nodes=(9, 7),
+                                   m="2.2 + 0.3*x*y", n_rho=17, n_tau=5,
+                                   u0="0.3*sin(pi*x)*sin(pi*y)", u1="0.2*sin(2*pi*x)*sin(pi*y)",
+                                   f0="0.2*sin(2*pi*x)*sin(pi*y)"))
     state = init_state(prob, shared=with_helper)
     with _helper(state, prob) if with_helper else contextlib.nullcontext():
         for _ in range(3):
             step(state, prob)
+        # the 5 lanes are one block; a helper takes lanes 0..1, this process 2..4
+        assert state.plan.scratch.shape == (5,) + state.z[0, 1:].shape
+        assert [rows[0].shape[0] for rows, _ in state.plan.own] == [3 if with_helper else 5]
         rng = np.random.default_rng(3)
         u = 0.1 * rng.standard_normal(prob.grid.shape)
         u[prob.grid.boundary] = 0.0
@@ -663,6 +564,8 @@ def test_step_after_a_hand_edit_matches_a_fresh_state(edit, with_helper):
                 assert np.array_equal(getattr(state, name).values, getattr(fresh, name).values)
             assert np.array_equal(state.z, fresh.z)
             assert np.array_equal(state.accel, fresh.accel)
+    # a closed helper hands every lane back to this process
+    assert state.plan.helper is None and len(state.plan.own) == 1
 
 
 def test_zero_state_stays_exactly_zero_property(monkeypatch):

@@ -34,7 +34,7 @@ from .analysis import (
 )
 from .config import RunConfig, _apply_axis, config_hash
 from .energetics import decay_inequality_constants
-from .errors import ConditionError
+from .errors import ConditionError, ConfigError
 from .solver import TERMINATED_BLOWUP, build_problem, run
 from .spaces import discrete_poincare_constant
 
@@ -319,8 +319,12 @@ def sweep(config: RunConfig, key, values, out_dir=None):
     independent of input and execution order.
     """
     values = [float(v) for v in values]
-    # a bad key or value fails before any point runs
+    # a bad key or value fails before any point runs, and so does a repeated
+    # value, which would run its point twice and write its directory twice
     configs = [_apply_axis(config, key, value) for value in values]
+    for i, value in enumerate(values):
+        if any(value == other for other in values[:i]):
+            raise ConfigError(f"sweep value {_fmt(value)} of {key} is repeated", key=key)
 
     results = []
     with contextlib.closing(_simulations(configs)) as simulated:

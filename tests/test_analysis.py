@@ -3,6 +3,7 @@ import pytest
 from pathlib import Path
 from types import SimpleNamespace
 
+from _reference_certify import _family_oracle, _ratio_oracle, split_exponents
 from delaywave import analysis, parallel
 from delaywave.analysis import (
     blowup_lower_bound,
@@ -18,13 +19,6 @@ from delaywave.errors import ConditionError
 from delaywave.spaces import GridFunction, gradient_energies, gradient_energy, make_grid
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def _dirichlet_family(grid, batch, rng):
-    """One whole batch of the certification family, as _max_split_ratio draws it."""
-    modes = analysis._axis_modes(grid)
-    return analysis._synthesize(grid, modes, analysis._family_draws(grid, batch, rng, modes),
-                                slice(None))
 
 
 # --- life-span lower bound --------------------------------------------------------
@@ -114,42 +108,25 @@ def test_lifespan_head_matches_quad_oracle():
 
 # --- certified embedding constants -------------------------------------------------
 
-def test_embedding_bound_certifies_fresh_family():
-    grid = make_grid(1.0, 101)
-    p1, p2 = 3.0, 4.0
-    c = embedding_constant_for_bound(grid, p1, p2, n_samples=4000, seed=101)
-    rng = np.random.default_rng(999)
-    fam = _dirichlet_family(grid, 1000, rng)
-    w = grid.weights
-    for vals in fam:
-        absu = np.abs(vals)
-        big = absu >= 1.0
-        num = 0.5 * (np.sum(np.where(big, absu**(2 * p2 - 2), 0.0) * w)
-                     + np.sum(np.where(big, 0.0, absu**(2 * p1 - 2)) * w))
-        ge = gradient_energy(GridFunction(grid, vals))
-        assert num <= c * (ge**(p2 - 1.0) + ge**(p1 - 1.0)) * (1.0 + 1e-9)
-
-
-def test_embedding_gate_certifies_fresh_family():
-    grid = make_grid(1.0, 101)
-    p1, p2 = 3.0, 4.0
-    c = embedding_constant_for_gate(grid, p1, p2, n_samples=4000, seed=101)
-    rng = np.random.default_rng(1234)
-    fam = _dirichlet_family(grid, 1000, rng)
-    w = grid.weights
-    for vals in fam:
-        absu = np.abs(vals)
-        big = absu >= 1.0
-        num = (np.sum(np.where(big, absu**p2, 0.0) * w)
-               + np.sum(np.where(big, 0.0, absu**p1) * w))
-        ge = gradient_energy(GridFunction(grid, vals))
-        assert num <= c * (ge**(p2 / 2.0) + ge**(p1 / 2.0)) * (1.0 + 1e-9)
+@pytest.mark.parametrize("kind,lengths,counts,n_samples,seed,fresh_seed,fresh_samples", [
+    ("gate", 1.0, 101, 4000, 101, 1234, 1000),
+    ("bound", 1.0, 101, 4000, 101, 999, 1000),
+    ("gate", (1.0, 1.0), (17, 17), 1000, 77, 4321, 200),
+], ids=["gate-1d", "bound-1d", "gate-2d"])
+def test_certified_constant_bounds_a_fresh_family(kind, lengths, counts, n_samples, seed,
+                                                  fresh_seed, fresh_samples):
+    grid = make_grid(lengths, counts)
+    embedding = {"gate": embedding_constant_for_gate, "bound": embedding_constant_for_bound}
+    c = embedding[kind](grid, 3.0, 4.0, n_samples=n_samples, seed=seed)
+    fam = _family_oracle(grid, fresh_samples, np.random.default_rng(fresh_seed))
+    ratio = _ratio_oracle(grid, fam, **split_exponents(kind, 3.0, 4.0))
+    assert np.all(ratio <= c * (1.0 + 1e-9))
 
 
 def test_embedding_ratio_monotone_in_family_size():
     # the certified ratio is a running max, so a prefix family can never beat it
     grid = make_grid(1.0, 51)
-    kw = dict(num_low=3.0, num_high=4.0, den_low=3.0, den_high=4.0, num_scale=1.0)
+    kw = split_exponents("gate", 3.0, 4.0)
     small = _max_split_ratio(grid, n_samples=1000,
                              rng=np.random.default_rng(7), **kw)
     large = _max_split_ratio(grid, n_samples=5000,
@@ -157,121 +134,9 @@ def test_embedding_ratio_monotone_in_family_size():
     assert small <= large * (1.0 + 1e-12)
 
 
-def _family_oracle(grid, batch, rng):
-    """The one-batch certification family as first written: every draw and
-    every sample built in one pass."""
-    n_modes = 6
-    decay = np.arange(1, n_modes + 1) ** 2
-    axis_modes = [
-        np.stack([np.sin((k + 1) * np.pi * grid.coords[axis] / L)
-                  for k in range(n_modes)], axis=0)
-        for axis, L in enumerate(grid.lengths)
-    ]
-    if grid.dimension == 1:
-        coef = rng.standard_normal((batch, n_modes)) / decay
-        smooth = coef @ axis_modes[0]
-    else:
-        coef2 = rng.standard_normal((batch, n_modes, n_modes))
-        coef2 /= np.add.outer(decay, decay)
-        smooth = np.einsum("bkl,ki,lj->bij", coef2, axis_modes[0], axis_modes[1])
-    profiles = []
-    for axis, L in enumerate(grid.lengths):
-        x = grid.coords[axis]
-        centers = rng.uniform(0.15 * L, 0.85 * L, size=batch)
-        widths = np.exp(rng.uniform(np.log(0.01 * L), np.log(0.3 * L), size=batch))
-        prof = np.exp(-((x[None, :] - centers[:, None]) ** 2) / widths[:, None] ** 2)
-        prof *= np.sin(np.pi * x / L)[None, :]
-        profiles.append(prof)
-    if grid.dimension == 1:
-        bump = profiles[0]
-    else:
-        bump = profiles[0][:, :, None] * profiles[1][:, None, :]
-    pick = rng.uniform(size=(batch,) + (1,) * grid.dimension)
-    fams = np.where(pick < 0.45, smooth, np.where(pick < 0.9, bump, smooth + bump))
-    amp = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=(batch,)))
-    fams = fams * amp.reshape([batch] + [1] * grid.dimension)
-    fams[:, grid.boundary] = 0.0
-    return fams
-
-
-def _split_ratio_oracle(grid, num_low, num_high, den_low, den_high, num_scale,
-                        n_samples, rng, batch=500):
-    """The one-thread, one-batch-at-a-time certification as first written."""
-    best = 0.0
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        fam = _family_oracle(grid, b, rng)
-        ratio = _ratio_oracle(grid, fam, num_low, num_high, den_low, den_high, num_scale)
-        if ratio.size:
-            best = max(best, float(np.max(ratio)))
-        done += b
-    return best
-
-
-def _ratio_oracle(grid, fam, num_low, num_high, den_low, den_high, num_scale):
-    """The split ratio of each sample of fam with a positive denominator."""
-    w = grid.weights
-    absu = np.abs(fam)
-    big = absu >= 1.0
-    num = num_scale * (
-        np.sum(np.where(big, absu**num_high, 0.0) * w, axis=tuple(range(1, fam.ndim)))
-        + np.sum(np.where(big, 0.0, absu**num_low) * w, axis=tuple(range(1, fam.ndim)))
-    )
-    ge = gradient_energies(fam, grid)
-    den = ge ** (den_high / 2.0) + ge ** (den_low / 2.0)
-    valid = den > 0.0
-    return num[valid] / den[valid]
-
-
 _GATE = dict(num_low=3.2, num_high=3.5, den_low=3.2, den_high=3.5, num_scale=1.0)
 _BOUND = dict(num_low=4.4, num_high=5.0, den_low=4.4, den_high=5.0, num_scale=0.5)
 _CERT_GRIDS = [(1.0, 101), ((1.0, 1.0), (65, 65)), ((1.0, 2.0), (33, 21))]
-
-
-@pytest.mark.parametrize("exponents", [_GATE, _BOUND], ids=["gate", "bound"])
-@pytest.mark.parametrize("lengths,counts", _CERT_GRIDS)
-def test_chunked_certification_equals_one_batch_oracle(lengths, counts, exponents):
-    # 1234 samples leave a partial last batch; 65x65 and 33x21 batches split
-    grid = make_grid(lengths, counts)
-    for seed in (7, 2024):
-        got = _max_split_ratio(grid, n_samples=1234,
-                               rng=np.random.default_rng(seed), **exponents)
-        want = _split_ratio_oracle(grid, n_samples=1234,
-                                   rng=np.random.default_rng(seed), **exponents)
-        assert got == want
-
-
-@pytest.mark.parametrize("step", [1, 7])
-@pytest.mark.parametrize("lengths,counts", [(1.0, 101), ((1.0, 2.0), (17, 23))])
-def test_forced_chunk_split_equals_one_batch_oracle(monkeypatch, lengths, counts, step):
-    # step samples per chunk; 1008 samples end in a batch of 8, which at
-    # step 7 leaves a one-sample remainder chunk. A BLAS product taken per
-    # chunk rounds differently from the whole batch and fails here.
-    grid = make_grid(lengths, counts)
-    monkeypatch.setattr(parallel, "BLOCK_VALUES", step * grid.weights.size)
-    for exponents in (_GATE, _BOUND):
-        got = _max_split_ratio(grid, n_samples=1008,
-                               rng=np.random.default_rng(3), **exponents)
-        want = _split_ratio_oracle(grid, n_samples=1008,
-                                   rng=np.random.default_rng(3), **exponents)
-        assert got == want
-
-
-@pytest.mark.parametrize("lengths,counts,seed", [(1.0, 101, 19),
-                                                 ((1.0, 2.0), (17, 23), 3)])
-def test_remainder_chunk_holds_the_maximum(monkeypatch, lengths, counts, seed):
-    # 8 samples at 7 per chunk: the seed puts the maximum in the one-sample
-    # remainder chunk, so a chunk left unscored changes the result
-    grid = make_grid(lengths, counts)
-    monkeypatch.setattr(parallel, "BLOCK_VALUES", 7 * grid.weights.size)
-    fam = _family_oracle(grid, 8, np.random.default_rng(seed))
-    for exponents in (_GATE, _BOUND):
-        ratio = _ratio_oracle(grid, fam, **exponents)
-        assert ratio.size == 8 and np.argmax(ratio) == 7
-        got = _max_split_ratio(grid, n_samples=8,
-                               rng=np.random.default_rng(seed), **exponents)
-        assert got == ratio[7]
 
 
 def test_one_dimensional_certification_runs_inline(monkeypatch):
@@ -380,7 +245,9 @@ def test_certified_constants_equal_the_benchmark_reference(monkeypatch, name):
 def test_dirichlet_family_equals_one_batch_oracle():
     for lengths, counts in _CERT_GRIDS:
         grid = make_grid(lengths, counts)
-        got = _dirichlet_family(grid, 300, np.random.default_rng(5))
+        modes = analysis._axis_modes(grid)
+        draws = analysis._family_draws(grid, 300, np.random.default_rng(5), modes)
+        got = analysis._synthesize(grid, modes, draws, slice(None))
         assert np.array_equal(got, _family_oracle(grid, 300, np.random.default_rng(5)))
 
 
@@ -397,14 +264,6 @@ def split_ratio_calls(monkeypatch):
 
     monkeypatch.setattr(analysis, "_max_split_ratio", counted)
     return calls
-
-
-def test_embedding_constant_deterministic_per_seed(monkeypatch):
-    grid = make_grid(1.0, 51)
-    a = embedding_constant_for_gate(grid, 3.0, 4.0, n_samples=2000, seed=5)
-    monkeypatch.setattr(analysis, "_ratio_memo", {})
-    b = embedding_constant_for_gate(grid, 3.0, 4.0, n_samples=2000, seed=5)
-    assert a == b
 
 
 @pytest.mark.parametrize("embedding", [embedding_constant_for_gate,
@@ -462,26 +321,10 @@ def test_blowup_sweep_certifies_each_constant_once(split_ratio_calls):
     assert sorted(split_ratio_calls) == [0.5, 1.0]
 
 
-def test_embedding_gate_2d_certifies_fresh_family():
-    grid = make_grid((1.0, 1.0), (17, 17))
-    p1, p2 = 3.0, 4.0
-    c = embedding_constant_for_gate(grid, p1, p2, n_samples=1000, seed=77)
-    rng = np.random.default_rng(4321)
-    fam = _dirichlet_family(grid, 200, rng)
-    w = grid.weights
-    for vals in fam:
-        absu = np.abs(vals)
-        big = absu >= 1.0
-        num = (np.sum(np.where(big, absu**p2, 0.0) * w)
-               + np.sum(np.where(big, 0.0, absu**p1) * w))
-        ge = gradient_energy(GridFunction(grid, vals))
-        assert num <= c * (ge**(p2 / 2.0) + ge**(p1 / 2.0)) * (1.0 + 1e-9)
-
-
 @pytest.mark.parametrize("lengths,counts", [(1.0, 101), ((1.0, 2.0), (17, 23))])
 def test_batched_gradient_energy_is_bitwise_per_sample(lengths, counts):
     grid = make_grid(lengths, counts)
-    fam = _dirichlet_family(grid, 300, np.random.default_rng(11))
+    fam = _family_oracle(grid, 300, np.random.default_rng(11))
     per_sample = np.array([gradient_energy(GridFunction(grid, vals)) for vals in fam])
     assert np.array_equal(gradient_energies(fam, grid), per_sample)
 

@@ -149,6 +149,26 @@ def test_cli_non_integer_sweep_value_exit_2(tmp_path, capsys, axis):
     assert not out.exists()  # no point ran
 
 
+@pytest.mark.parametrize("axis,repeated", [("scale=6,6", "6.0"), ("scale=5.5,6,6.0", "6.0"),
+                                           ("mu1=0,-0", "-0.0"), ("n_tau=16,8,16", "16.0")])
+def test_cli_repeated_sweep_value_exit_2_before_any_step(tmp_path, capsys, monkeypatch,
+                                                          axis, repeated):
+    # a point given twice would run twice and write its directory twice
+    from delaywave import solver
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+    monkeypatch.setattr(solver, "step", no_step)
+    out = tmp_path / "o"
+    code = cli.main(["--preset", "blowup", "--sweep", axis, "--out", str(out)])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    key = axis.partition("=")[0]
+    assert error == {"type": "config", "key": key,
+                     "message": f"sweep value {repeated} of {key} is repeated"}
+    assert not out.exists()
+
+
 def test_cli_condition_failure_exit_4_and_override(tmp_path, capsys):
     doc = """
 [exponents]

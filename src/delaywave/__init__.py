@@ -4,8 +4,8 @@ variable-exponent damping and source."""
 import os
 
 # Before numpy loads OpenBLAS: its idle threads spin after each call and hold
-# the cores that delaywave's own pool (``parallel``) runs its kernels on. A
-# value the user has set wins.
+# the core that a run's helper process (``solver._Helper``) shifts and
+# contracts on. A value the user has set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ import logging
 import math
 import threading
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -188,9 +187,9 @@ def _family_draws(grid: Grid, batch, rng, modes):
     return smooth, bumps, pick, amp
 
 
-def _synthesize(grid: Grid, modes, draws, rows, screen=False):
+def _synthesize(grid: Grid, modes, draws, rows, screen=False, out=None):
     """Samples `rows` (a slice or an index array) of the family drawn by
-    _family_draws.
+    _family_draws, in the leading rows of ``out`` if it is given.
 
     Every step is elementwise or contracts within one sample, so any rows
     give the same bits as the whole batch. screen=True builds the 2-D smooth
@@ -227,7 +226,7 @@ def _synthesize(grid: Grid, modes, draws, rows, screen=False):
     else:
         bump = profiles[0][:, :, None] * profiles[1][:, None, :]
 
-    fams = np.empty((pick.size,) + grid.shape)
+    fams = np.empty((pick.size,) + grid.shape) if out is None else out[:pick.size]
     fams[use_smooth] = smooth
     fams[use_bump] = bump
     fams[both] = smooth[both[use_smooth]] + bump[both[use_bump]]
@@ -243,21 +242,22 @@ def _screen_energies(fam, grid: Grid):
     if grid.dimension == 1:
         return gradient_energies(fam, grid)
     hx, hy = grid.spacing
-    dx = np.diff(fam, axis=1)
-    dx *= dx
-    dy = np.diff(fam, axis=2)
-    dy *= dy
-    return (dx.sum(axis=1) @ trapezoid_weights(grid.counts[1], hy) / hx
-            + dy.sum(axis=2) @ trapezoid_weights(grid.counts[0], hx) / hy)
+
+    def squares(axis):  # one temporary at a time
+        d = np.diff(fam, axis=axis)
+        return np.square(d, out=d).sum(axis=axis)
+    return (squares(1) @ trapezoid_weights(grid.counts[1], hy) / hx
+            + squares(2) @ trapezoid_weights(grid.counts[0], hx) / hy)
 
 
 def _ratio_bounds(grid, modes, draws, rows, num_low, num_high, den_low, den_high,
-                  num_scale):
+                  num_scale, out=None):
     """An upper bound of each split ratio of samples `rows` of the batch drawn
-    by _family_draws: the screen of _max_split_ratio, which states it."""
+    by _family_draws, built in ``out`` if it is given: the screen of
+    _max_split_ratio."""
     if min(num_low, num_high) < 2.0:
         return np.full(draws[2][rows].size, np.inf)
-    fam = _synthesize(grid, modes, draws, rows, screen=True)
+    fam = _synthesize(grid, modes, draws, rows, screen=True, out=out)
     ge = _screen_energies(fam, grid)
     flat = fam.reshape(len(fam), -1)
     peak = np.maximum(flat.max(axis=1), -flat.min(axis=1))
@@ -293,26 +293,29 @@ def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
     On the 2-D presets about 3% of the samples are scored, in 1-D about 10%.
 
     Screen and scoring run in ``parallel.chunks`` of samples (a 65x65 batch
-    of 500 is 17 chunks of 31), on the shared pool when there are several.
-    The exact score is bitwise the one-batch, one-thread one:
-    - the batch's draws are made in the calling thread, in a fixed order and
-      size, before the batch is split;
+    of 500 is 17 chunks of 31), one after another in the calling thread, so
+    a chunk's temporaries stay in L2. The exact score is bitwise the
+    one-batch one:
+    - the batch's draws are made in a fixed order and size, before the batch
+      is split;
     - synthesis and scoring are per sample, so any rows give the same bits
       as those rows of the whole batch;
     - the one BLAS product that enters a score (1-D smooth part) is taken on
       the whole batch, since OpenBLAS rounds a row slice differently;
     - max is exact, so chunk maxima fold to the batch's in any order.
-    A batch of one block (any 1-D preset) is one chunk and runs inline.
+    A batch of one block (any 1-D preset) is one chunk.
     """
     modes = _axis_modes(grid)
     w = grid.weights
     axes = tuple(range(1, grid.dimension + 1))
+    # one stack of samples for every chunk, so it is not paged in again per chunk
+    stack = np.empty((parallel.chunks(_BATCH, w.size)[0].stop,) + grid.shape)
     chunk_bound = functools.partial(
         _ratio_bounds, grid, modes, num_low=num_low, num_high=num_high,
-        den_low=den_low, den_high=den_high, num_scale=num_scale)
+        den_low=den_low, den_high=den_high, num_scale=num_scale, out=stack)
 
     def chunk_max(draws, rows):
-        fam = _synthesize(grid, modes, draws, rows)
+        fam = _synthesize(grid, modes, draws, rows, out=stack)
         absu = np.abs(fam)
         big = absu >= 1.0
         # each branch powers only the nodes it keeps
@@ -329,15 +332,13 @@ def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
     while done < n_samples:
         b = min(_BATCH, n_samples - done)
         draws = _family_draws(grid, b, rng, modes)
-        bound = np.concatenate(parallel.map(
-            chunk_bound, repeat(draws), parallel.chunks(b, w.size)))
+        bound = np.concatenate([chunk_bound(draws, c) for c in parallel.chunks(b, w.size)])
         # the top bound's exact ratio sets the bar the other samples must reach
         top = int(np.argmax(bound))
         best = max(best, float(chunk_max(draws, slice(top, top + 1))))
         rows = np.flatnonzero(bound >= best)
         rows = rows[rows != top]
-        maxima = parallel.map(chunk_max, repeat(draws),
-                              [rows[c] for c in parallel.chunks(rows.size, w.size)])
+        maxima = [chunk_max(draws, rows[c]) for c in parallel.chunks(rows.size, w.size)]
         # -inf (no valid sample) leaves best unchanged
         best = max(best, float(np.max(maxima, initial=-np.inf)))
         done += b

@@ -81,6 +81,10 @@ def main(argv=None) -> int:
             cfg = replace(cfg, override_conditions=True)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
+        # a file, or a path under one, cannot hold the outputs
+        existing = next(path for path in (args.out, *args.out.parents) if path.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--out {args.out}: {existing} is not a directory")
 
         started = time.perf_counter()
         if args.sweep:

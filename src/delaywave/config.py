@@ -389,8 +389,11 @@ def _parse_mu2_table(raw, key, line):
     if len(rows) < 2:
         raise ConfigError(f"{key} needs at least two pairs", line=line, key=key)
     taus = [r[0] for r in rows]
-    if sorted(taus) != taus:
-        raise ConfigError(f"{key} pairs must be sorted by tau", line=line, key=key)
+    # np.interp would keep only the last of pairs with one tau
+    for before, after in zip(taus, taus[1:]):
+        if not before < after:
+            raise ConfigError(f"{key} taus must be strictly increasing, got {before!r} "
+                              f"then {after!r}", line=line, key=key)
     return tuple(rows)
 
 

@@ -5,7 +5,8 @@ elastic term uses the cell-difference gradient energy from ``spaces`` so the
 conservative part of the discrete energy balance is exact up to the time
 discretization. z is read in the solver's tau-major layout (n_tau, n_rho,
 *grid); its integrals are one fused pass over chunks of grid points
-(``_delay_integrals``), so no whole-field |z|^m is built. Report invariants
+(``_delay_integrals``), half of them in a run's helper process, so no
+whole-field |z|^m is built. Report invariants
 (checked in tests, exact by construction):
 
     total_energy     = kinetic + potential_energy
@@ -51,24 +52,22 @@ class EnergyReport:
     delay_bulk_modular: float
 
 
-def _delay_integrals(z, kernel, xi, m, grid_weights):
-    """(delay_energy, weighted_delay, bulk_modular, delay_modular) of the
-    memory field.
-
-    delay_energy   = iiint tau (mu2 + xi) |z|^m / m
-    weighted_delay = same with an extra exp(-rho tau) factor
-    bulk_modular   = iiint (mu2 + xi) |z|^m
-    delay_modular  = iint |z(rho = 1)|^m
-
-    One fused pass in ``parallel.chunks`` of grid points on the shared pool:
-    each chunk is gathered into one C-ordered buffer, powered, contracted,
-    divided by m in place and contracted again while it is in L2. Every
-    element gets the operations of one whole-array pass and the chunks
-    follow _GEMV_ROWS, so the bits are that pass's. A field of one chunk
-    (any 1-D preset) runs inline.
-    """
+def _point_halves(z):
+    """z's ``parallel.chunks`` of grid points, cut in two lists: a run's
+    helper contracts the first, the calling process the second."""
     n_tau, n_rho = z.shape[:2]
-    points = grid_weights.size
+    cut = parallel.chunks(z[0, 0].size, n_rho * n_tau, multiple=_GEMV_ROWS)
+    return cut[:len(cut) // 2], cut[len(cut) // 2:]
+
+
+def _contract(z, kernel, m, sums, cut):
+    """``sums`` with the columns of the grid-point chunks in ``cut`` written:
+    each chunk is powered, contracted, divided by m and contracted again in
+    one buffer while it is in L2. Every element gets the operations of one
+    whole-array pass and the chunks follow _GEMV_ROWS, so the bits are that
+    pass's in either process."""
+    n_tau, n_rho = z.shape[:2]
+    points = sums.shape[1]
     field = z.reshape(n_tau, n_rho, points).transpose(2, 1, 0)
     rho_nodes, _, rho_w = rho_quadrature(n_rho)
     tau_w = kernel.weights
@@ -82,10 +81,10 @@ def _delay_integrals(z, kernel, xi, m, grid_weights):
     m_values = m.values.reshape(points, 1, 1)
     # m.power is chosen on the whole field, so a chunk gets the whole array's bits
     exponent = m_values if isinstance(m.power, np.ndarray) else m.power
-    sums = np.empty((7, points))
-
-    def contract(rows):
-        a = _power_into(np.empty(field[rows].shape), field[rows],
+    # one buffer for every chunk: a fresh one per chunk is paged in again each time
+    scratch = np.empty((max((c.stop - c.start for c in cut), default=0), n_rho, n_tau))
+    for rows in cut:
+        a = _power_into(scratch[:rows.stop - rows.start], field[rows],
                         exponent[rows] if exponent is m_values else exponent)
         flat = a.reshape(len(a), -1)
         for k in (0, 1):
@@ -94,8 +93,31 @@ def _delay_integrals(z, kernel, xi, m, grid_weights):
         a /= m_values[rows]
         for k in (2, 3, 4, 5):
             sums[k, rows] = np.dot(flat, weights[k])
+    return sums
 
-    parallel.map(contract, parallel.chunks(points, n_rho * n_tau, multiple=_GEMV_ROWS))
+
+def _delay_integrals(z, kernel, xi, m, grid_weights, plan=None):
+    """(delay_energy, weighted_delay, bulk_modular, delay_modular) of the
+    memory field.
+
+    delay_energy   = iiint tau (mu2 + xi) |z|^m / m
+    weighted_delay = same with an extra exp(-rho tau) factor
+    bulk_modular   = iiint (mu2 + xi) |z|^m
+    delay_modular  = iint |z(rho = 1)|^m
+
+    ``_contract`` of every chunk, so no whole-field |z|^m is built. When
+    ``plan`` (the solver's plan of z) has a helper and there are several
+    chunks, the helper contracts the first half into the plan's shared sums
+    while this process contracts the second.
+    """
+    helper = plan.helper if plan is not None else None
+    first, second = _point_halves(z)
+    if helper is not None and first:
+        helper.contract()
+        sums = _contract(z, kernel, m, plan.sums, second)
+        helper.wait()
+    else:
+        sums = _contract(z, kernel, m, np.empty((7, grid_weights.size)), first + second)
     bulk_mu, bulk_one, e_mu, e_one, f_mu, f_one, tail = sums.reshape((7,) + grid_weights.shape)
     energy = float(np.sum(grid_weights * (e_mu + xi.values * e_one)))
     weighted = float(np.sum(grid_weights * (f_mu + xi.values * f_one)))
@@ -130,7 +152,7 @@ def energy_report(state, m, p, kernel, xi, alpha=None, eps=0.0) -> EnergyReport:
     source_potential = float(np.sum(w * abs_u_p / p.values))
 
     delay_energy, weighted_delay, delay_bulk, delay_modular = _delay_integrals(
-        state.z, kernel, xi, m, w)
+        state.z, kernel, xi, m, w, getattr(state, "plan", None))
     damping_modular = modular(state.v, m)
 
     potential_energy = elastic + delay_energy - source_potential

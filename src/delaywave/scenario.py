@@ -274,11 +274,10 @@ def _fork_pool(processes):
     """A pool of `processes` forked workers; None where fork is not available.
 
     fork, not spawn or forkserver: a forked worker starts with numpy and
-    delaywave already imported. It relies on no other inherited state:
-    the shared thread pool is dropped in the child (parallel._forget_pool)
-    and a worker only simulates, so it never reads the certification memo.
-    Each worker is capped at one CPU, its share, so it starts no thread
-    pool and forks no shift helper.
+    delaywave already imported. It relies on no other inherited state: a
+    worker only simulates, so it never reads the certification memo. Each
+    worker is capped at one CPU, its share, so it forks no shift helper and
+    contracts each energy sample in its own thread.
     """
     import multiprocessing  # here: a single run never imports it
 

@@ -35,17 +35,18 @@ arithmetic:
 - the state's ``_Plan``, built by ``run`` or on the first step, holds every
   per-step invariant: dt/2, the source switch, the CFL number and tail
   coefficient of each lane, the tail exponent, the upwind shift's lane
-  blocks of z with their scratch, and one reused C-ordered (*grid, n_tau)
-  buffer of delay terms.
+  blocks of z with their scratch, one reused C-ordered (*grid, n_tau)
+  buffer of delay terms and one of an energy sample's sums.
   The shift forms each block's terms from the strided tail ``z[:, -1]``
   straight into it, so step only sums them.
 ``run`` forks a ``_Helper`` process, where a second CPU is free, that
 shifts lanes [0, n_tau // 2) in shared memory while the calling process
-kicks, drifts and shifts the other lanes, in the stretches of steps where that
-measures faster (the thread pool cannot split the shift: it holds the GIL
-between its many small ufunc calls). ``step`` outside ``run`` shifts every
-lane itself, through the same lane blocks. ``run`` silences floating-point overflow once around its loop
-and checks each step's state for finiteness.
+kicks, drifts and shifts the other lanes, in the stretches of steps where
+that measures faster (a thread could not split the shift: it holds the GIL
+between its many small ufunc calls), and contracts half of each energy
+sample. ``step`` outside ``run`` shifts every lane itself.
+``run`` silences floating-point overflow once around its loop and checks
+each step's state for finiteness.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ from . import parallel
 from .config import RunConfig, _spatial_vars, resolve_config
 from .delay import DelayKernel, build_kernel, check_mass_condition, dissipation_margins, \
     rho_quadrature, xi_default
-from .energetics import alpha_window, blowup_indicator, energy_report
+from .energetics import _contract, _point_halves, alpha_window, blowup_indicator, \
+    energy_report
 from .errors import ConfigError, NumericalError
 from .spaces import ExponentField, Grid, GridFunction, validate_exponent_pair
 
@@ -277,9 +279,10 @@ def _shared_empty(shape):
 
 class _Plan:
     """What ``step`` resolves once per problem and memory field z (see the
-    module docstring). ``terms`` lives in shared memory, as a run's z does
-    when it has a helper, so a shift helper forked after the plan writes its
-    lanes' terms where this process sums them. ``scratch`` is private, so a
+    module docstring). ``terms`` and ``sums`` live in shared memory, as a
+    run's z does when it has a helper, so a helper forked after the plan
+    writes its lanes' terms where this process sums them, and its chunks'
+    energy sums where this process reduces them. ``scratch`` is private, so a
     helper forked after the plan shifts through its own copy. ``own`` holds
     the operands of the lanes this process shifts: every lane unless a
     ``_Helper`` took some. A frozen-velocity run uses no tail, so its plan
@@ -303,6 +306,7 @@ class _Plan:
         self.inflow = z[:, 0]
         self.tail = np.moveaxis(z[:, -1], 0, -1)  # (*grid, n_tau), strided
         self.terms = None if self.frozen else _shared_empty(self.tail.shape)
+        self.sums = _shared_empty((7, self.grid.weights.size))
         # the first block of lanes is the largest
         first = parallel.chunks(z.shape[0], z[0, 1:].size)[0]
         self.scratch = np.empty((first.stop,) + z[0, 1:].shape)
@@ -366,18 +370,22 @@ _SPIN_S = 1e-3
 
 class _Helper:
     """A forked process that shifts tau lanes [0, n_tau // 2) of a plan's
-    memory field, while the calling process shifts the rest.
+    memory field, and contracts the first half of an energy sample's chunks
+    (``energetics._delay_integrals``), while the calling process does the
+    rest.
 
-    z and the plan's terms are shared memory, so the helper writes its lanes
-    in place. One byte on a pipe starts the helper's lanes of a step
-    (``go``), one byte on another says they are done (``wait``). The helper
-    ignores SIGINT and exits when its pipe reaches EOF, that is, when
-    ``close`` closes it, or when this process ends. If the helper dies,
-    ``go`` or ``wait`` raises ChildProcessError instead of waiting.
+    z and the plan's terms and sums are shared memory, so the helper writes
+    its part in place. One byte on a pipe starts the helper's part of a step
+    (``go``) or of a sample (``contract``), one byte on another says it is
+    done (``wait``). The helper ignores SIGINT and exits when its pipe
+    reaches EOF, that is, when ``close`` closes it, or when this process
+    ends. If the helper dies, ``go``, ``contract`` or ``wait`` raises
+    ChildProcessError instead of waiting.
 
     ``split`` says whether the current stretch of steps uses the helper or
     shifts every lane in this process (see _STRETCH_STEPS); either way gives
-    the same bits. ``clock`` times the stretches.
+    the same bits. An energy sample uses the helper in either: it is worth
+    far more than the hand-off. ``clock`` times the stretches.
     """
 
     def __init__(self, plan):
@@ -427,14 +435,21 @@ class _Helper:
                 self._next_stretch()
         self._started = now
         if self.split:
-            try:
-                os.write(self._go, b"g")
-            except BrokenPipeError:
-                self._lost()
+            self._send(b"g")
+
+    def contract(self):
+        """Start the helper's chunks of an energy sample."""
+        self._send(b"e")
+
+    def _send(self, command):
+        try:
+            os.write(self._go, command)
+        except BrokenPipeError:
+            self._lost()
 
     def wait(self):
-        """Return once the helper's lanes of this step are shifted."""
-        if self.split and not _receive(self._done):
+        """Return once the helper's part of this step or sample is done."""
+        if not _receive(self._done):
             self._lost()
 
     def _next_stretch(self):
@@ -484,9 +499,10 @@ def _receive(fd):
 
 
 def _serve(plan, lanes, go, done, mask):
-    """The helper process: shift ``lanes`` of plan once per byte read from
-    ``go`` and answer each with a byte on ``done``, until EOF; ``mask`` is
-    the signal mask to restore once SIGINT is ignored. Never returns."""
+    """The helper process: per byte read from ``go``, shift ``lanes`` of
+    plan (b"g") or contract its chunks of a sample into plan.sums (b"e"),
+    and answer with a byte on ``done``, until EOF; ``mask`` is the signal
+    mask to restore once SIGINT is ignored. Never returns."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -498,9 +514,13 @@ def _serve(plan, lanes, go, done, mask):
         os.closerange(first + 1, second)
         os.closerange(second + 1, os.sysconf("SC_OPEN_MAX"))
         blocks = _lane_blocks(plan, lanes)
+        kernel, m = plan.problem.kernel, plan.problem.m
         with np.errstate(over="ignore", invalid="ignore"):
-            while _receive(go):
-                _shift_blocks(blocks)
+            while command := _receive(go):
+                if command == b"g":
+                    _shift_blocks(blocks)
+                else:
+                    _contract(plan.z, kernel, m, plan.sums, _point_halves(plan.z)[0])
                 os.write(done, b"d")
         code = 0
     finally:
@@ -512,13 +532,13 @@ def _upwind_shift(plan):
     leaving the delay terms of the shifted tail in plan.terms.
 
     This process shifts the lanes of plan.own, then waits for the helper,
-    if there is one, which ``step`` started on the other lanes. Every node
-    gets the same three ufunc passes and every term the same operations in
-    any block and in either process, so the result is bitwise that of one
-    whole-field pass and one whole-tail pass.
+    if ``step`` started it on the other lanes. Every node gets the same
+    three ufunc passes and every term the same operations in any block and
+    in either process, so the result is bitwise that of one whole-field pass
+    and one whole-tail pass.
     """
     _shift_blocks(plan.own)
-    if plan.helper is not None:
+    if plan.helper is not None and plan.helper.split:
         plan.helper.wait()
 
 
@@ -617,9 +637,10 @@ def run(problem: Problem) -> Trajectory:
     """Integrate to t_end or a threshold crossing.
 
     Where a second CPU is free (``parallel.spare_cpu``), a ``_Helper``
-    process shifts half the memory field's lanes while that is faster. It is
-    forked before the t = 0 energy sample, so that a fresh process has no
-    pool threads yet, and reaped on the way out, however the run ends.
+    process shifts half the memory field's lanes while that is faster, and
+    contracts half of each energy sample's chunks. It is forked before the
+    t = 0 energy sample, which it serves too, and reaped on the way out,
+    however the run ends.
 
     Raises NumericalError when u or v stops being finite, and
     ChildProcessError when the helper dies.

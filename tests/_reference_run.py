@@ -3,7 +3,7 @@ whole-array oracles that the tests check the run's kernels against.
 
 ``reference_run`` takes the steps, samples, threshold stop and eps of
 ``solver.run`` with a whole-field upwind shift, a whole-tail delay force and
-``_delay_integrals_oracle``: no plan, lane blocks, helper or pool. However
+``_delay_integrals_oracle``: no plan, lane blocks, chunks or helper. However
 ``solver.run`` cuts its work, it must give these bits.
 """
 
@@ -51,9 +51,10 @@ def _abs_power_oracle(w, m_values):
     return a
 
 
-def _delay_integrals_oracle(z, kernel, xi, m, grid_weights):
+def _delay_integrals_oracle(z, kernel, xi, m, grid_weights, plan=None):
     """The whole-array delay integrals: two transposed arrays reduced by six
-    tensordots, and the delay modular from memory_tail's copy."""
+    tensordots, and the delay modular from memory_tail's copy. ``plan`` is
+    ignored: the oracle cuts nothing."""
     rho_w = trapezoid_weights(z.shape[1], 1.0 / (z.shape[1] - 1))
     rho_nodes = np.linspace(0.0, 1.0, z.shape[1])
     tau_w = kernel.weights

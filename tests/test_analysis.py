@@ -4,7 +4,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from _reference_certify import _family_oracle, _ratio_oracle, split_exponents
-from delaywave import analysis, parallel
+from delaywave import analysis
 from delaywave.analysis import (
     blowup_lower_bound,
     classify,
@@ -137,27 +137,6 @@ def test_embedding_ratio_monotone_in_family_size():
 _GATE = dict(num_low=3.2, num_high=3.5, den_low=3.2, den_high=3.5, num_scale=1.0)
 _BOUND = dict(num_low=4.4, num_high=5.0, den_low=4.4, den_high=5.0, num_scale=0.5)
 _CERT_GRIDS = [(1.0, 101), ((1.0, 1.0), (65, 65)), ((1.0, 2.0), (33, 21))]
-
-
-def test_one_dimensional_certification_runs_inline(monkeypatch):
-    from delaywave.config import load_preset, parse_config
-
-    cfg = parse_config(load_preset("decay_exponential"))
-    grid = make_grid(cfg.lengths, cfg.nodes)
-
-    def no_pool():
-        raise AssertionError("the shared pool was used")
-
-    monkeypatch.setattr(parallel, "_executor", no_pool)
-    monkeypatch.setattr(parallel, "workers", lambda: 2)
-    assert _max_split_ratio(grid, n_samples=1000, rng=np.random.default_rng(1),
-                            **_GATE) > 0.0
-    # the patch is the pool's only door: a multi-chunk 2-D batch goes through it
-    with pytest.raises(AssertionError, match="shared pool"):
-        _max_split_ratio(make_grid((1.0, 1.0), (65, 65)), n_samples=100,
-                         rng=np.random.default_rng(1), **_GATE)
-
-
 _LOW_EXPONENT = dict(num_low=1.5, num_high=3.0, den_low=1.5, den_high=3.0, num_scale=1.0)
 
 
@@ -191,10 +170,10 @@ def test_screen_scores_few_samples_of_the_2d_gate(monkeypatch):
     scored = []
     real = analysis._synthesize
 
-    def counted(grid, modes, draws, rows, screen=False):
+    def counted(grid, modes, draws, rows, screen=False, out=None):
         if not screen:
             scored.append(draws[2][rows].size)
-        return real(grid, modes, draws, rows, screen=screen)
+        return real(grid, modes, draws, rows, screen=screen, out=out)
 
     monkeypatch.setattr(analysis, "_synthesize", counted)
     monkeypatch.setattr(analysis, "_ratio_memo", {})

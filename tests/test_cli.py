@@ -169,6 +169,28 @@ def test_cli_repeated_sweep_value_exit_2_before_any_step(tmp_path, capsys, monke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, out", [
+    (["--preset", "conservation"], "file"),
+    (["--preset", "conservation"], "file/sub"),
+    (["--preset", "blowup", "--sweep", "scale=6,7"], "file"),
+], ids=["run-file", "run-under-file", "sweep-file"])
+def test_cli_out_that_cannot_be_a_directory_exit_2_before_any_step(tmp_path, capsys,
+                                                                   monkeypatch, args, out):
+    from delaywave import solver
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+    monkeypatch.setattr(solver, "step", no_step)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("kept\n")
+    code = cli.main(args + ["--out", out])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error == {"type": "config", "message": f"--out {out}: file is not a directory"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 def test_cli_condition_failure_exit_4_and_override(tmp_path, capsys):
     doc = """
 [exponents]

@@ -125,6 +125,20 @@ def test_mu2_table_exclusive_and_interpolated():
         parse_config(both)
 
 
+@pytest.mark.parametrize("table, before, after", [
+    ("0.5,1; 0.5,3; 1.0,2", 0.5, 0.5),  # np.interp would keep only mu2(0.5) = 3
+    ("0.5,1; 1.0,2; 0.75,3", 1.0, 0.75),
+], ids=["repeated", "unsorted"])
+def test_mu2_table_taus_must_strictly_increase(table, before, after):
+    doc = MINIMAL.replace("mu2 = 0.1", f"mu2_table = {table}")
+    with pytest.raises(ConfigError) as error:
+        parse_config(doc)
+    line = doc.splitlines().index(f"mu2_table = {table}") + 1
+    assert str(error.value) == (f"mu2_table taus must be strictly increasing, "
+                                f"got {before!r} then {after!r} (line {line})")
+    assert (error.value.key, error.value.line) == ("mu2_table", line)
+
+
 def test_negative_density_rejected():
     bad = MINIMAL.replace("mu2 = 0.1", "mu2 = -0.1")
     with pytest.raises(ConfigError, match="nonnegative"):
@@ -334,7 +348,7 @@ def test_generated_configs_round_trip():
         tau2 = tau1 + draw(floats(0.1, 2.0))
         n_rho = draw(st.integers(3, 64))
         table = draw(optional(st.lists(st.tuples(floats(0.0, 3.0), floats(0.0, 2.0)),
-                                       min_size=2, max_size=4)))
+                                       min_size=2, max_size=4, unique_by=lambda row: row[0])))
         if table is not None:
             table = tuple(sorted(table))
         limit = auto_dt(lengths, nodes, tau1, n_rho)

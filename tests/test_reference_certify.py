@@ -1,7 +1,7 @@
 """``embedding_constant_for_gate`` and ``embedding_constant_for_bound`` give
 the bits of ``reference_constant`` (``_reference_certify.py``) however
-certification cuts its work: on a pool of 1, 2 or 3 workers, and in chunks
-of the default size, of one sample or of seven."""
+certification cuts its work: in chunks of the default size, of one sample or
+of seven."""
 
 import functools
 
@@ -39,14 +39,11 @@ REMAINDER = {
     "remainder-17x23-bound-seed3": ("bound", (1.0, 2.0), (17, 23), 3.2, 3.5, 8, 3),
 }
 ALL_CASES = {**CASES, **REMAINDER}
-# (pool workers, samples per chunk; None = parallel.BLOCK_VALUES's default).
-# One-sample chunks run inline: on the pool each costs about three times its
-# work in hand-offs, and "pool" and "split-7" cover the pool's order
+# samples per chunk; None = parallel.BLOCK_VALUES's default
 WAYS = {
-    "plain": (1, None),
-    "pool": (2, None),
-    "split-1": (1, 1),
-    "split-7": (3, 7),
+    "plain": None,
+    "split-1": 1,
+    "split-7": 7,
 }
 
 
@@ -55,20 +52,14 @@ def _reference(kind, lengths, nodes, p1, p2, n_samples, seed):
     return reference_constant(kind, make_grid(lengths, nodes), p1, p2, seed, n_samples)
 
 
-def _certify(monkeypatch, kind, grid, p1, p2, n_samples, seed, workers, per_chunk):
-    """The public constant of a kind, certified the given way from an empty
-    memo on a fresh pool of that many workers."""
+def _certify(monkeypatch, kind, grid, p1, p2, n_samples, seed, per_chunk):
+    """The public constant of a kind, certified in chunks of ``per_chunk``
+    samples from an empty memo."""
     with monkeypatch.context() as patch:
         patch.setattr(analysis, "_ratio_memo", {})
-        patch.setattr(parallel, "workers", lambda: workers)
-        patch.setattr(parallel, "_pool", None)  # a pool of this many workers
         if per_chunk is not None:
             patch.setattr(parallel, "BLOCK_VALUES", per_chunk * grid.weights.size)
-        try:
-            return EMBEDDINGS[kind](grid, p1, p2, seed=seed, n_samples=n_samples)
-        finally:
-            if parallel._pool is not None:
-                parallel._pool.shutdown()
+        return EMBEDDINGS[kind](grid, p1, p2, seed=seed, n_samples=n_samples)
 
 
 @pytest.mark.parametrize("way", list(WAYS))
@@ -76,7 +67,7 @@ def _certify(monkeypatch, kind, grid, p1, p2, n_samples, seed, workers, per_chun
 def test_certification_equals_the_reference(monkeypatch, case, way):
     kind, lengths, nodes, p1, p2, n_samples, seed = ALL_CASES[case]
     grid = make_grid(lengths, nodes)
-    got = _certify(monkeypatch, kind, grid, p1, p2, n_samples, seed, *WAYS[way])
+    got = _certify(monkeypatch, kind, grid, p1, p2, n_samples, seed, WAYS[way])
     assert got == _reference(kind, lengths, nodes, p1, p2, n_samples, seed)
 
 
@@ -103,7 +94,7 @@ def test_certification_equals_the_reference_property(monkeypatch):
     def check(dimension, length, sides, exponents, kind, seed, n_samples, way):
         grid = make_grid(1.0, length) if dimension == 1 else make_grid((1.0, 2.0), sides)
         p1, p2 = sorted(exponents)
-        got = _certify(monkeypatch, kind, grid, p1, p2, n_samples, seed, *WAYS[way])
+        got = _certify(monkeypatch, kind, grid, p1, p2, n_samples, seed, WAYS[way])
         assert got == reference_constant(kind, grid, p1, p2, seed, n_samples)
 
     check()

@@ -1,6 +1,7 @@
 """``solver.run`` gives the bits of ``reference_run`` (``_reference_run.py``)
-however it cuts its work: with the shift helper or without, switching ways,
-on a pool of 1, 2 or 3 workers, and in blocks of the default size or small."""
+however it cuts its work: with the helper or without, switching ways, and in
+blocks of the default size or small, where the helper contracts half of each
+energy sample it serves."""
 
 import os
 from dataclasses import replace
@@ -30,43 +31,42 @@ CONFIGS = {
     "blowup": replace(_1D, p="4", u0="6*sin(pi*x)", u1="4.2*sin(pi*x)", f0="4.2*sin(pi*x)",
                       t_end=1.0, threshold=10.0),
 }
-# (shift helper, pool workers, small blocks); "switching" has stretches of 2 steps
+# (helper, small blocks); "switching" has stretches of 2 steps
 WAYS = {
-    "plain": (None, 1, False),
-    "blocks": (None, 2, True),
-    "helper": ("on", 2, False),
-    "switching": ("switching", 3, True),
+    "plain": (None, False),
+    "blocks": (None, True),
+    "helper": ("on", False),
+    "switching": ("switching", True),
 }
 
 
-def _run(monkeypatch, problem, helper, workers, small):
-    """solver.run of problem the given way, which forks one helper or none;
+def _run(monkeypatch, problem, helper, small):
+    """(trajectory, energy samples the helper contracted part of) of
+    solver.run of problem the given way, which forks one helper or none;
     small blocks are 8 energy points, and cut the shift of every config too."""
     if helper and not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
-    cfg, started = problem.config, []
+    cfg, started, contracted = problem.config, [], []
 
     class Counted(solver._Helper):
         def __init__(self, plan):
             super().__init__(plan)
             started.append(self.pid)
 
+        def contract(self):
+            contracted.append(self.pid)
+            super().contract()
+
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_Helper", Counted)
         patch.setattr(parallel, "spare_cpu", lambda: helper is not None)
-        patch.setattr(parallel, "workers", lambda: workers)
-        patch.setattr(parallel, "_pool", None)  # a pool of this many workers
         if helper == "switching":
             patch.setattr(solver, "_STRETCH_STEPS", 2)
         if small:
             patch.setattr(parallel, "BLOCK_VALUES", 8 * cfg.n_rho * cfg.n_tau)
-        try:
-            trajectory = solver.run(problem)
-        finally:
-            if parallel._pool is not None:
-                parallel._pool.shutdown()
+        trajectory = solver.run(problem)
     assert len(started) == (helper is not None)
-    return trajectory
+    return trajectory, len(contracted)
 
 
 def _bits(trajectory):
@@ -80,8 +80,12 @@ def _bits(trajectory):
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_run_equals_the_reference_run(monkeypatch, name, way):
     problem = solver.build_problem(CONFIGS[name])
-    got = _run(monkeypatch, problem, *WAYS[way])
+    got, contracted = _run(monkeypatch, problem, *WAYS[way])
     assert _bits(got) == _bits(reference_run(problem))
+    # at 8 points a chunk every sample has several chunks, and the helper
+    # contracts half of them, in either way of a stretch; one chunk stays in
+    # the calling process
+    assert contracted == (len(got.reports) if way == "switching" else 0)
     # only the blow-up case stops at its threshold and forms the indicator
     blowup = (got.termination == solver.TERMINATED_BLOWUP,
               got.reports[0].blowup_indicator is not None)
@@ -96,12 +100,12 @@ def test_run_equals_the_reference_run_property(monkeypatch):
     @hypothesis.given(name=st.sampled_from(list(CONFIGS)), length=st.integers(9, 60),
                       sides=st.tuples(st.integers(5, 16), st.integers(5, 16)),
                       n_tau=st.integers(2, 6), helper=st.sampled_from([None, "on", "switching"]),
-                      workers=st.integers(1, 3), small=st.booleans())
-    def check(name, length, sides, n_tau, helper, workers, small):
+                      small=st.booleans())
+    def check(name, length, sides, n_tau, helper, small):
         cfg = CONFIGS[name]
         nodes = (length,) if cfg.dimension == 1 else sides
         problem = solver.build_problem(replace(cfg, nodes=nodes, n_tau=n_tau))
-        got = _run(monkeypatch, problem, helper, workers, small)
+        got, _ = _run(monkeypatch, problem, helper, small)
         assert _bits(got) == _bits(reference_run(problem))
 
     check()

@@ -7,11 +7,9 @@ from dataclasses import replace
 
 import pytest
 
-from delaywave import analysis, parallel, scenario, solver
-from delaywave.analysis import embedding_constant_for_gate
+from delaywave import parallel, scenario, solver
 from delaywave.config import _apply_axis, load_preset, parse_config
 from delaywave.scenario import run_scenario, sweep
-from delaywave.spaces import make_grid
 
 fork_only = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -121,23 +119,10 @@ def test_sweep_records_an_error_that_does_not_unpickle(pools, monkeypatch):
 
 
 @fork_only
-def test_sweep_after_the_shared_pool_has_threads(pools, monkeypatch):
-    # a 2-D certification leaves the shared thread pool's workers alive;
-    # the sweep's workers are forked next to them and must still finish
-    monkeypatch.setattr(analysis, "_ratio_memo", {})  # so the family is drawn
-    grid = make_grid((1.0, 1.0), (33, 33))  # 5 chunks of samples
-    embedding_constant_for_gate(grid, 3.0, 4.0, n_samples=1000, seed=7)
-    assert any(t.name.startswith("delaywave") for t in threading.enumerate())
-    rows, _ = _sweep_within(120, _short_blowup(), "scale", [6.0, 7.0])
-    assert pools == [2]
-    assert [row["error"] for row in rows] == [None, None]
-
-
-@fork_only
 def test_sweep_workers_use_neither_the_pool_nor_a_helper(pools, monkeypatch, tmp_path):
-    # on two CPUs each of the two workers is capped at one, its share: a
-    # 2-D point's energy sample (3 chunks) maps inline, and its run forks
-    # no shift helper
+    # on two CPUs each of the two workers is capped at one, its share: its
+    # run forks no helper, so a 2-D point's energy sample (3 chunks) is
+    # contracted in the worker
     calls = tmp_path / "calls"
 
     def recorded(name, real):
@@ -147,7 +132,6 @@ def test_sweep_workers_use_neither_the_pool_nor_a_helper(pools, monkeypatch, tmp
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(parallel, "_executor", recorded("pool", parallel._executor))
     monkeypatch.setattr(solver, "_Helper", recorded("helper", solver._Helper))
     monkeypatch.setattr(scenario, "simulate", recorded("simulate", scenario.simulate))
     cfg = solver.RunConfig(dimension=2, lengths=(1.0, 1.0), nodes=(33, 33), n_tau=16,

@@ -13,7 +13,6 @@ parse(serialize(parse(text))) == parse(text).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -500,6 +499,7 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
+    import hashlib  # here: it loads OpenSSL, which nothing before analyse needs
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
 
 

@@ -4,9 +4,12 @@ All integrals are composite-trapezoid quadrature over x, rho and tau. The
 elastic term uses the cell-difference gradient energy from ``spaces`` so the
 conservative part of the discrete energy balance is exact up to the time
 discretization. z is read in the solver's tau-major layout (n_tau, n_rho,
-*grid); its integrals are one fused pass over chunks of grid points
+*grid); its integrals are one fused pass over tiles of grid points
 (``_delay_integrals``), half of them in a run's helper process, so no
-whole-field |z|^m is built. Report invariants
+whole-field |z|^m is built. A field of more than one
+``parallel.BLOCK_VALUES`` is cut into tiles of half a block, each starting
+at a multiple of ``_GEMV_ROWS`` points; a smaller field (every 1-D preset)
+is one tile, contracted in the calling process. Report invariants
 (checked in tests, exact by construction):
 
     total_energy     = kinetic + potential_energy
@@ -53,18 +56,22 @@ class EnergyReport:
 
 
 def _point_halves(z):
-    """z's ``parallel.chunks`` of grid points, cut in two lists: a run's
-    helper contracts the first, the calling process the second."""
+    """z's tiles of grid points, cut by ``parallel.chunks`` in two lists: a
+    run's helper contracts the first, the calling process the second. A field
+    of more than one block is cut into tiles of half a block (each point
+    counted twice), so a tile and its powered copy fit in one L2; a smaller
+    field is one tile."""
     n_tau, n_rho = z.shape[:2]
-    cut = parallel.chunks(z[0, 0].size, n_rho * n_tau, multiple=_GEMV_ROWS)
+    point_values = n_rho * n_tau * (2 if z.size > parallel.BLOCK_VALUES else 1)
+    cut = parallel.chunks(z[0, 0].size, point_values, multiple=_GEMV_ROWS)
     return cut[:len(cut) // 2], cut[len(cut) // 2:]
 
 
 def _contract(z, kernel, m, sums, cut):
-    """``sums`` with the columns of the grid-point chunks in ``cut`` written:
-    each chunk is powered, contracted, divided by m and contracted again in
+    """``sums`` with the columns of the grid-point tiles in ``cut`` written:
+    each tile is powered, contracted, divided by m and contracted again in
     one buffer while it is in L2. Every element gets the operations of one
-    whole-array pass and the chunks follow _GEMV_ROWS, so the bits are that
+    whole-array pass and the tiles follow _GEMV_ROWS, so the bits are that
     pass's in either process."""
     n_tau, n_rho = z.shape[:2]
     points = sums.shape[1]
@@ -79,9 +86,9 @@ def _contract(z, kernel, m, sums, cut):
     weights = [w.ravel() for w in (np.outer(rho_w, tau_w * kernel.mu2), np.outer(rho_w, tau_w),
                                    w_mu, w_one, w_mu * decay_jk, w_one * decay_jk)]
     m_values = m.values.reshape(points, 1, 1)
-    # m.power is chosen on the whole field, so a chunk gets the whole array's bits
+    # m.power is chosen on the whole field, so a tile gets the whole array's bits
     exponent = m_values if isinstance(m.power, np.ndarray) else m.power
-    # one buffer for every chunk: a fresh one per chunk is paged in again each time
+    # one buffer for every tile: a fresh one per tile is paged in again each time
     scratch = np.empty((max((c.stop - c.start for c in cut), default=0), n_rho, n_tau))
     for rows in cut:
         a = _power_into(scratch[:rows.stop - rows.start], field[rows],
@@ -105,10 +112,10 @@ def _delay_integrals(z, kernel, xi, m, grid_weights, plan=None):
     bulk_modular   = iiint (mu2 + xi) |z|^m
     delay_modular  = iint |z(rho = 1)|^m
 
-    ``_contract`` of every chunk, so no whole-field |z|^m is built. When
-    ``plan`` (the solver's plan of z) has a helper and there are several
-    chunks, the helper contracts the first half into the plan's shared sums
-    while this process contracts the second.
+    ``_contract`` of every tile of ``_point_halves``, so no whole-field
+    |z|^m is built. When ``plan`` (the solver's plan of z) has a helper and
+    there are several tiles, the helper contracts the first half into the
+    plan's shared sums while this process contracts the second.
     """
     helper = plan.helper if plan is not None else None
     first, second = _point_halves(z)

@@ -2,9 +2,12 @@
 
 ``chunks`` cuts the upwind shift's tau lanes, the energy sample's grid
 points and certification's samples into blocks of about ``BLOCK_VALUES``
-values. Where ``spare_cpu`` allows, ``solver.run`` forks one helper process
-that shifts half the lanes of each step and contracts half the blocks of
-each energy sample; all else runs in the calling thread.
+values. The energy sample cuts a memory field of more than one block into
+tiles of half a block, so a tile and its powered copy fit in one L2 together
+(``energetics._point_halves``); a field of one block or less is one tile.
+Where ``spare_cpu`` allows, ``solver.run`` forks one helper process that
+shifts half the lanes of each step and contracts half the tiles of each
+energy sample; all else runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import os
 
 # float64 values per block, 1 MiB: one block and a kernel's scratch stay in one
-# core's 2 MiB L2, and a kernel's peak memory is a few temporaries of one block
+# core's 2 MiB L2
 BLOCK_VALUES = 1 << 17
 
 _one_cpu = False  # set by use_one_cpu

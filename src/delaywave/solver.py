@@ -281,7 +281,7 @@ class _Plan:
     """What ``step`` resolves once per problem and memory field z (see the
     module docstring). ``terms`` and ``sums`` live in shared memory, as a
     run's z does when it has a helper, so a helper forked after the plan
-    writes its lanes' terms where this process sums them, and its chunks'
+    writes its lanes' terms where this process sums them, and its tiles'
     energy sums where this process reduces them. ``scratch`` is private, so a
     helper forked after the plan shifts through its own copy. ``own`` holds
     the operands of the lanes this process shifts: every lane unless a
@@ -370,7 +370,7 @@ _SPIN_S = 1e-3
 
 class _Helper:
     """A forked process that shifts tau lanes [0, n_tau // 2) of a plan's
-    memory field, and contracts the first half of an energy sample's chunks
+    memory field, and contracts the first half of an energy sample's tiles
     (``energetics._delay_integrals``), while the calling process does the
     rest.
 
@@ -438,7 +438,7 @@ class _Helper:
             self._send(b"g")
 
     def contract(self):
-        """Start the helper's chunks of an energy sample."""
+        """Start the helper's tiles of an energy sample."""
         self._send(b"e")
 
     def _send(self, command):
@@ -500,7 +500,7 @@ def _receive(fd):
 
 def _serve(plan, lanes, go, done, mask):
     """The helper process: per byte read from ``go``, shift ``lanes`` of
-    plan (b"g") or contract its chunks of a sample into plan.sums (b"e"),
+    plan (b"g") or contract its tiles of a sample into plan.sums (b"e"),
     and answer with a byte on ``done``, until EOF; ``mask`` is the signal
     mask to restore once SIGINT is ignored. Never returns."""
     code = 1
@@ -638,7 +638,7 @@ def run(problem: Problem) -> Trajectory:
 
     Where a second CPU is free (``parallel.spare_cpu``), a ``_Helper``
     process shifts half the memory field's lanes while that is faster, and
-    contracts half of each energy sample's chunks. It is forked before the
+    contracts half of each energy sample's tiles. It is forked before the
     t = 0 energy sample, which it serves too, and reaped on the way out,
     however the run ends.
 

@@ -1,9 +1,12 @@
 import os
 import threading
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from delaywave import analysis, parallel, solver
+from delaywave import analysis, energetics, parallel, solver
+from delaywave.config import load_preset, parse_config
 from delaywave.scenario import run_scenario
 
 
@@ -53,8 +56,9 @@ _BOX = solver.RunConfig(dimension=2, lengths=(1.0, 1.0), nodes=(17, 17), n_tau=4
 
 
 def test_run_bytes_do_not_depend_on_the_block_size(monkeypatch):
-    # at 4000 values a block is one shift lane, 108 energy points or 13
-    # certification samples, so every kernel runs several blocks
+    # at 4000 values a block is one shift lane, an energy tile of half a block
+    # 52 points, and a certification chunk 13 samples, so every kernel runs
+    # several pieces
     real = parallel.chunks
     pieces = {}
 
@@ -72,8 +76,9 @@ def test_run_bytes_do_not_depend_on_the_block_size(monkeypatch):
         result = run_scenario(_BOX)
         texts.append((result.csv_text, result.json_text))
         if block_values == 4000:
-            # shift lanes, energy points, certification samples
-            assert pieces[8 * 17 * 17] == 4 and pieces[9 * 4] == 3 and pieces[17 * 17] > 1
+            # shift lanes, energy tiles (each point counted twice), certification
+            # samples
+            assert pieces[8 * 17 * 17] == 4 and pieces[2 * 9 * 4] == 6 and pieces[17 * 17] > 1
     assert result.summary["energy"]["initial"] < 0.0
     assert result.summary["T_low"] is not None
     assert texts[0] == texts[1]
@@ -98,3 +103,33 @@ def test_run_starts_no_thread(monkeypatch):
     result = run_scenario(_BOX)
     assert threading.active_count() == before
     assert contracted and result.summary["T_low"] is not None
+
+
+def test_energy_tiles_are_half_a_block_past_one_block(monkeypatch):
+    # box-2d's 65x65 field of 16 x 32 values a point is 17 MB: tiles of at
+    # most half a block, each starting at a multiple of the gemv's row group
+    first, second = energetics._point_halves(np.empty((16, 32, 65, 65)))
+    cut = first + second
+    assert [i for c in cut for i in range(c.start, c.stop)] == list(range(65 * 65))
+    assert len(first) == len(cut) // 2 and len(cut) > 2
+    assert all(c.start % energetics._GEMV_ROWS == 0 for c in cut)
+    assert all((c.stop - c.start) * 16 * 32 <= parallel.BLOCK_VALUES // 2 for c in cut[:-1])
+    assert cut[0].stop == 128
+    # the decay_exponential field is one block or less: one tile, which its
+    # energy samples contract in the calling process, with no hand-off
+    problem = solver.build_problem(parse_config(load_preset("decay_exponential")))
+    z = np.empty((problem.kernel.nodes.size, problem.rho_nodes.size) + problem.grid.shape)
+    assert z.size <= parallel.BLOCK_VALUES
+    assert energetics._point_halves(z) == ([], [slice(0, 201)])
+    if hasattr(os, "fork"):
+        contracted = []
+        real = solver._Helper.contract
+
+        def contract(helper):
+            contracted.append(helper.pid)
+            real(helper)
+
+        monkeypatch.setattr(solver._Helper, "contract", contract)
+        monkeypatch.setattr(parallel, "spare_cpu", lambda: True)
+        trajectory = solver.run(solver.build_problem(replace(problem.config, t_end=0.5)))
+        assert len(trajectory.reports) == 6 and not contracted

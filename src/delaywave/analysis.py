@@ -13,7 +13,9 @@ doubled. The same machinery certifies the smallness-gate constant. The
 maximization screens every sample with a rigorous upper bound of its ratio
 and scores exactly only those whose bound can still beat the best exact
 ratio so far; as max is exact, the result is bitwise the maximum over the
-whole family (_max_split_ratio).
+whole family (_max_split_ratio). Each maximization runs in a short-lived
+forked child (_family_ratio), so numpy.random and the family's arrays never
+enter the calling process; the memo of the results stays in it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import os
+import struct
 import threading
 from dataclasses import dataclass
 
@@ -40,6 +44,8 @@ _BATCH = 500  # samples per batch of the family, whose draws' sizes depend on it
 # relative inflation of the screen's ratio bound: its samples and energies
 # round differently from the exact ones, by about 1e-13 relative
 _SCREEN_MARGIN = 1e-6
+# the certifier child's answer on its pipe: one raw float64
+_RATIO = struct.Struct("d")
 
 _GAUSS_POINTS = 10  # coarse rule of the life-span quadrature; the fine one has 20
 _MAX_PANELS = 1 << 12  # panel evaluations before the life-span quadrature gives up
@@ -345,6 +351,41 @@ def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
     return best
 
 
+def _family_ratio(grid, n_samples, seed, **exponents) -> float:
+    """_max_split_ratio over the family drawn by np.random.default_rng(seed),
+    computed in a short-lived child forked by ``parallel.fork``, which sends
+    the ratio back on a pipe as the 8 bytes of one float64.
+
+    numpy.random, whose ``secrets`` import loads OpenSSL's libcrypto, and the
+    family's batch arrays thus stay in the child and never raise this
+    process's peak memory. Where os.fork does not exist the ratio is
+    computed here. Raises ChildProcessError, once the child is reaped, if it
+    exits nonzero or by a signal, or sends anything but 8 bytes.
+    """
+    def certify():
+        return _max_split_ratio(grid, n_samples=n_samples,
+                                rng=np.random.default_rng(seed), **exponents)
+
+    if not hasattr(os, "fork"):
+        return certify()
+    read, write = os.pipe()
+    try:
+        pid = parallel.fork(lambda: os.write(write, _RATIO.pack(certify())), keep=(write,))
+    except OSError:
+        os.close(read)
+        raise
+    finally:
+        os.close(write)
+    with open(read, "rb") as pipe:
+        try:
+            sent = pipe.read()
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if status or len(sent) != _RATIO.size:
+        raise ChildProcessError(f"the embedding-constant certifier (pid {pid}) failed")
+    return _RATIO.unpack(sent)[0]
+
+
 _ratio_memo = {}
 _ratio_lock = threading.Lock()
 
@@ -352,16 +393,18 @@ _ratio_lock = threading.Lock()
 def _certified_ratio(kind, grid: Grid, p1, p2, n_samples, seed, **exponents) -> float:
     """_max_split_ratio over the seeded family, computed once per input.
 
-    The ratio is pure in the key: make_grid builds every Grid, so lengths and
-    counts fix the nodes, weights and boundary; kind, p1 and p2 fix the
-    exponents, and the seed fixes the family. One lock covers lookup and
-    computation, for callers that certify from several threads.
+    A miss runs the maximization in a forked child (_family_ratio); the memo
+    stays in this process, so a hit forks nothing and a sweep certifies each
+    shared input once. The ratio is pure in the key: make_grid builds every
+    Grid, so lengths and counts fix the nodes, weights and boundary; kind, p1
+    and p2 fix the exponents, and the seed fixes the family. One lock covers
+    lookup and computation, for callers that certify from several threads.
     """
     key = (kind, grid.lengths, grid.counts, float(p1), float(p2), n_samples, seed)
     with _ratio_lock:
         if key not in _ratio_memo:
-            _ratio_memo[key] = _max_split_ratio(
-                grid, n_samples=n_samples, rng=np.random.default_rng(seed), **exponents)
+            _ratio_memo[key] = _family_ratio(grid, n_samples=n_samples, seed=seed,
+                                             **exponents)
         return _ratio_memo[key]
 
 

@@ -4,8 +4,9 @@ bit-stable CSV/JSON serialization.
 A run is two steps: ``simulate`` (build the problem, gate it, integrate it)
 and ``analyse`` (certify, bound, classify, serialize); ``run_scenario`` is
 one after the other. ``sweep`` simulates its points in forked worker
-processes and analyses each in the calling process as it arrives, so
-certification and its memo stay in that one process.
+processes and analyses each in the calling process as it arrives, so the
+certification memo stays in that one process; the family runs in a child
+(``analysis._family_ratio``).
 
 Two executions of the same config produce byte-identical outputs: numbers
 are written in shortest round-trip form, randomized certifications are

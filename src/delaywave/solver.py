@@ -56,7 +56,6 @@ import math
 import mmap
 import os
 import select
-import signal
 import time
 from dataclasses import dataclass, replace
 
@@ -395,19 +394,13 @@ class _Helper:
         self._done, done_w = os.pipe()
         os.set_blocking(go_r, False)
         os.set_blocking(self._done, False)
-        # SIGINT stays blocked across the fork, so it cannot interrupt the
-        # child before the child ignores it
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            self.pid = os.fork()
+            self.pid = parallel.fork(lambda: _serve(plan, range(split), go_r, done_w),
+                                     keep=(go_r, done_w))
         except OSError:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             for fd in (go_r, self._go, self._done, done_w):
                 os.close(fd)
             raise
-        if self.pid == 0:
-            _serve(plan, range(split), go_r, done_w, mask)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         os.close(go_r)
         os.close(done_w)
         self.plan = plan
@@ -498,33 +491,19 @@ def _receive(fd):
             poller.poll()
 
 
-def _serve(plan, lanes, go, done, mask):
-    """The helper process: per byte read from ``go``, shift ``lanes`` of
-    plan (b"g") or contract its tiles of a sample into plan.sums (b"e"),
-    and answer with a byte on ``done``, until EOF; ``mask`` is the signal
-    mask to restore once SIGINT is ignored. Never returns."""
-    code = 1
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        # hold no other process's pipe ends, so each of them sees EOF when
-        # its owner closes it
-        first, second = sorted((go, done))
-        os.closerange(3, first)
-        os.closerange(first + 1, second)
-        os.closerange(second + 1, os.sysconf("SC_OPEN_MAX"))
-        blocks = _lane_blocks(plan, lanes)
-        kernel, m = plan.problem.kernel, plan.problem.m
-        with np.errstate(over="ignore", invalid="ignore"):
-            while command := _receive(go):
-                if command == b"g":
-                    _shift_blocks(blocks)
-                else:
-                    _contract(plan.z, kernel, m, plan.sums, _point_halves(plan.z)[0])
-                os.write(done, b"d")
-        code = 0
-    finally:
-        os._exit(code)
+def _serve(plan, lanes, go, done):
+    """The helper process's work (``parallel.fork``): per byte read from
+    ``go``, shift ``lanes`` of plan (b"g") or contract its tiles of a sample
+    into plan.sums (b"e"), and answer with a byte on ``done``, until EOF."""
+    blocks = _lane_blocks(plan, lanes)
+    kernel, m = plan.problem.kernel, plan.problem.m
+    with np.errstate(over="ignore", invalid="ignore"):
+        while command := _receive(go):
+            if command == b"g":
+                _shift_blocks(blocks)
+            else:
+                _contract(plan.z, kernel, m, plan.sums, _point_halves(plan.z)[0])
+            os.write(done, b"d")
 
 
 def _upwind_shift(plan):

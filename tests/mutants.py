@@ -84,6 +84,14 @@ MUTATIONS = [
                "best = best"),), CERTIFY),
     Mutation("bound-num-low-2p1", "analysis.py",
              (("num_low=2.0 * p1 - 2.0,", "num_low=2.0 * p1,"),), CERTIFY),
+    # the certifier child's hand-off of the ratio to the calling process
+    Mutation("ratio-sent-as-float32", "analysis.py",
+             (('_RATIO = struct.Struct("d")', '_RATIO = struct.Struct("f")'),), CERTIFY),
+    Mutation("ratio-sent-short", "analysis.py",
+             (("os.write(write, _RATIO.pack(certify()))",
+               "os.write(write, _RATIO.pack(certify())[:-1])"),), CERTIFY),
+    Mutation("certifier-closes-its-pipe-end", "analysis.py",
+             (("keep=(write,)", "keep=()"),), CERTIFY),
 ]
 
 SURVIVORS = [

@@ -166,7 +166,9 @@ def test_screen_bounds_every_ratio_of_a_batch(lengths, counts, exponents):
 
 def test_screen_scores_few_samples_of_the_2d_gate(monkeypatch):
     # box-2d's gate family: the screen leaves under 5% of 10 000 samples to
-    # the exact score, and the certified bits stay the recorded ones
+    # the exact score, and the certified bits stay the recorded ones. The
+    # public constant is certified in a forked child, so the samples are
+    # counted on a maximization run in this process, which it must equal
     scored = []
     real = analysis._synthesize
 
@@ -178,9 +180,10 @@ def test_screen_scores_few_samples_of_the_2d_gate(monkeypatch):
     monkeypatch.setattr(analysis, "_synthesize", counted)
     monkeypatch.setattr(analysis, "_ratio_memo", {})
     grid = make_grid((1.0, 1.0), (65, 65))
-    c = embedding_constant_for_gate(grid, 3.2, 3.5, n_samples=10000, seed=1234)
-    assert c == 0.014550392754873446
+    ratio = _max_split_ratio(grid, n_samples=10000, rng=np.random.default_rng(1234), **_GATE)
     assert 0 < sum(scored) < 500
+    c = embedding_constant_for_gate(grid, 3.2, 3.5, n_samples=10000, seed=1234)
+    assert c == 2.0 * ratio == 0.014550392754873446
 
 
 def _bench_workloads(monkeypatch):
@@ -232,16 +235,17 @@ def test_dirichlet_family_equals_one_batch_oracle():
 
 @pytest.fixture
 def split_ratio_calls(monkeypatch):
-    """Empty certification memo; counts the family maximizations run."""
+    """Empty certification memo; counts its misses, each of which runs the
+    family maximization (in a forked child, where fork exists)."""
     monkeypatch.setattr(analysis, "_ratio_memo", {})
     calls = []
-    real = analysis._max_split_ratio
+    real = analysis._family_ratio
 
     def counted(*args, **kwargs):
         calls.append(kwargs["num_scale"])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "_max_split_ratio", counted)
+    monkeypatch.setattr(analysis, "_family_ratio", counted)
     return calls
 
 

@@ -55,16 +55,18 @@ _BOX = solver.RunConfig(dimension=2, lengths=(1.0, 1.0), nodes=(17, 17), n_tau=4
                         t_end=0.05)
 
 
-def test_run_bytes_do_not_depend_on_the_block_size(monkeypatch):
+def test_run_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
     # at 4000 values a block is one shift lane, an energy tile of half a block
     # 52 points, and a certification chunk 13 samples, so every kernel runs
-    # several pieces
+    # several pieces. Each cut is logged to a file, as certification cuts
+    # its samples in a forked child
     real = parallel.chunks
-    pieces = {}
+    log = tmp_path / "cuts"
 
     def chunks(n, item_values, multiple=1):
         cut = real(n, item_values, multiple)
-        pieces[item_values] = max(pieces.get(item_values, 0), len(cut))
+        with open(log, "a") as handle:
+            handle.write(f"{item_values} {len(cut)}\n")
         return cut
 
     monkeypatch.setattr(parallel, "chunks", chunks)
@@ -72,9 +74,13 @@ def test_run_bytes_do_not_depend_on_the_block_size(monkeypatch):
     for block_values in (4000, parallel.BLOCK_VALUES):
         monkeypatch.setattr(parallel, "BLOCK_VALUES", block_values)
         monkeypatch.setattr(analysis, "_ratio_memo", {})  # so both runs certify
-        pieces.clear()
+        log.write_text("")
         result = run_scenario(_BOX)
         texts.append((result.csv_text, result.json_text))
+        pieces = {}
+        for line in log.read_text().splitlines():
+            item_values, count = map(int, line.split())
+            pieces[item_values] = max(pieces.get(item_values, 0), count)
         if block_values == 4000:
             # shift lanes, energy tiles (each point counted twice), certification
             # samples
@@ -87,7 +93,8 @@ def test_run_bytes_do_not_depend_on_the_block_size(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_run_starts_no_thread(monkeypatch):
     # on two CPUs, at 32 points a chunk, the helper contracts half of each
-    # 2-D energy sample's 9 chunks, and both certifications run in this thread
+    # 2-D energy sample's 9 chunks, and both certifications run in a forked
+    # child; this process starts no thread
     contracted = []
     real = solver._Helper.contract
 

@@ -17,8 +17,9 @@ _1D = RunConfig(nodes=(41,), n_rho=9, n_tau=4, u0="0.3*sin(pi*x)", u1="0.2*sin(2
 _2D = replace(_1D, dimension=2, lengths=(1.0, 1.0), u0="0.3*sin(pi*x)*sin(pi*y)",
               u1="0.2*sin(2*pi*x)*sin(pi*y)", f0="0.2*sin(2*pi*x)*sin(pi*y)")
 _VARIABLE = dict(m="2.2 + 0.3*x", p="3.2 + 0.3*x")
-# the grid points of each case fill the last energy chunk of 8 points with
-# 0 to 3 of them, merged into the chunk before when not empty
+# small blocks cut an energy sample into tiles of 4 points; the grid points
+# of each case leave 0 to 3 past the last whole tile, merged into the tile
+# before when there are any
 CONFIGS = {
     "1d-m2.5-f0-reads-s": replace(_1D, m="2.5", f0="0.2*sin(2*pi*x)*cos(s)"),  # 41 points
     "1d-variable-n_tau5": replace(_1D, nodes=(43,), n_tau=5, **_VARIABLE),  # 43
@@ -43,7 +44,8 @@ WAYS = {
 def _run(monkeypatch, problem, helper, small):
     """(trajectory, energy samples the helper contracted part of) of
     solver.run of problem the given way, which forks one helper or none;
-    small blocks are 8 energy points, and cut the shift of every config too."""
+    small blocks hold 8 energy points, so an energy sample is cut into tiles
+    of half a block, 4 points, and they cut the shift of every config too."""
     if helper and not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
     cfg, started, contracted = problem.config, [], []
@@ -82,9 +84,9 @@ def test_run_equals_the_reference_run(monkeypatch, name, way):
     problem = solver.build_problem(CONFIGS[name])
     got, contracted = _run(monkeypatch, problem, *WAYS[way])
     assert _bits(got) == _bits(reference_run(problem))
-    # at 8 points a chunk every sample has several chunks, and the helper
-    # contracts half of them, in either way of a stretch; one chunk stays in
-    # the calling process
+    # in 4-point tiles every sample has several tiles, and the helper
+    # contracts half of them, in either way of a stretch; a field of one
+    # tile stays in the calling process
     assert contracted == (len(got.reports) if way == "switching" else 0)
     # only the blow-up case stops at its threshold and forms the indicator
     blowup = (got.termination == solver.TERMINATED_BLOWUP,

@@ -20,11 +20,11 @@ enter the calling process; the memo of the results stays in it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import math
 import os
-import struct
 import threading
 from dataclasses import dataclass
 
@@ -44,8 +44,6 @@ _BATCH = 500  # samples per batch of the family, whose draws' sizes depend on it
 # relative inflation of the screen's ratio bound: its samples and energies
 # round differently from the exact ones, by about 1e-13 relative
 _SCREEN_MARGIN = 1e-6
-# the certifier child's answer on its pipe: one raw float64
-_RATIO = struct.Struct("d")
 
 _GAUSS_POINTS = 10  # coarse rule of the life-span quadrature; the fine one has 20
 _MAX_PANELS = 1 << 12  # panel evaluations before the life-span quadrature gives up
@@ -353,14 +351,12 @@ def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
 
 def _family_ratio(grid, n_samples, seed, **exponents) -> float:
     """_max_split_ratio over the family drawn by np.random.default_rng(seed),
-    computed in a short-lived child forked by ``parallel.fork``, which sends
-    the ratio back on a pipe as the 8 bytes of one float64.
-
-    numpy.random, whose ``secrets`` import loads OpenSSL's libcrypto, and the
-    family's batch arrays thus stay in the child and never raise this
-    process's peak memory. Where os.fork does not exist the ratio is
-    computed here. Raises ChildProcessError, once the child is reaped, if it
-    exits nonzero or by a signal, or sends anything but 8 bytes.
+    computed in a short-lived ``parallel.Child``: numpy.random, whose
+    ``secrets`` import loads OpenSSL's libcrypto, and the family's batch
+    arrays thus stay in the child and never raise this process's peak
+    memory. Where os.fork does not exist the ratio is computed here. Raises
+    ChildProcessError, once the child is reaped, if it ends before it sends
+    the ratio.
     """
     def certify():
         return _max_split_ratio(grid, n_samples=n_samples,
@@ -368,22 +364,9 @@ def _family_ratio(grid, n_samples, seed, **exponents) -> float:
 
     if not hasattr(os, "fork"):
         return certify()
-    read, write = os.pipe()
-    try:
-        pid = parallel.fork(lambda: os.write(write, _RATIO.pack(certify())), keep=(write,))
-    except OSError:
-        os.close(read)
-        raise
-    finally:
-        os.close(write)
-    with open(read, "rb") as pipe:
-        try:
-            sent = pipe.read()
-        finally:
-            status = os.waitpid(pid, 0)[1]
-    if status or len(sent) != _RATIO.size:
-        raise ChildProcessError(f"the embedding-constant certifier (pid {pid}) failed")
-    return _RATIO.unpack(sent)[0]
+    with contextlib.closing(parallel.Child(lambda: [certify()],
+                                           "the embedding-constant certifier")) as child:
+        return child.receive()
 
 
 _ratio_memo = {}

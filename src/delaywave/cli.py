@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 from dataclasses import replace
@@ -81,8 +82,8 @@ def main(argv=None) -> int:
             cfg = replace(cfg, override_conditions=True)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        # a file, or a path under one, cannot hold the outputs
-        existing = next(path for path in (args.out, *args.out.parents) if path.exists())
+        # a file, a dangling symlink, or a path under one cannot hold the outputs
+        existing = next(path for path in (args.out, *args.out.parents) if os.path.lexists(path))
         if not existing.is_dir():
             raise ConfigError(f"--out {args.out}: {existing} is not a directory")
 

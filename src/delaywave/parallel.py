@@ -7,14 +7,16 @@ tiles of half a block, so a tile and its powered copy fit in one L2 together
 (``energetics._point_halves``); a field of one block or less is one tile.
 Where ``spare_cpu`` allows, ``solver.run`` forks one helper process that
 shifts half the lanes of each step and contracts half the tiles of each
-energy sample; all else runs in the calling thread. ``fork`` starts that
-helper and certification's short-lived child alike.
+energy sample; all else runs in the calling thread. ``fork`` starts every
+child: that helper, and each ``Child``, the certifier and sweep workers.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import signal
+import traceback
 
 # float64 values per block, 1 MiB: one block and a kernel's scratch stay in one
 # core's 2 MiB L2
@@ -35,8 +37,7 @@ def workers() -> int:
 
 
 def use_one_cpu():
-    """Use one CPU in this process from now on: a sweep worker's
-    initializer, as its siblings use the other CPUs."""
+    """Use one CPU in this process from now on: a sweep worker's share."""
     global _one_cpu
     _one_cpu = True
 
@@ -61,7 +62,7 @@ def chunks(n: int, item_values: int, multiple: int = 1) -> list:
 
 def fork(work, keep) -> int:
     """Fork a child that runs ``work()`` and ends with ``os._exit``, status 0
-    if it returns and 1 if it raises; the child's pid.
+    if it returns and 1, its traceback printed, if it raises; the child's pid.
 
     SIGINT stays blocked across the fork, so it cannot interrupt the child
     before the child ignores it. The child closes every file descriptor but
@@ -89,5 +90,49 @@ def fork(work, keep) -> int:
         os.closerange(low, os.sysconf("SC_OPEN_MAX"))
         work()
         code = 0
+    except Exception:
+        traceback.print_exc()  # stderr is at most line-buffered: no flush waits
     finally:
         os._exit(code)
+
+
+class Child:
+    """A ``fork`` child that runs ``work()`` and sends each value of the
+    iterable it returns, as it comes, pickled on a pipe (a float64 comes back
+    bit for bit). ``receive`` returns the next; if the child ends first, or
+    is closed, it raises ChildProcessError naming the child and its pid.
+    ``close`` kills the child if it still runs and reaps it, so none
+    outlives its caller."""
+
+    def __init__(self, work, name):
+        def send():
+            with open(write, "wb") as pipe:
+                for value in work():
+                    pickle.dump(value, pipe, pickle.HIGHEST_PROTOCOL)
+                    pipe.flush()  # each value as soon as it is made
+
+        read, write = os.pipe()
+        try:
+            self.pid = fork(send, keep=(write,))
+        except OSError:
+            os.close(read)
+            raise
+        finally:
+            os.close(write)
+        self.name = name
+        self._pipe = open(read, "rb")
+
+    def receive(self):
+        if not self._pipe.closed:
+            try:
+                return pickle.load(self._pipe)
+            except (EOFError, pickle.UnpicklingError):  # the child is ending
+                os.waitpid(self.pid, 0)  # not killed: it may still print its traceback
+                self._pipe.close()
+        raise ChildProcessError(f"{self.name} (pid {self.pid}) failed")
+
+    def close(self):
+        if not self._pipe.closed:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self._pipe.close()

@@ -3,10 +3,10 @@ bit-stable CSV/JSON serialization.
 
 A run is two steps: ``simulate`` (build the problem, gate it, integrate it)
 and ``analyse`` (certify, bound, classify, serialize); ``run_scenario`` is
-one after the other. ``sweep`` simulates its points in forked worker
-processes and analyses each in the calling process as it arrives, so the
-certification memo stays in that one process; the family runs in a child
-(``analysis._family_ratio``).
+one after the other. ``sweep`` simulates its points in forked workers
+(``parallel.Child``) and analyses each in the calling process as it arrives,
+so the certification memo stays in that one process; the family runs in a
+child of its own (``analysis._family_ratio``).
 
 Two executions of the same config produce byte-identical outputs: numbers
 are written in shortest round-trip form, randomized certifications are
@@ -17,6 +17,7 @@ files (wall time goes to the log, the JSON field stays null).
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -271,34 +272,31 @@ def _simulate_point(config):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _fork_pool(processes):
-    """A pool of `processes` forked workers; None where fork is not available.
-
-    fork, not spawn or forkserver: a forked worker starts with numpy and
-    delaywave already imported. It relies on no other inherited state: a
-    worker only simulates, so it never reads the certification memo. Each
-    worker is capped at one CPU, its share, so it forks no shift helper and
-    contracts each energy sample in its own thread.
-    """
-    import multiprocessing  # here: a single run never imports it
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork").Pool(processes,
-                                                    initializer=parallel.use_one_cpu)
-
-
 def _simulations(configs):
-    """_simulate_point of each config, in input order, as each is done: on
-    forked worker processes with several points and CPUs, while the caller
-    works on those already done; otherwise inline, starting no process."""
-    processes = min(len(configs), parallel.workers())
-    pool = _fork_pool(processes) if processes > 1 else None
-    if pool is None:
+    """_simulate_point of each config, in input order, as each is done. With
+    several points and CPUs, ``parallel.Child`` worker i of n simulates points
+    i, i + n, ... (a dead worker's points are its ChildProcessError's text)
+    while the caller works on those done; otherwise they run inline."""
+    def stripe(i):  # capped at one CPU, its share, a worker forks no helper
+        parallel.use_one_cpu()
+        return map(_simulate_point, configs[i::n])
+
+    n = min(len(configs), parallel.workers())
+    if n < 2 or not hasattr(os, "fork"):
         yield from map(_simulate_point, configs)
         return
-    with pool:
-        yield from pool.imap(_simulate_point, configs)
+    with contextlib.ExitStack() as workers:
+        children = []
+        for i in range(n):
+            child = parallel.Child(functools.partial(stripe, i), "the sweep worker")
+            workers.callback(child.close)
+            children.append(child)
+        for j in range(len(configs)):
+            try:
+                point = children[j % n].receive()
+            except ChildProcessError as exc:  # recorded per point, sweep continues
+                point = f"{type(exc).__name__}: {exc}"
+            yield point
 
 
 def _analyse_point(point, out_dir):

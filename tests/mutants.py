@@ -86,11 +86,11 @@ MUTATIONS = [
              (("num_low=2.0 * p1 - 2.0,", "num_low=2.0 * p1,"),), CERTIFY),
     # the certifier child's hand-off of the ratio to the calling process
     Mutation("ratio-sent-as-float32", "analysis.py",
-             (('_RATIO = struct.Struct("d")', '_RATIO = struct.Struct("f")'),), CERTIFY),
-    Mutation("ratio-sent-short", "analysis.py",
-             (("os.write(write, _RATIO.pack(certify()))",
-               "os.write(write, _RATIO.pack(certify())[:-1])"),), CERTIFY),
-    Mutation("certifier-closes-its-pipe-end", "analysis.py",
+             (("lambda: [certify()]", "lambda: [float(np.float32(certify()))]"),), CERTIFY),
+    Mutation("ratio-sent-short", "parallel.py",
+             (("pickle.dump(value, pipe, pickle.HIGHEST_PROTOCOL)",
+               "pipe.write(pickle.dumps(value, pickle.HIGHEST_PROTOCOL)[:-1])"),), CERTIFY),
+    Mutation("certifier-closes-its-pipe-end", "parallel.py",
              (("keep=(write,)", "keep=()"),), CERTIFY),
 ]
 

@@ -30,7 +30,8 @@ def _certify():
 def test_runs_load_no_numpy_random():
     # numpy.random imports secrets, which loads OpenSSL's libcrypto: about
     # 5 MB that only the certifier child may hold, in a single run and in a
-    # sweep whose points run in forked workers alike
+    # sweep whose points run in forked workers alike; neither imports
+    # multiprocessing
     code = ("import sys; from delaywave import parallel; "
             "from delaywave.config import load_preset, parse_config; "
             "from delaywave.scenario import run_scenario, sweep; "
@@ -40,6 +41,7 @@ def test_runs_load_no_numpy_random():
             "seen = [loaded()]; "
             "rows, _ = sweep(parse_config(load_preset('blowup')), 'scale', [5.5, 6.0]); "
             "seen.append(loaded()); "
+            "assert 'multiprocessing' not in sys.modules; "
             "assert result.summary['constants']['c_embed_gate'] > 0.0; "
             "assert all(row['summary']['constants']['c_embed_bound'] for row in rows); "
             "print(seen)")
@@ -70,8 +72,8 @@ def test_a_memo_miss_forks_one_child_and_a_hit_none(monkeypatch):
 @pytest.mark.parametrize("mode", ["raises", "killed", "sends-nothing"])
 def test_a_failed_certifier_raises_and_is_reaped(monkeypatch, mode):
     # the child raises (status 1), is killed by a signal, or exits 0 before
-    # it sends its 8 bytes (a short read); the child checks its pid so that
-    # a maximization run in this process cannot end it
+    # it sends the ratio; the child checks its pid so that a maximization
+    # run in this process cannot end it
     caller = os.getpid()
 
     def fail(*args, **kwargs):
@@ -131,3 +133,14 @@ def test_cli_run_whose_certifier_fails_exits_1_and_prints_once(tmp_path):
     assert "ChildProcessError: the embedding-constant certifier (pid" in done.stderr
     assert done.stdout == "before the run\nchildren left: none\n"
     assert not (tmp_path / "run" / "summary.json").exists()
+
+
+def test_cli_run_whose_certifier_raises_prints_the_childs_traceback(tmp_path):
+    code = ("import sys; from delaywave import analysis, cli; "
+            "analysis._max_split_ratio = lambda *args, **kwargs: 1 / 0; "
+            "sys.exit(cli.main(['--preset', 'conservation', '--out', sys.argv[1]]))")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run")], env=ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stderr
+    assert "ZeroDivisionError: division by zero" in done.stderr
+    assert "ChildProcessError: the embedding-constant certifier (pid" in done.stderr

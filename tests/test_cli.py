@@ -191,6 +191,26 @@ def test_cli_out_that_cannot_be_a_directory_exit_2_before_any_step(tmp_path, cap
     assert (tmp_path / "file").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("args", [["--preset", "conservation"],
+                                  ["--preset", "blowup", "--sweep", "scale=6,7"]],
+                         ids=["run", "sweep"])
+def test_cli_out_that_is_a_dangling_symlink_exit_2_before_any_step(tmp_path, capsys,
+                                                                    monkeypatch, args):
+    from delaywave import solver
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+    monkeypatch.setattr(solver, "step", no_step)
+    monkeypatch.chdir(tmp_path)
+    os.symlink("missing", "link")
+    code = cli.main(args + ["--out", "link"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error == {"type": "config", "message": "--out link: link is not a directory"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link"]
+    assert os.readlink(tmp_path / "link") == "missing"
+
+
 def test_cli_condition_failure_exit_4_and_override(tmp_path, capsys):
     doc = """
 [exponents]

@@ -24,7 +24,6 @@ import contextlib
 import functools
 import logging
 import math
-import os
 import threading
 from dataclasses import dataclass
 
@@ -354,16 +353,14 @@ def _family_ratio(grid, n_samples, seed, **exponents) -> float:
     computed in a short-lived ``parallel.Child``: numpy.random, whose
     ``secrets`` import loads OpenSSL's libcrypto, and the family's batch
     arrays thus stay in the child and never raise this process's peak
-    memory. Where os.fork does not exist the ratio is computed here. Raises
-    ChildProcessError, once the child is reaped, if it ends before it sends
-    the ratio.
+    memory; where the child cannot be forked it computes the ratio here.
+    Raises ChildProcessError, once the child is reaped, if it ends before it
+    sends the ratio.
     """
     def certify():
         return _max_split_ratio(grid, n_samples=n_samples,
                                 rng=np.random.default_rng(seed), **exponents)
 
-    if not hasattr(os, "fork"):
-        return certify()
     with contextlib.closing(parallel.Child(lambda: [certify()],
                                            "the embedding-constant certifier")) as child:
         return child.receive()

@@ -1,18 +1,20 @@
-"""How big-array kernels cut their work, and how many CPUs a run may use.
+"""How big-array kernels cut their work, and what runs in a child process.
 
 ``chunks`` cuts the upwind shift's tau lanes, the energy sample's grid
 points and certification's samples into blocks of about ``BLOCK_VALUES``
 values. The energy sample cuts a memory field of more than one block into
 tiles of half a block, so a tile and its powered copy fit in one L2 together
 (``energetics._point_halves``); a field of one block or less is one tile.
-Where ``spare_cpu`` allows, ``solver.run`` forks one helper process that
-shifts half the lanes of each step and contracts half the tiles of each
-energy sample; all else runs in the calling thread. ``fork`` starts every
-child: that helper, and each ``Child``, the certifier and sweep workers.
+One rule holds for every child process: ``fork`` starts each (the run's
+shift helper, and each ``Child``: the certifier and sweep workers) as a
+process of one CPU (``workers``), and a ``Child`` that cannot be forked runs
+its work in the caller, with the same bytes. Where ``workers`` allows two
+CPUs, never where os.fork does not exist, ``solver.run`` forks the helper.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 import signal
@@ -22,30 +24,20 @@ import traceback
 # core's 2 MiB L2
 BLOCK_VALUES = 1 << 17
 
-_one_cpu = False  # set by use_one_cpu
+log = logging.getLogger(__name__)
+
+_child = False  # set in every child that fork starts
 
 
 def workers() -> int:
-    """CPUs this process may use: those it may run on, or one after
-    use_one_cpu."""
-    if _one_cpu:
+    """CPUs this process may use: one in a child that ``fork`` started, or
+    where os.fork does not exist; else those it may run on."""
+    if _child or not hasattr(os, "fork"):
         return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         return os.cpu_count() or 1
-
-
-def use_one_cpu():
-    """Use one CPU in this process from now on: a sweep worker's share."""
-    global _one_cpu
-    _one_cpu = True
-
-
-def spare_cpu() -> bool:
-    """Whether the caller may fork a helper process to use a second CPU:
-    fork exists and the process may use two CPUs."""
-    return hasattr(os, "fork") and workers() >= 2
 
 
 def chunks(n: int, item_values: int, multiple: int = 1) -> list:
@@ -63,6 +55,7 @@ def chunks(n: int, item_values: int, multiple: int = 1) -> list:
 def fork(work, keep) -> int:
     """Fork a child that runs ``work()`` and ends with ``os._exit``, status 0
     if it returns and 1, its traceback printed, if it raises; the child's pid.
+    The child uses one CPU (``workers``), so it forks no helper of its own.
 
     SIGINT stays blocked across the fork, so it cannot interrupt the child
     before the child ignores it. The child closes every file descriptor but
@@ -79,7 +72,8 @@ def fork(work, keep) -> int:
     if pid:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         return pid
-    code = 1
+    global _child
+    _child, code = True, 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -102,9 +96,23 @@ class Child:
     bit for bit). ``receive`` returns the next; if the child ends first, or
     is closed, it raises ChildProcessError naming the child and its pid.
     ``close`` kills the child if it still runs and reaps it, so none
-    outlives its caller."""
+    outlives its caller. Where os.fork does not exist, or the pipe or fork
+    fails with OSError (a warning names the child), ``pid`` is None and
+    ``receive`` takes the next value of ``iter(work())`` in the caller."""
 
     def __init__(self, work, name):
+        self.name = name
+        self.pid = None
+        if hasattr(os, "fork"):
+            try:
+                self._pipe = self._start(work)
+                return
+            except OSError as exc:  # no process or pipe to spare
+                log.warning("cannot start %s (%s); running its work here", name, exc)
+        self._values = iter(work())
+
+    def _start(self, work):
+        """Fork the child; the read end of its pipe."""
         def send():
             with open(write, "wb") as pipe:
                 for value in work():
@@ -119,10 +127,13 @@ class Child:
             raise
         finally:
             os.close(write)
-        self.name = name
-        self._pipe = open(read, "rb")
+        return open(read, "rb")
 
     def receive(self):
+        if self.pid is None:
+            for value in self._values:
+                return value
+            raise ChildProcessError(f"{self.name} ended")
         if not self._pipe.closed:
             try:
                 return pickle.load(self._pipe)
@@ -132,7 +143,9 @@ class Child:
         raise ChildProcessError(f"{self.name} (pid {self.pid}) failed")
 
     def close(self):
-        if not self._pipe.closed:
+        if self.pid is None:
+            self._values = iter(())
+        elif not self._pipe.closed:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self._pipe.close()

@@ -17,7 +17,9 @@ files (wall time goes to the log, the JSON field stays null).
 from __future__ import annotations
 
 import contextlib
+import csv
 import functools
+import io
 import json
 import logging
 import math
@@ -274,21 +276,19 @@ def _simulate_point(config):
 
 def _simulations(configs):
     """_simulate_point of each config, in input order, as each is done. With
-    several points and CPUs, ``parallel.Child`` worker i of n simulates points
-    i, i + n, ... (a dead worker's points are its ChildProcessError's text)
-    while the caller works on those done; otherwise they run inline."""
-    def stripe(i):  # capped at one CPU, its share, a worker forks no helper
-        parallel.use_one_cpu()
-        return map(_simulate_point, configs[i::n])
-
+    several points and ``parallel.workers``, ``parallel.Child`` worker i of n
+    simulates points i, i + n, ... (a dead worker's points are its
+    ChildProcessError's text) while the caller works on those done; a worker
+    uses one CPU, its share, and forks no helper. Otherwise they run inline."""
     n = min(len(configs), parallel.workers())
-    if n < 2 or not hasattr(os, "fork"):
+    if n < 2:
         yield from map(_simulate_point, configs)
         return
     with contextlib.ExitStack() as workers:
         children = []
         for i in range(n):
-            child = parallel.Child(functools.partial(stripe, i), "the sweep worker")
+            child = parallel.Child(functools.partial(map, _simulate_point, configs[i::n]),
+                                   "the sweep worker")
             workers.callback(child.close)
             children.append(child)
         for j in range(len(configs)):
@@ -336,15 +336,17 @@ def sweep(config: RunConfig, key, values, out_dir=None):
             results.append((value, summary, error))
     results.sort(key=lambda item: (math.isnan(item[0]), item[0]))
 
-    header = (key, "classification", "termination", "T_measured", "T_low",
-              "E0", "E_final", "gate_passed", "error")
-    lines = [",".join(header)]
+    # csv quotes only a field with a comma, quote or newline: an error's text
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow((key, "classification", "termination", "T_measured", "T_low",
+                     "E0", "E_final", "gate_passed", "error"))
     rows = []
     for value, summary, error in results:
         if summary is None:
-            lines.append(",".join((_fmt(value), "failed", "", "", "", "", "", "", error or "")))
+            writer.writerow((_fmt(value), "failed", "", "", "", "", "", "", error or ""))
         else:
-            lines.append(",".join((
+            writer.writerow((
                 _fmt(value),
                 summary["classification"],
                 summary["termination"],
@@ -354,9 +356,8 @@ def sweep(config: RunConfig, key, values, out_dir=None):
                 _fmt(summary["energy"]["final"]),
                 str(summary["gate"]["passed"]).lower(),
                 "",
-            )))
+            ))
         rows.append({"value": value, "summary": summary, "error": error})
-    table = "\n".join(lines) + "\n"
     if out_dir is not None:
-        _write_atomic(out_dir, "sweep.csv", table)
-    return rows, table
+        _write_atomic(out_dir, "sweep.csv", table.getvalue())
+    return rows, table.getvalue()

@@ -39,12 +39,12 @@ arithmetic:
   buffer of delay terms and one of an energy sample's sums.
   The shift forms each block's terms from the strided tail ``z[:, -1]``
   straight into it, so step only sums them.
-``run`` forks a ``_Helper`` process, where a second CPU is free, that
-shifts lanes [0, n_tau // 2) in shared memory while the calling process
-kicks, drifts and shifts the other lanes, in the stretches of steps where
-that measures faster (a thread could not split the shift: it holds the GIL
-between its many small ufunc calls), and contracts half of each energy
-sample. ``step`` outside ``run`` shifts every lane itself.
+``run`` forks a ``_Helper`` process, where ``parallel.workers`` allows two
+CPUs, that shifts lanes [0, n_tau // 2) in shared memory while the calling
+process kicks, drifts and shifts the other lanes, in the stretches of steps
+where that measures faster (a thread could not split the shift: it holds
+the GIL between its many small ufunc calls), and contracts half of each
+energy sample. ``step`` outside ``run`` shifts every lane itself.
 ``run`` silences floating-point overflow once around its loop and checks
 each step's state for finiteness.
 """
@@ -615,16 +615,17 @@ def _auto_eps(report0, state0, problem):
 def run(problem: Problem) -> Trajectory:
     """Integrate to t_end or a threshold crossing.
 
-    Where a second CPU is free (``parallel.spare_cpu``), a ``_Helper``
-    process shifts half the memory field's lanes while that is faster, and
-    contracts half of each energy sample's tiles. It is forked before the
-    t = 0 energy sample, which it serves too, and reaped on the way out,
-    however the run ends.
+    Where ``parallel.workers`` allows two CPUs (never in a forked child,
+    nor where os.fork does not exist), a ``_Helper`` process shifts half the
+    memory field's lanes while that is faster, and contracts half of each
+    energy sample's tiles. It is forked before the t = 0 energy sample,
+    which it serves too, and reaped on the way out, however the run ends;
+    if it cannot be forked, this process does its part.
 
     Raises NumericalError when u or v stops being finite, and
     ChildProcessError when the helper dies.
     """
-    spare = parallel.spare_cpu()
+    spare = parallel.workers() >= 2
     state = init_state(problem, shared=spare)
     state.plan = _Plan(problem, state.z)
     helper = None

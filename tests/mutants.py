@@ -1,9 +1,11 @@
-"""Mutation gate of the two reference oracles.
+"""Mutation gate of the two reference oracles and of the process model.
 
     python tests/mutants.py [NAME ...]
 
 Each mutation below replaces exact texts of one file under src/ and names
-the reference test file that must see it. For each one the script copies
+the test file that must see it: a reference oracle's for the integrator and
+certification, the sweep's or the process model's for what runs in a forked
+child. For each one the script copies
 src/ to a temporary directory, applies the mutation there, and runs the
 fixed cases of that file (``-k "not property"``) against the copy: at least
 one must fail. A text that is not found exactly once fails the script, so a
@@ -33,6 +35,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 RUN = "tests/test_reference_run.py"
 CERTIFY = "tests/test_reference_certify.py"
+SWEEP = "tests/test_sweep.py"
+PROCESS = "tests/test_process_model.py"
 
 
 class Mutation(NamedTuple):
@@ -92,6 +96,13 @@ MUTATIONS = [
                "pipe.write(pickle.dumps(value, pickle.HIGHEST_PROTOCOL)[:-1])"),), CERTIFY),
     Mutation("certifier-closes-its-pipe-end", "parallel.py",
              (("keep=(write,)", "keep=()"),), CERTIFY),
+    # the process model: a forked child uses one CPU, and a child that
+    # cannot be forked runs its work in the caller
+    Mutation("child-keeps-the-callers-cpu-budget", "parallel.py",
+             (("_child, code = True, 1", "_child, code = False, 1"),), SWEEP),
+    Mutation("child-reraises-the-forks-oserror", "parallel.py",
+             (('log.warning("cannot start %s (%s); running its work here", name, exc)',
+               "raise"),), PROCESS),
 ]
 
 SURVIVORS = [

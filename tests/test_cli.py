@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -375,8 +376,8 @@ def test_sweep_records_overflow_as_failed_point(tmp_path, capsys):
                      "--out", str(out)])
     capsys.readouterr()
     assert code == 0
-    header, row = (out / "sweep.csv").read_text().strip().splitlines()
-    cells = dict(zip(header.split(","), row.split(",", len(header.split(",")) - 1)))
+    header, row = csv.reader((out / "sweep.csv").read_text().splitlines())
+    cells = dict(zip(header, row, strict=True))
     assert cells["classification"] == "failed"
     assert cells["error"].startswith("NumericalError: numerical overflow")
 
@@ -475,7 +476,7 @@ def test_negative_seed_is_a_config_error_before_any_step(tmp_path, capsys, monke
     if route == "sweep":
         assert code == 0
         row = (out / "sweep.csv").read_text().splitlines()[1]
-        assert row.endswith(",failed,,,,,,,ConfigError: seed must be nonnegative, got -1")
+        assert row.endswith(',failed,,,,,,,"ConfigError: seed must be nonnegative, got -1"')
         return
     error = json.loads(captured)["error"]
     assert code == 2

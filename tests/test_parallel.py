@@ -137,6 +137,6 @@ def test_energy_tiles_are_half_a_block_past_one_block(monkeypatch):
             real(helper)
 
         monkeypatch.setattr(solver._Helper, "contract", contract)
-        monkeypatch.setattr(parallel, "spare_cpu", lambda: True)
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
         trajectory = solver.run(solver.build_problem(replace(problem.config, t_end=0.5)))
         assert len(trajectory.reports) == 6 and not contracted

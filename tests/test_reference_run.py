@@ -61,7 +61,7 @@ def _run(monkeypatch, problem, helper, small):
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_Helper", Counted)
-        patch.setattr(parallel, "spare_cpu", lambda: helper is not None)
+        patch.setattr(parallel, "workers", lambda: 1 if helper is None else 2)
         if helper == "switching":
             patch.setattr(solver, "_STRETCH_STEPS", 2)
         if small:

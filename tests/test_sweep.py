@@ -1,5 +1,6 @@
 """Sweep points: simulated in forked worker processes, analysed in the caller."""
 
+import csv
 import os
 import signal
 import threading
@@ -111,6 +112,24 @@ def test_sweep_reports_a_keyed_config_error_from_a_worker(sweep_workers):
     assert pooled == inline
     assert pooled[0]["error"].startswith("ConfigError: ")
     assert table.splitlines()[1].split(",")[1] == "failed"
+
+
+def test_sweep_table_quotes_an_error_with_a_comma(tmp_path):
+    # an overflow's text holds a comma ("sup|u|=..., sup|v|=inf"); quoted, its
+    # row still has the header's 9 fields, and the error reads back verbatim
+    cfg = replace(parse_config(load_preset("blowup")), t_end=2.0, threshold=1e300)
+    rows, table = sweep(cfg, "scale", [6.0, 40.0], out_dir=str(tmp_path))
+    assert (tmp_path / "sweep.csv").read_text() == table
+    errors = [row["error"] for row in rows]
+    assert all(error.startswith("NumericalError: ") and ", sup|v|=inf" in error
+               for error in errors)
+    lines = table.splitlines()
+    assert lines[0] == "scale,classification,termination,T_measured,T_low,E0,E_final," \
+                       "gate_passed,error"
+    parsed = list(csv.reader(lines))
+    assert [len(fields) for fields in parsed] == [9] * 3
+    assert [fields[-1] for fields in parsed[1:]] == errors
+    assert lines[1] == f'6.0,failed,,,,,,,"{errors[0]}"'
 
 
 class _TwoArgumentError(Exception):

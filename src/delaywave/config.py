@@ -499,7 +499,9 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    import hashlib  # here: it loads OpenSSL, which nothing before analyse needs
+    # here: outside the CLI, hashlib loads OpenSSL's libcrypto, which nothing
+    # before analyse needs; the CLI's hashlib uses CPython's own sha256
+    import hashlib
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
 
 

@@ -8,8 +8,9 @@ tiles of half a block, so a tile and its powered copy fit in one L2 together
 One rule holds for every child process: ``fork`` starts each (the run's
 shift helper, and each ``Child``: the certifier and sweep workers) as a
 process of one CPU (``workers``), and a ``Child`` that cannot be forked runs
-its work in the caller, with the same bytes. Where ``workers`` allows two
-CPUs, never where os.fork does not exist, ``solver.run`` forks the helper.
+its work in the caller, as one CPU too, with the same bytes. Where
+``workers`` allows two CPUs, never where os.fork does not exist,
+``solver.run`` forks the helper.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ BLOCK_VALUES = 1 << 17
 
 log = logging.getLogger(__name__)
 
-_child = False  # set in every child that fork starts
+_child = False  # set in every child that fork starts, and while _as_child runs
 
 
 def workers() -> int:
@@ -90,6 +91,17 @@ def fork(work, keep) -> int:
         os._exit(code)
 
 
+def _as_child(call, *args):
+    """call(*args) as a child that ``fork`` started would run it: as one CPU
+    (``workers``), so it forks no helper of its own."""
+    global _child
+    caller, _child = _child, True
+    try:
+        return call(*args)
+    finally:
+        _child = caller
+
+
 class Child:
     """A ``fork`` child that runs ``work()`` and sends each value of the
     iterable it returns, as it comes, pickled on a pipe (a float64 comes back
@@ -98,7 +110,8 @@ class Child:
     ``close`` kills the child if it still runs and reaps it, so none
     outlives its caller. Where os.fork does not exist, or the pipe or fork
     fails with OSError (a warning names the child), ``pid`` is None and
-    ``receive`` takes the next value of ``iter(work())`` in the caller."""
+    ``receive`` takes the next value of ``iter(work())`` in the caller,
+    which runs it as one CPU (``_as_child``)."""
 
     def __init__(self, work, name):
         self.name = name
@@ -109,7 +122,7 @@ class Child:
                 return
             except OSError as exc:  # no process or pipe to spare
                 log.warning("cannot start %s (%s); running its work here", name, exc)
-        self._values = iter(work())
+        self._values = _as_child(lambda: iter(work()))
 
     def _start(self, work):
         """Fork the child; the read end of its pipe."""
@@ -131,9 +144,10 @@ class Child:
 
     def receive(self):
         if self.pid is None:
-            for value in self._values:
-                return value
-            raise ChildProcessError(f"{self.name} ended")
+            try:
+                return _as_child(next, self._values)
+            except StopIteration:
+                raise ChildProcessError(f"{self.name} ended") from None
         if not self._pipe.closed:
             try:
                 return pickle.load(self._pipe)

@@ -25,6 +25,7 @@ import logging
 import math
 import os
 import tempfile
+import types
 from dataclasses import dataclass
 
 from . import parallel
@@ -336,9 +337,11 @@ def sweep(config: RunConfig, key, values, out_dir=None):
             results.append((value, summary, error))
     results.sort(key=lambda item: (math.isnan(item[0]), item[0]))
 
-    # csv quotes only a field with a comma, quote or newline: an error's text
+    # csv quotes only a field with a comma, a quote or a character of its
+    # line terminator, so its default "\r\n" quotes an error's bare "\r" as
+    # well as its "\n"; each row is kept ending in "\n" alone
     table = io.StringIO()
-    writer = csv.writer(table, lineterminator="\n")
+    writer = csv.writer(types.SimpleNamespace(write=lambda row: table.write(row[:-2] + "\n")))
     writer.writerow((key, "classification", "termination", "T_measured", "T_low",
                      "E0", "E_final", "gate_passed", "error"))
     rows = []

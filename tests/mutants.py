@@ -1,16 +1,16 @@
-"""Mutation gate of the two reference oracles and of the process model.
+"""Mutation gate of the two reference oracles, the process model and the CLI.
 
     python tests/mutants.py [NAME ...]
 
 Each mutation below replaces exact texts of one file under src/ and names
 the test file that must see it: a reference oracle's for the integrator and
 certification, the sweep's or the process model's for what runs in a forked
-child. For each one the script copies
-src/ to a temporary directory, applies the mutation there, and runs the
-fixed cases of that file (``-k "not property"``) against the copy: at least
-one must fail. A text that is not found exactly once fails the script, so a
-refactor restates its mutations instead of dropping them. Each test file
-first runs once on an unmutated copy and must pass.
+child, the CLI's for what no process of a CLI run loads. For each one the
+script copies src/ to a temporary directory, applies the mutation there, and
+runs the fixed cases of that file (``-k "not property"``) against the copy:
+at least one must fail. A text that is not found exactly once fails the
+script, so a refactor restates its mutations instead of dropping them. Each
+test file first runs once on an unmutated copy and must pass.
 
 SURVIVORS are mutations known to pass the tests, each with the reason. They
 are run and reported, and do not fail the script, but their texts must
@@ -37,6 +37,7 @@ RUN = "tests/test_reference_run.py"
 CERTIFY = "tests/test_reference_certify.py"
 SWEEP = "tests/test_sweep.py"
 PROCESS = "tests/test_process_model.py"
+CLI = "tests/test_cli.py"
 
 
 class Mutation(NamedTuple):
@@ -103,6 +104,11 @@ MUTATIONS = [
     Mutation("child-reraises-the-forks-oserror", "parallel.py",
              (('log.warning("cannot start %s (%s); running its work here", name, exc)',
                "raise"),), PROCESS),
+    Mutation("inline-child-keeps-the-callers-cpus", "parallel.py",
+             (("caller, _child = _child, True", "caller, _child = _child, _child"),), PROCESS),
+    # the CLI keeps OpenSSL's libcrypto out of every process of its run
+    Mutation("cli-does-not-block-hashlib", "cli.py",
+             (('sys.modules.setdefault("_hashlib", None)', "pass"),), CLI),
 ]
 
 SURVIVORS = [

@@ -331,6 +331,92 @@ def test_2d_simulation_loads_no_openssl():
     assert done.stdout.strip() == "[False, False, True]"
 
 
+def _python(code, *args):
+    """``code`` run by a new interpreter importing delaywave from where this
+    process does, with ``args`` as its argv; its stdout's last line, read as
+    JSON."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_cli_runs_map_no_libcrypto(tmp_path):
+    # OpenSSL's libcrypto is about 3.3 MB resident, and no run needs it: main
+    # makes hashlib and hmac use CPython's own hashes, so neither config_hash
+    # in the run's process nor numpy.random's import of secrets in a forked
+    # child maps it. _hashlib is then a None entry of sys.modules, so the
+    # maps are checked, not the key; a child that imports _hashlib afresh
+    # shows that the check sees the library it looks for
+    code = """
+import contextlib, json, sys
+from delaywave import cli, parallel
+
+def libcrypto():
+    with open("/proc/self/maps") as maps:
+        return "libcrypto" in maps.read()
+
+def child():
+    import numpy.random
+    numpy.random.default_rng(1).uniform()
+    seen = [libcrypto()]
+    del sys.modules["_hashlib"]
+    import _hashlib
+    return seen + [libcrypto()]
+
+out = sys.argv[1]
+assert cli.main(["--preset", "decay_exponential", "--out", out + "/run"]) == 0
+seen = [libcrypto()]
+assert cli.main(["--preset", "blowup", "--sweep", "scale=5.5,6", "--out", out + "/sweep"]) == 0
+seen.append(libcrypto())
+with contextlib.closing(parallel.Child(lambda: [child()], "a child")) as forked:
+    seen.append(forked.receive())
+print(json.dumps(seen))
+"""
+    assert _python(code, tmp_path) == [False, False, [False, True]]
+
+
+_HASHES = """
+import importlib.util, json, sys
+from delaywave import cli
+from delaywave.config import load_preset, parse_config
+from delaywave.scenario import run_scenario
+assert cli.main(["--preset", "conservation", "--out", sys.argv[1]]) == 0
+with open(sys.argv[1] + "/summary.json") as summary:
+    written = summary.read()
+import hashlib
+used = type(hashlib.sha256()).__module__
+# hashlib afresh, with OpenSSL, for the library run
+sys.modules.pop("_hashlib")
+del sys.modules["hashlib"]
+openssl = importlib.util.find_spec("_hashlib") is not None
+import hashlib
+result = run_scenario(parse_config(load_preset("conservation")))
+print(json.dumps([used, openssl and type(hashlib.sha256()).__module__,
+                  json.loads(written)["config_hash"], result.summary["config_hash"],
+                  written == result.json_text]))
+"""
+
+
+@pytest.mark.parametrize("builtin_sha256", [True, False])
+def test_cli_config_hash_is_the_openssl_digest(tmp_path, builtin_sha256):
+    # where CPython's own sha256 can be found, main takes the hash with it;
+    # where it cannot, main leaves _hashlib alone. The digest is OpenSSL's
+    # either way
+    blocked = "" if builtin_sha256 else \
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+    used, openssl, written, digest, same = _python(blocked + _HASHES, tmp_path / "run")
+    if not openssl:
+        pytest.skip("this Python has no OpenSSL")
+    assert openssl == "_hashlib"
+    assert used in (("_sha2", "_sha256") if builtin_sha256 else ("_hashlib",))
+    assert written == digest and same
+
+
 def test_cli_lifespan_quadrature_cap_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(analysis, "_MAX_PANELS", 1)
     code = cli.main(["--preset", "blowup", "--out", str(tmp_path)])

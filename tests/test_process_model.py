@@ -85,3 +85,9 @@ def test_outputs_do_not_depend_on_the_process_model(two_cpus, monkeypatch, caplo
         assert any(message.startswith(f"cannot start {name} (") for message in warned)
     assert all(any(message.startswith(f"cannot start {name} (") for name in _CHILDREN)
                for message in warned)
+    # the sweep's workers run their points here, each as one CPU, as a
+    # forked worker would: no point tries to fork a helper
+    first = next(i for i, message in enumerate(warned)
+                 if message.startswith("cannot start the sweep worker ("))
+    assert not any(message.startswith("cannot start the shift helper (")
+                   for message in warned[first:])

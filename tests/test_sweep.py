@@ -1,6 +1,7 @@
 """Sweep points: simulated in forked worker processes, analysed in the caller."""
 
 import csv
+import io
 import os
 import signal
 import threading
@@ -130,6 +131,28 @@ def test_sweep_table_quotes_an_error_with_a_comma(tmp_path):
     assert [len(fields) for fields in parsed] == [9] * 3
     assert [fields[-1] for fields in parsed[1:]] == errors
     assert lines[1] == f'6.0,failed,,,,,,,"{errors[0]}"'
+
+
+def test_sweep_table_quotes_an_error_with_a_carriage_return(monkeypatch):
+    # csv.reader ends a row at a bare "\r" as at "\n" unless it is quoted;
+    # quoted, the failed row has the header's 9 fields and reads back
+    # verbatim, and the other rows keep their bytes
+    real = scenario.build_problem
+
+    def broken(config):
+        if config.scale == 7.0:
+            raise ValueError("no\rproblem")
+        return real(config)
+
+    _, plain = sweep(_short_blowup(), "scale", [6.0])
+    monkeypatch.setattr(scenario, "build_problem", broken)
+    rows, table = sweep(_short_blowup(), "scale", [6.0, 7.0])
+    error = "ValueError: no\rproblem"
+    assert rows[1]["error"] == error
+    assert table == plain + f'7.0,failed,,,,,,,"{error}"\n'
+    parsed = list(csv.reader(io.StringIO(table, newline="")))
+    assert [len(fields) for fields in parsed] == [9] * 3
+    assert parsed[2][-1] == error
 
 
 class _TwoArgumentError(Exception):

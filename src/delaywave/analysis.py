@@ -15,8 +15,8 @@ and scores exactly only those whose bound can still beat the best exact
 ratio so far; as max is exact, the result is bitwise the maximum over the
 whole family (_max_split_ratio). Each maximization runs in a short-lived
 forked child (_family_ratio), so numpy.random and the family's arrays never
-enter the calling process; the memo of the results stays in it. Under the
-CLI, whose hashlib uses CPython's own hashes, the child maps no OpenSSL.
+enter the calling process; the memo of the results stays in it. In a process
+run from ``__main__``, whose hashlib uses CPython's own hashes, the child maps no OpenSSL.
 """
 
 from __future__ import annotations
@@ -352,8 +352,8 @@ def _max_split_ratio(grid, num_low, num_high, den_low, den_high, num_scale,
 def _family_ratio(grid, n_samples, seed, **exponents) -> float:
     """_max_split_ratio over the family drawn by np.random.default_rng(seed),
     computed in a short-lived ``parallel.Child``: numpy.random (whose
-    ``secrets`` import loads OpenSSL's libcrypto, unless ``cli.main`` has
-    blocked ``_hashlib``) and the family's batch arrays thus stay in the
+    ``secrets`` import loads OpenSSL's libcrypto, unless the process entry
+    has blocked ``_hashlib``) and the family's batch arrays thus stay in the
     child and never raise this process's peak memory; where the child
     cannot be forked it computes the ratio here.
     Raises ChildProcessError, once the child is reaped, if it ends before it

@@ -1,4 +1,4 @@
-"""Command-line entry point.
+"""Command-line interface; ``__main__`` is the process entry.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 failed
 admissibility checks without override. Errors are printed to stdout as a
@@ -8,7 +8,6 @@ JSON object; wall time goes to stderr so the written files stay bit-stable.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import logging
 import os
@@ -66,12 +65,6 @@ def _error_json(kind, exc):
 
 
 def main(argv=None) -> int:
-    # with _hashlib None, hashlib and hmac use CPython's own hashes, as on a
-    # build without OpenSSL: config_hash's sha256 is the same digest, and no
-    # process of the run (this one, the helper, each certifier importing
-    # numpy.random and each sweep worker) maps libcrypto, about 3.3 MB
-    if importlib.util.find_spec("_sha2" if sys.version_info >= (3, 12) else "_sha256"):
-        sys.modules.setdefault("_hashlib", None)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
 
@@ -123,7 +116,3 @@ def main(argv=None) -> int:
     except ConditionError as exc:
         print(_error_json("conditions", exc))
         return EXIT_CONDITIONS
-
-
-if __name__ == "__main__":
-    sys.exit(main())

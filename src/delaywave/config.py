@@ -499,8 +499,8 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    # here: outside the CLI, hashlib loads OpenSSL's libcrypto, which nothing
-    # before analyse needs; the CLI's hashlib uses CPython's own sha256
+    # here: hashlib loads OpenSSL's libcrypto, which nothing before analyse
+    # needs, unless the process entry has it use CPython's own sha256
     import hashlib
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
 

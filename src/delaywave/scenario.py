@@ -58,12 +58,7 @@ EXIT_CONDITIONS = 4
 
 
 def _fmt(value):
-    if value is None:
-        return "nan"
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    return repr(value)
+    return "nan" if value is None else repr(float(value))  # "nan" for a NaN of either sign
 
 
 def trajectory_csv(trajectory) -> str:
@@ -264,6 +259,11 @@ def _write_atomic(out_dir, name, text):
         raise
 
 
+def _failure(exc):
+    """A failed sweep point's text, as its sweep.csv row records it."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _simulate_point(config):
     """simulate() as a sweep worker runs it: a failure comes back as its
     text, formatted where it was raised, so an exception that does not
@@ -272,7 +272,7 @@ def _simulate_point(config):
     try:
         return simulate(config)
     except Exception as exc:  # recorded per point, sweep continues
-        return f"{type(exc).__name__}: {exc}"
+        return _failure(exc)
 
 
 def _simulations(configs):
@@ -296,7 +296,7 @@ def _simulations(configs):
             try:
                 point = children[j % n].receive()
             except ChildProcessError as exc:  # recorded per point, sweep continues
-                point = f"{type(exc).__name__}: {exc}"
+                point = _failure(exc)
             yield point
 
 
@@ -307,22 +307,23 @@ def _analyse_point(point, out_dir):
     try:
         return analyse(*point, out_dir).summary, None
     except Exception as exc:  # recorded per point, sweep continues
-        return None, f"{type(exc).__name__}: {exc}"
+        return None, _failure(exc)
 
 
 def sweep(config: RunConfig, key, values, out_dir=None):
     """Run one scenario per axis value; failures are recorded, not fatal.
 
     Points are simulated by ``_simulations`` and each is analysed (and
-    certified) here, in input order, as it arrives. Returns (rows, table_csv) with rows ordered by axis value, NaN last,
-    independent of input and execution order.
+    certified) here, in input order, as it arrives. Returns (rows, table_csv)
+    with rows ordered by axis value, NaN last, independent of input and
+    execution order.
     """
     values = [float(v) for v in values]
     # a bad key or value fails before any point runs, and so does a repeated
-    # value, which would run its point twice and write its directory twice
+    # value (NaN too), which would run its point and write its directory twice
     configs = [_apply_axis(config, key, value) for value in values]
     for i, value in enumerate(values):
-        if any(value == other for other in values[:i]):
+        if any(value == other or math.isnan(value) and math.isnan(other) for other in values[:i]):
             raise ConfigError(f"sweep value {_fmt(value)} of {key} is repeated", key=key)
 
     results = []

@@ -5,12 +5,13 @@
 Each mutation below replaces exact texts of one file under src/ and names
 the test file that must see it: a reference oracle's for the integrator and
 certification, the sweep's or the process model's for what runs in a forked
-child, the CLI's for what no process of a CLI run loads. For each one the
-script copies src/ to a temporary directory, applies the mutation there, and
-runs the fixed cases of that file (``-k "not property"``) against the copy:
-at least one must fail. A text that is not found exactly once fails the
-script, so a refactor restates its mutations instead of dropping them. Each
-test file first runs once on an unmutated copy and must pass.
+child, the CLI's for what no process of a CLI run loads and for the hashlib
+an in-process ``cli.main`` leaves its caller. For each one the script copies
+src/ to a temporary directory, applies the mutation there, and runs the
+fixed cases of that file (``-k "not property"``) against the copy: at least
+one must fail. A text that is not found exactly once fails the script, so a
+refactor restates its mutations instead of dropping them. Each test file
+first runs once on an unmutated copy and must pass.
 
 SURVIVORS are mutations known to pass the tests, each with the reason. They
 are run and reported, and do not fail the script, but their texts must
@@ -106,9 +107,14 @@ MUTATIONS = [
                "raise"),), PROCESS),
     Mutation("inline-child-keeps-the-callers-cpus", "parallel.py",
              (("caller, _child = _child, True", "caller, _child = _child, _child"),), PROCESS),
-    # the CLI keeps OpenSSL's libcrypto out of every process of its run
-    Mutation("cli-does-not-block-hashlib", "cli.py",
+    # the process entry keeps OpenSSL's libcrypto out of every process of a
+    # CLI run, and cli.main leaves its caller's hashlib alone
+    Mutation("entry-does-not-block-hashlib", "__main__.py",
              (('sys.modules.setdefault("_hashlib", None)', "pass"),), CLI),
+    Mutation("cli-main-blocks-hashlib", "cli.py",
+             (("def main(argv=None) -> int:\n",
+               "def main(argv=None) -> int:\n    sys.modules.setdefault(\"_hashlib\", None)\n"),),
+             CLI),
 ]
 
 SURVIVORS = [

@@ -7,20 +7,16 @@ that fails is reported and reaped."""
 import os
 import re
 import signal
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+
+from _runs import run_python
 
 from delaywave import analysis
 from delaywave.analysis import embedding_constant_for_gate
 from delaywave.spaces import make_grid
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-ENV = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
 
 
 def _certify():
@@ -45,8 +41,7 @@ def test_runs_load_no_numpy_random():
             "assert result.summary['constants']['c_embed_gate'] > 0.0; "
             "assert all(row['summary']['constants']['c_embed_bound'] for row in rows); "
             "print(seen)")
-    done = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True,
-                          text=True, timeout=300)
+    done = run_python(code, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[[False, False], [False, False]]"
 
@@ -126,9 +121,8 @@ sys.exit(code)
 
 
 def test_cli_run_whose_certifier_fails_exits_1_and_prints_once(tmp_path):
-    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}  # a buffered stdout
-    done = subprocess.run([sys.executable, "-c", _SCRIPT, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # a buffered stdout
+    done = run_python(_SCRIPT, tmp_path, env=env, timeout=120)
     assert done.returncode == 1, done.stderr
     assert "ChildProcessError: the embedding-constant certifier (pid" in done.stderr
     assert done.stdout == "before the run\nchildren left: none\n"
@@ -139,8 +133,7 @@ def test_cli_run_whose_certifier_raises_prints_the_childs_traceback(tmp_path):
     code = ("import sys; from delaywave import analysis, cli; "
             "analysis._max_split_ratio = lambda *args, **kwargs: 1 / 0; "
             "sys.exit(cli.main(['--preset', 'conservation', '--out', sys.argv[1]]))")
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run")], env=ENV,
-                          capture_output=True, text=True, timeout=120)
+    done = run_python(code, tmp_path / "run", timeout=120)
     assert done.returncode == 1, done.stderr
     assert "ZeroDivisionError: division by zero" in done.stderr
     assert "ChildProcessError: the embedding-constant certifier (pid" in done.stderr

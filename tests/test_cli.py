@@ -1,13 +1,15 @@
 import csv
+import hashlib
+import importlib.util
 import json
 import math
 import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from _runs import preset_result, run_python
 
 from delaywave import analysis, cli
 from delaywave.config import _apply_axis, load_preset, parse_config, serialize_config
@@ -151,7 +153,8 @@ def test_cli_non_integer_sweep_value_exit_2(tmp_path, capsys, axis):
 
 
 @pytest.mark.parametrize("axis,repeated", [("scale=6,6", "6.0"), ("scale=5.5,6,6.0", "6.0"),
-                                           ("mu1=0,-0", "-0.0"), ("n_tau=16,8,16", "16.0")])
+                                           ("mu1=0,-0", "-0.0"), ("n_tau=16,8,16", "16.0"),
+                                           ("scale=nan,nan", "nan")])
 def test_cli_repeated_sweep_value_exit_2_before_any_step(tmp_path, capsys, monkeypatch,
                                                           axis, repeated):
     # a point given twice would run twice and write its directory twice
@@ -299,10 +302,7 @@ def test_cli_blowup_run_loads_no_scipy(tmp_path):
     code = ("import sys; from delaywave import cli; "
             f"code = cli.main(['--preset', 'blowup', '--out', {str(out)!r}]); "
             "sys.exit(code or sorted(m for m in sys.modules if m.startswith('scipy')) or 0)")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=300)
+    done = run_python(code, timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads((out / "summary.json").read_text())["T_low"] > 0.0
 
@@ -322,10 +322,7 @@ def test_2d_simulation_loads_no_openssl():
             "config_hash(cfg); "
             "loaded.append('_hashlib' in sys.modules); "
             "print(loaded)")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=300)
+    done = run_python(code, timeout=300)
     assert done.returncode == 0, done.stderr
     # the hash itself loads it: the check sees the module it looks for
     assert done.stdout.strip() == "[False, False, True]"
@@ -335,10 +332,7 @@ def _python(code, *args):
     """``code`` run by a new interpreter importing delaywave from where this
     process does, with ``args`` as its argv; its stdout's last line, read as
     JSON."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = run_python(code, *args, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -346,15 +340,16 @@ def _python(code, *args):
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_cli_runs_map_no_libcrypto(tmp_path):
-    # OpenSSL's libcrypto is about 3.3 MB resident, and no run needs it: main
-    # makes hashlib and hmac use CPython's own hashes, so neither config_hash
-    # in the run's process nor numpy.random's import of secrets in a forked
-    # child maps it. _hashlib is then a None entry of sys.modules, so the
-    # maps are checked, not the key; a child that imports _hashlib afresh
-    # shows that the check sees the library it looks for
+    # OpenSSL's libcrypto is about 3.3 MB resident, and no run needs it: the
+    # process entry makes hashlib and hmac use CPython's own hashes, so
+    # neither config_hash in the run's process nor numpy.random's import of
+    # secrets in a forked child maps it. _hashlib is then a None entry of
+    # sys.modules, so the maps are checked, not the key; a child that imports
+    # _hashlib afresh shows that the check sees the library it looks for
     code = """
 import contextlib, json, sys
-from delaywave import cli, parallel
+import delaywave.__main__ as entry
+from delaywave import parallel
 
 def libcrypto():
     with open("/proc/self/maps") as maps:
@@ -369,9 +364,9 @@ def child():
     return seen + [libcrypto()]
 
 out = sys.argv[1]
-assert cli.main(["--preset", "decay_exponential", "--out", out + "/run"]) == 0
+assert entry.main(["--preset", "decay_exponential", "--out", out + "/run"]) == 0
 seen = [libcrypto()]
-assert cli.main(["--preset", "blowup", "--sweep", "scale=5.5,6", "--out", out + "/sweep"]) == 0
+assert entry.main(["--preset", "blowup", "--sweep", "scale=5.5,6", "--out", out + "/sweep"]) == 0
 seen.append(libcrypto())
 with contextlib.closing(parallel.Child(lambda: [child()], "a child")) as forked:
     seen.append(forked.receive())
@@ -381,40 +376,49 @@ print(json.dumps(seen))
 
 
 _HASHES = """
-import importlib.util, json, sys
-from delaywave import cli
-from delaywave.config import load_preset, parse_config
-from delaywave.scenario import run_scenario
-assert cli.main(["--preset", "conservation", "--out", sys.argv[1]]) == 0
-with open(sys.argv[1] + "/summary.json") as summary:
-    written = summary.read()
+import json, sys
+import delaywave.__main__ as entry
+assert entry.main(["--preset", "conservation", "--out", sys.argv[1]]) == 0
 import hashlib
-used = type(hashlib.sha256()).__module__
-# hashlib afresh, with OpenSSL, for the library run
-sys.modules.pop("_hashlib")
-del sys.modules["hashlib"]
-openssl = importlib.util.find_spec("_hashlib") is not None
-import hashlib
-result = run_scenario(parse_config(load_preset("conservation")))
-print(json.dumps([used, openssl and type(hashlib.sha256()).__module__,
-                  json.loads(written)["config_hash"], result.summary["config_hash"],
-                  written == result.json_text]))
+print(json.dumps(type(hashlib.sha256()).__module__))
 """
 
 
 @pytest.mark.parametrize("builtin_sha256", [True, False])
 def test_cli_config_hash_is_the_openssl_digest(tmp_path, builtin_sha256):
-    # where CPython's own sha256 can be found, main takes the hash with it;
-    # where it cannot, main leaves _hashlib alone. The digest is OpenSSL's
-    # either way
+    # where CPython's own sha256 can be found, the process entry takes the
+    # hash with it; where it cannot, the entry leaves _hashlib alone. The
+    # digest is that of a library run in this process, with OpenSSL, either way
     blocked = "" if builtin_sha256 else \
         "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
-    used, openssl, written, digest, same = _python(blocked + _HASHES, tmp_path / "run")
+    used = _python(blocked + _HASHES, tmp_path / "run")
+    if importlib.util.find_spec("_hashlib") is None:
+        pytest.skip("this Python has no OpenSSL")
+    assert type(hashlib.sha256()).__module__ == "_hashlib"
+    assert used in (("_sha2", "_sha256") if builtin_sha256 else ("_hashlib",))
+    written = (tmp_path / "run" / "summary.json").read_text()
+    result = preset_result("conservation")
+    assert json.loads(written)["config_hash"] == result.summary["config_hash"]
+    assert written == result.json_text
+
+
+def test_in_process_cli_main_leaves_hashlib_to_its_caller(tmp_path):
+    # the rule that keeps OpenSSL out of a CLI run is the process entry's:
+    # after cli.main in a caller's process, that caller's hashlib is
+    # OpenSSL's, scrypt included, where it has OpenSSL
+    code = """
+import importlib.util, json, sys
+from delaywave import cli
+openssl = importlib.util.find_spec("_hashlib") is not None
+assert cli.main(["--preset", "conservation", "--out", sys.argv[1]]) == 0
+import hashlib
+print(json.dumps([openssl, type(hashlib.sha256()).__module__, hasattr(hashlib, "scrypt")]))
+"""
+    openssl, used, scrypt = _python(code, tmp_path / "run")
     if not openssl:
         pytest.skip("this Python has no OpenSSL")
-    assert openssl == "_hashlib"
-    assert used in (("_sha2", "_sha256") if builtin_sha256 else ("_hashlib",))
-    assert written == digest and same
+    assert used == "_hashlib"
+    assert scrypt
 
 
 def test_cli_lifespan_quadrature_cap_exit_3(tmp_path, capsys, monkeypatch):
@@ -435,13 +439,10 @@ def _fresh_import(blas_threads):
             "print(json.dumps([threading.active_count(), "
             "len(os.listdir(tasks)) if os.path.isdir(tasks) else None, "
             "os.environ.get('OPENBLAS_NUM_THREADS')]))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True).stdout
+    out = run_python(code, env=env, timeout=60, check=True).stdout
     return json.loads(out.splitlines()[-1])
 
 

@@ -1,10 +1,8 @@
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
+
+from _runs import run_python
 
 from delaywave.config import (
     PRESET_NAMES,
@@ -172,10 +170,7 @@ def test_threshold_reads_interior_nodes_only():
 def test_config_imports_no_solver():
     # the config and its rules stand without the integrator
     code = "import sys, delaywave.config; sys.exit('delaywave.solver' in sys.modules)"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+    done = run_python(code, timeout=60)
     assert done.returncode == 0, done.stderr
 
 

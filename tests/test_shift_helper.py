@@ -4,12 +4,11 @@ the run ends. ``test_reference_run.py`` checks that a run gives the same
 bits with it as without it."""
 
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+
+from _runs import run_python
 
 from delaywave import solver
 from delaywave.config import RunConfig
@@ -63,10 +62,7 @@ sys.exit(code)
 
 
 def _cli_run(mode, tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    return subprocess.run([sys.executable, "-c", _SCRIPT, mode, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return run_python(_SCRIPT, mode, tmp_path, timeout=120)
 
 
 @pytest.mark.parametrize("mode, code", [("normal", 0), ("overflow", 3)])
